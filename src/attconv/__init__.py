@@ -1,11 +1,9 @@
 """Attention-augmented convolution for sentence classification."""
 
-from .attention import AttentionMatrix, MatchParams, attentive_context, match_scores
+from .attention import AttentionMatrix, MatchParams, match_scores
 from .autodiff import Node, GradCheckReport, backward, grad_check, zero_grads
 from .data import (
-    Batch,
     Dataset,
-    EmbeddingMatrix,
     Example,
     Vocabulary,
     build_vocab,
@@ -38,9 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaGradState",
     "AttentionMatrix",
-    "Batch",
     "Dataset",
-    "EmbeddingMatrix",
     "Example",
     "GradCheckReport",
     "MatchParams",
@@ -50,7 +46,6 @@ __all__ = [
     "TrainConfig",
     "Vocabulary",
     "adagrad_step",
-    "attentive_context",
     "backward",
     "build_model",
     "build_vocab",

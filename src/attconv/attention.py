@@ -104,9 +104,3 @@ def apply_attention(weights: ad.Node, Hy: ad.Node) -> ad.Node:
     if weights.value.shape[1] != Hy.value.shape[1]:
         raise DimensionError("apply_attention: weight columns must match context positions")
     return ad.matmul(Hy, ad.transpose(weights))
-
-
-def attentive_context(scores: ad.Node, Hy: ad.Node, mask=None) -> ad.Node:
-    """Convenience composition of attention_weights and apply_attention."""
-    attn = attention_weights(scores, mask)
-    return apply_attention(attn.weights, Hy)

@@ -11,16 +11,19 @@ the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .data import Vocabulary
 from .errors import ConfigError, FormatError
-from .model import Model, ModelConfig, TrainConfig, build_model
+from .model import EMBEDDINGS_KEY, Model, ModelConfig, TrainConfig, build_model
 
 MAGIC = b"ATTCONV1"
 FORMAT_VERSION = 1
+_HEADER_BYTES = len(MAGIC) + 8
+_MANIFEST_KEYS = ("model-config", "train-config", "vocab", "labels", "tensors")
 
 
 def _manifest(model: Model, train_config: TrainConfig) -> dict:
@@ -50,34 +53,69 @@ def save_checkpoint(path: str, model: Model, train_config: TrainConfig) -> None:
             fh.write(np.ascontiguousarray(node.value, dtype="<f8").tobytes())
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_layout(path: str, manifest: dict, blob_size: int) -> None:
+    """Reject missing or wrongly typed manifest fields, and tensor entries
+    that reach past the end of the blob."""
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise FormatError(f"{path}: manifest lacks {missing}")
+    for key in ("model-config", "train-config", "tensors"):
+        if not isinstance(manifest[key], dict):
+            raise FormatError(f"{path}: manifest {key} must be an object")
+    for key in ("vocab", "labels"):
+        if not isinstance(manifest[key], list) or not all(
+                isinstance(t, str) for t in manifest[key]):
+            raise FormatError(f"{path}: manifest {key} must be a list of strings")
+    for name, entry in manifest["tensors"].items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
+                and all(_is_count(n) for n in entry["shape"]) and _is_count(entry.get("offset"))):
+            raise FormatError(f"{path}: tensor {name} has a malformed directory entry")
+        if entry["offset"] + 8 * math.prod(entry["shape"]) > blob_size:
+            raise FormatError(f"{path}: tensor {name} lies outside the {blob_size}-byte blob")
+
+
 def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     """Rebuild a model from a checkpoint file.
 
-    The network is constructed from the stored config and every tensor is
-    overwritten from the blob, so the result is independent of the
+    The layout is checked before any tensor is read: a malformed file raises
+    FormatError. The network is constructed from the stored config and every
+    tensor is overwritten from the blob, so the result is independent of the
     initializer. Version mismatches name both versions in the error.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: not an attconv checkpoint (bad magic)")
-    (mlen,) = struct.unpack("<Q", raw[8:16])
+    if len(raw) < _HEADER_BYTES:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
+    (mlen,) = struct.unpack("<Q", raw[len(MAGIC):_HEADER_BYTES])
+    if mlen > len(raw) - _HEADER_BYTES:
+        raise FormatError(f"{path}: manifest length {mlen} exceeds the {len(raw)}-byte file")
     try:
-        manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
+        manifest = json.loads(raw[_HEADER_BYTES : _HEADER_BYTES + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt manifest ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
     version = manifest.get("format-version")
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or isinstance(version, bool):
         raise ConfigError(
             f"{path}: checkpoint format version {version} is not the supported {FORMAT_VERSION}"
         )
+    blob = raw[_HEADER_BYTES + mlen :]
+    _check_layout(path, manifest, len(blob))
     config = ModelConfig.from_json(manifest["model-config"])
     train_config = TrainConfig.from_json(manifest["train-config"])
     vocab = Vocabulary(tokens=list(manifest["vocab"]))
-    labels = list(manifest["labels"])
-    model = build_model(config, vocab, labels)
-    blob = raw[16 + mlen :]
     directory = manifest["tensors"]
+    # the stored table fits in the blob, so this bounds what build_model allocates
+    if directory.get(EMBEDDINGS_KEY, {}).get("shape") != [len(vocab), config.d]:
+        raise FormatError(f"{path}: embeddings entry does not match the vocabulary and d")
+    model = build_model(config, vocab, list(manifest["labels"]))
     if set(directory) != set(model.params):
         raise FormatError(f"{path}: tensor directory does not match the architecture")
     for name, node in model.params.items():
@@ -87,8 +125,6 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
             raise FormatError(
                 f"{path}: tensor {name} has shape {shape}, expected {node.value.shape}"
             )
-        start = entry["offset"]
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
+        arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=entry["offset"])
         node.value[...] = arr.reshape(shape)
     return model, train_config

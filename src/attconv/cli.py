@@ -1,8 +1,9 @@
 """Command line driver: train, eval, gradcheck, attmap, params.
 
 All commands print machine-parseable JSON on stdout (the attention SVG
-export writes files instead). Exit codes: 0 success, 2 configuration
-problem, 3 data problem, 4 numeric problem (divergence or nondeterminism).
+export writes files instead). Exit codes: 0 success, 1 gradient check
+failure, 2 configuration problem, 3 data problem, 4 numeric problem
+(divergence or nondeterminism).
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ def _remap_labels(ds: Dataset, model: Model, path: str) -> Dataset:
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.model)
     ds = _remap_labels(_load_dataset(args.data, "--data"), model, args.data)
-    result = evaluate(ds, model, workers=args.workers)
+    result = evaluate(ds, model)
     print(json.dumps({
         "accuracy": result.accuracy,
+        "loss": result.loss,
         "n": result.n,
         "labels": model.label_names,
         "confusion": result.confusion.tolist(),
@@ -241,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="evaluation JSONL")
-    p.add_argument("--workers", type=int, default=1,
-                   help="shard evaluation across N threads (same results)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ContractError, FormatError
 
 PAD_TOKEN = "<pad>"
@@ -75,18 +74,6 @@ class Vocabulary:
 
 
 @dataclass
-class EmbeddingMatrix:
-    """Dense token embeddings, one row per vocabulary id.
-
-    The PAD row stays all-zero and is excluded from gradient updates.
-    """
-
-    vectors: np.ndarray
-    trainable: bool = True
-    pad_id: int = PAD_ID
-
-
-@dataclass
 class Example:
     text: list[str]
     contexts: list[list[str]]
@@ -103,35 +90,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.examples)
-
-
-@dataclass
-class Batch:
-    """Fixed-size slice of a shuffled dataset, padded per batch.
-
-    Masks are True exactly at content positions; padding is right-aligned.
-    A context row that is entirely False marks an absent context slot.
-    """
-
-    text_ids: np.ndarray   # (B, Lx) int64
-    text_mask: np.ndarray  # (B, Lx) bool
-    ctx_ids: np.ndarray    # (B, C, Ly) int64
-    ctx_mask: np.ndarray   # (B, C, Ly) bool
-    labels: np.ndarray     # (B,) int64
-
-    def __len__(self) -> int:
-        return self.text_ids.shape[0]
-
-    def example_text_ids(self, i: int) -> list[int]:
-        return self.text_ids[i][self.text_mask[i]].tolist()
-
-    def example_ctx_ids(self, i: int) -> list[list[int]]:
-        out = []
-        for j in range(self.ctx_ids.shape[1]):
-            m = self.ctx_mask[i, j]
-            if m.any():
-                out.append(self.ctx_ids[i, j][m].tolist())
-        return out
 
 
 def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarray]:
@@ -196,8 +154,7 @@ def build_vocab(examples: list[Example], pretrained: Vocabulary | None = None,
 
 
 def init_embeddings(vocab: Vocabulary, dim: int, seed: int,
-                    pretrained: tuple[Vocabulary, np.ndarray] | None = None,
-                    trainable: bool = True) -> EmbeddingMatrix:
+                    pretrained: tuple[Vocabulary, np.ndarray] | None = None) -> np.ndarray:
     """Build the V x d embedding table for a run.
 
     Tokens found in the pretrained file keep their vectors bit for bit.
@@ -220,12 +177,7 @@ def init_embeddings(vocab: Vocabulary, dim: int, seed: int,
             table[i] = src
         else:
             table[i] = rng.uniform(-0.25, 0.25, size=dim)
-    return EmbeddingMatrix(vectors=table, trainable=trainable)
-
-
-def embed_sequence(ids: list[int], table: ad.Node) -> ad.Node:
-    """Graph-connected lookup: column i of the result embeds token ids[i]."""
-    return ad.embed(table, ids)
+    return table
 
 
 def load_jsonl(path: str) -> Dataset:
@@ -281,13 +233,16 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+EncodedExample = tuple[list[int], list[list[int]], int]  # (text_ids, ctx_ids, label)
+
+
 def make_batches(examples: list[Example], batch_size: int, seed,
-                 vocab: Vocabulary) -> list[Batch]:
-    """Shuffle under ``seed`` and chunk into padded batches.
+                 vocab: Vocabulary) -> list[list[EncodedExample]]:
+    """Shuffle under ``seed`` and chunk into batches of encoded examples.
 
     ``seed`` may be an int or a sequence of ints (numpy Generator entropy).
     Every example lands in exactly one batch; only the final batch may be
-    short. Padding uses PAD id 0 with masks marking content positions.
+    short. Empty contexts are dropped.
     """
     if batch_size < 1:
         raise ContractError("make_batches: batch_size must be at least 1")
@@ -296,28 +251,10 @@ def make_batches(examples: list[Example], batch_size: int, seed,
     batches = []
     for lo in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[lo:lo + batch_size]]
-        b = len(chunk)
-        lx = max(len(ex.text) for ex in chunk)
-        n_ctx = max((len(ex.contexts) for ex in chunk), default=0)
-        ly = 0
-        for ex in chunk:
-            for ctx in ex.contexts:
-                ly = max(ly, len(ctx))
-        text_ids = np.zeros((b, lx), dtype=np.int64)
-        text_mask = np.zeros((b, lx), dtype=bool)
-        ctx_ids = np.zeros((b, n_ctx, ly), dtype=np.int64)
-        ctx_mask = np.zeros((b, n_ctx, ly), dtype=bool)
-        labels = np.zeros(b, dtype=np.int64)
-        for i, ex in enumerate(chunk):
-            ids = vocab.encode(ex.text)
-            text_ids[i, :len(ids)] = ids
-            text_mask[i, :len(ids)] = True
-            for j, ctx in enumerate(ex.contexts):
-                cids = vocab.encode(ctx)
-                ctx_ids[i, j, :len(cids)] = cids
-                ctx_mask[i, j, :len(cids)] = True
-            labels[i] = ex.label
-        batches.append(Batch(text_ids, text_mask, ctx_ids, ctx_mask, labels))
+        batches.append([
+            (vocab.encode(ex.text), [vocab.encode(c) for c in ex.contexts if c], ex.label)
+            for ex in chunk
+        ])
     return batches
 
 

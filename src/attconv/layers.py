@@ -323,13 +323,6 @@ def intra_mask(m: int, self_mode: str) -> np.ndarray | None:
     raise ContractError(f"unknown self mode {self_mode!r}")
 
 
-def intra_attconv(Hx: ad.Node, params, self_mode: str = "include-self",
-                  trace: list[AttentionMatrix] | None = None) -> ad.Node:
-    """Attentive convolution of a text against itself."""
-    mask = intra_mask(Hx.value.shape[1], self_mode)
-    return attend_and_convolve(Hx, Hx, params, mask=mask, trace=trace)
-
-
 def attentive_pooling(Hx: ad.Node, Hy: ad.Node, params: ConvParams) -> tuple[ad.Node, ad.Node]:
     """Post-convolution attentive mean pooling over a sentence pair.
 

@@ -10,7 +10,6 @@ batching itself is a loop over examples, one graph per batch.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -21,7 +20,6 @@ from .attention import AttentionMatrix, MatchParams
 from .data import (
     SEP_TOKEN,
     Dataset,
-    EmbeddingMatrix,
     Example,
     Vocabulary,
     init_embeddings,
@@ -61,6 +59,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.context_mode not in CONTEXT_MODES:
@@ -97,6 +96,7 @@ class TrainConfig:
     eval_every: int = 1
 
     def validate(self) -> None:
+        _check_types(self)
         if self.learning_rate <= 0:
             raise ConfigError("learning-rate must be positive")
         if self.batch_size < 1:
@@ -116,6 +116,19 @@ class TrainConfig:
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
         return _config_from_json(cls, data)
+
+
+# what a field of each annotated type accepts; bool is excluded separately
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                "str": ((str,), "a string")}
+
+
+def _check_types(cfg) -> None:
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        accepted, what = _FIELD_TYPES[f.type]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{_json_key(f.name)} must be {what}, got {value!r}")
 
 
 def _config_from_json(cls, data: dict):
@@ -155,7 +168,6 @@ class Model:
     net: object
     classifier: Classifier
     embeddings: ad.Node
-    embeddings_trainable: bool = True
 
 
 def _rep_dim(config: ModelConfig) -> int:
@@ -163,8 +175,7 @@ def _rep_dim(config: ModelConfig) -> int:
 
 
 def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],
-                pretrained: tuple[Vocabulary, np.ndarray] | None = None,
-                embeddings_trainable: bool = True) -> Model:
+                pretrained: tuple[Vocabulary, np.ndarray] | None = None) -> Model:
     """Initialize every tensor for the configured variant, deterministically.
 
     Weight matrices draw from the fan-balanced uniform initializer, biases
@@ -177,10 +188,8 @@ def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],
         raise ConfigError(
             f"label list has {len(label_names)} entries but num-classes is {config.num_classes}"
         )
-    emb: EmbeddingMatrix = init_embeddings(
-        vocab, config.d, config.seed, pretrained, trainable=embeddings_trainable
-    )
-    emb_node = ad.param(emb.vectors, EMBEDDINGS_KEY)
+    emb_node = ad.param(init_embeddings(vocab, config.d, config.seed, pretrained),
+                        EMBEDDINGS_KEY)
     rng = np.random.default_rng([config.seed, _PARAM_STREAM])
     d = config.d
 
@@ -216,7 +225,6 @@ def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],
         net=net,
         classifier=classifier,
         embeddings=emb_node,
-        embeddings_trainable=embeddings_trainable,
     )
 
 
@@ -384,6 +392,7 @@ class EvalResult:
     accuracy: float
     n: int
     confusion: np.ndarray  # (K, K), gold rows, predicted columns
+    loss: float  # mean cross-entropy
 
     def per_class(self) -> list[dict]:
         out = []
@@ -396,36 +405,24 @@ class EvalResult:
         return out
 
 
-def evaluate(dataset: Dataset, model: Model, workers: int = 1) -> EvalResult:
-    """Accuracy plus a gold-by-predicted confusion matrix.
+def evaluate(dataset: Dataset, model: Model) -> EvalResult:
+    """Accuracy, a gold-by-predicted confusion matrix and the mean loss.
 
-    ``workers`` shards the example list for concurrent read-only forwards;
-    the merged counts are identical for any worker count because every
-    example is scored independently.
+    One forward per example. The loss is the mean of ``cross_entropy`` over
+    the examples, summed in dataset order.
     """
     if len(dataset) == 0:
         raise ContractError("evaluate: empty dataset")
-    if workers < 1:
-        raise ContractError("evaluate: workers must be at least 1")
     k = model.config.num_classes
-
-    def score(examples: list[Example]) -> np.ndarray:
-        conf = np.zeros((k, k), dtype=np.int64)
-        for ex in examples:
-            probs = forward(model, ex)
-            conf[ex.label, predict(probs.value)] += 1
-        return conf
-
-    if workers == 1:
-        confusion = score(dataset.examples)
-    else:
-        shards = [dataset.examples[i::workers] for i in range(workers)]
-        shards = [s for s in shards if s]
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            parts = list(pool.map(score, shards))
-        confusion = np.sum(parts, axis=0)
+    confusion = np.zeros((k, k), dtype=np.int64)
+    total = 0.0
+    for ex in dataset.examples:
+        probs = forward(model, ex)
+        confusion[ex.label, predict(probs.value)] += 1
+        total += cross_entropy(probs, ex.label).value.item()
     accuracy = float(np.trace(confusion)) / len(dataset)
-    return EvalResult(accuracy=accuracy, n=len(dataset), confusion=confusion)
+    return EvalResult(accuracy=accuracy, n=len(dataset), confusion=confusion,
+                      loss=total / len(dataset))
 
 
 def train(model: Model, train_data: Dataset, train_config: TrainConfig,
@@ -460,11 +457,11 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
         seen = 0
         for bi, batch in enumerate(batches):
             losses = []
-            for i in range(len(batch)):
-                probs = forward_ids(model, batch.example_text_ids(i), batch.example_ctx_ids(i))
-                if predict(probs.value) == batch.labels[i]:
+            for text_ids, ctx_ids, label in batch:
+                probs = forward_ids(model, text_ids, ctx_ids)
+                if predict(probs.value) == label:
                     correct += 1
-                losses.append(cross_entropy(probs, int(batch.labels[i])))
+                losses.append(cross_entropy(probs, label))
             seen += len(batch)
             loss = ad.mean_of(losses)
             if not np.isfinite(loss.value):
@@ -479,8 +476,6 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
                 if node.grad is None:
                     continue
                 if name == EMBEDDINGS_KEY:
-                    if not model.embeddings_trainable:
-                        continue
                     node.grad[0, :] = 0.0  # PAD row stays frozen at zero
                 grads[name] = node.grad
             adagrad_step(model.params, grads, state,
@@ -493,24 +488,15 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
         })
         if dev_data is not None and epoch % train_config.eval_every == 0:
             dev = evaluate(dev_data, model)
-            dev_loss = _dataset_loss(model, dev_data)
             record({
                 "epoch": epoch,
                 "split": "dev",
-                "loss": dev_loss,
+                "loss": dev.loss,
                 "accuracy": dev.accuracy,
             })
             if stop_at_dev_accuracy is not None and dev.accuracy >= stop_at_dev_accuracy:
                 break
     return metrics
-
-
-def _dataset_loss(model: Model, dataset: Dataset) -> float:
-    total = 0.0
-    for ex in dataset.examples:
-        probs = forward(model, ex)
-        total += cross_entropy(probs, ex.label).value.item()
-    return total / len(dataset)
 
 
 # ---------------------------------------------------------------------------

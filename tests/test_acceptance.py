@@ -14,7 +14,12 @@ import pytest
 
 from attconv import autodiff as ad
 from attconv import layers as ly
-from attconv.attention import MatchParams, attention_weights, attentive_context, match_scores
+from attconv.attention import (
+    MatchParams,
+    apply_attention,
+    attention_weights,
+    match_scores,
+)
 from attconv.checkpoint import load_checkpoint, save_checkpoint
 from attconv.cli import main
 from attconv.data import (
@@ -135,10 +140,10 @@ def test_attention_invariants():
                               match_scores(Hx, Hy, dot).value):
             ok, _ = False, notes.append(f"trial {trial}: bilinear identity differs")
 
-        c = attentive_context(match_scores(Hx, Hy, dot), Hy)
+        c = apply_attention(attention_weights(match_scores(Hx, Hy, dot)).weights, Hy)
         perm = rng.permutation(n)
         Hyp = ad.constant(Hy.value[:, perm])
-        cp = attentive_context(match_scores(Hx, Hyp, dot), Hyp)
+        cp = apply_attention(attention_weights(match_scores(Hx, Hyp, dot)).weights, Hyp)
         if np.max(np.abs(c.value - cp.value)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: permutation moved context")
 

@@ -11,7 +11,6 @@ from attconv.attention import (
     MatchParams,
     apply_attention,
     attention_weights,
-    attentive_context,
     match_scores,
 )
 from attconv.errors import ConfigError, DimensionError
@@ -125,7 +124,8 @@ def test_two_column_context_oracle():
     # scores [1, 0] over basis columns blends them with softmax weights
     hx = ad.constant(np.array([[1.0], [0.0]]))
     hy = ad.constant(np.eye(2))
-    c = attentive_context(match_scores(hx, hy, MatchParams(method="dot")), hy)
+    scores = match_scores(hx, hy, MatchParams(method="dot"))
+    c = apply_attention(attention_weights(scores).weights, hy)
     w1 = math.exp(1.0) / (math.exp(1.0) + 1.0)
     assert abs(c.value[0, 0] - w1) < 1e-12
     assert abs(c.value[1, 0] - (1.0 - w1)) < 1e-12
@@ -135,7 +135,7 @@ def test_uniform_scores_give_column_means():
     rng = np.random.default_rng(9)
     Hy = ad.constant(rng.standard_normal((4, 6)))
     scores = ad.constant(np.zeros((3, 6)))
-    c = attentive_context(scores, Hy)
+    c = apply_attention(attention_weights(scores).weights, Hy)
     want = Hy.value.mean(axis=1)
     for i in range(3):
         assert np.allclose(c.value[:, i], want, atol=1e-15)
@@ -145,7 +145,8 @@ def test_single_context_column_passes_through():
     rng = np.random.default_rng(10)
     Hx = ad.constant(rng.standard_normal((4, 5)))
     Hy = ad.constant(rng.standard_normal((4, 1)))
-    c = attentive_context(match_scores(Hx, Hy, MatchParams(method="dot")), Hy)
+    scores = match_scores(Hx, Hy, MatchParams(method="dot"))
+    c = apply_attention(attention_weights(scores).weights, Hy)
     for i in range(5):
         assert np.array_equal(c.value[:, i], Hy.value[:, 0])
 
@@ -156,7 +157,8 @@ def test_context_vectors_lie_in_convex_hull():
         d, m, n = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 7)
         Hx = ad.constant(rng.standard_normal((d, m)))
         Hy = ad.constant(rng.standard_normal((d, n)))
-        c = attentive_context(match_scores(Hx, Hy, MatchParams(method="dot")), Hy)
+        scores = match_scores(Hx, Hy, MatchParams(method="dot"))
+        c = apply_attention(attention_weights(scores).weights, Hy)
         lo = Hy.value.min(axis=1, keepdims=True) - 1e-12
         hi = Hy.value.max(axis=1, keepdims=True) + 1e-12
         assert np.all(c.value >= lo) and np.all(c.value <= hi)
@@ -168,8 +170,10 @@ def test_permuting_context_columns_leaves_context_vectors_unchanged():
     Hy = ad.constant(rng.standard_normal((4, 6)))
     perm = rng.permutation(6)
     Hyp = ad.constant(Hy.value[:, perm])
-    a = attentive_context(match_scores(Hx, Hy, MatchParams(method="dot")), Hy)
-    b = attentive_context(match_scores(Hx, Hyp, MatchParams(method="dot")), Hyp)
+    sa = match_scores(Hx, Hy, MatchParams(method="dot"))
+    sb = match_scores(Hx, Hyp, MatchParams(method="dot"))
+    a = apply_attention(attention_weights(sa).weights, Hy)
+    b = apply_attention(attention_weights(sb).weights, Hyp)
     assert np.allclose(a.value, b.value, atol=1e-12)
     # and the weights themselves permute along for the ride
     wa = attention_weights(match_scores(Hx, Hy, MatchParams(method="dot"))).weights.value

@@ -1,12 +1,17 @@
 """Checkpoint format: byte-stable round trips and corruption handling."""
 
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attconv.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
+from attconv.cli import main
 from attconv.data import Vocabulary, gen_context_match
 from attconv.errors import ConfigError, FormatError
 from attconv.model import ModelConfig, TrainConfig, build_model, evaluate, train
@@ -126,3 +131,117 @@ def test_shape_mismatch_names_the_tensor(tmp_path):
     path.write_bytes(_rewrite_manifest(path.read_bytes(), stretch))
     with pytest.raises(FormatError, match="classifier.W"):
         load_checkpoint(str(path))
+
+
+def test_oversized_d_is_rejected_before_building(tmp_path):
+    model, tcfg, _ = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+
+    def inflate(manifest):
+        manifest["model-config"]["d"] = 10**15  # a table no machine could allocate
+
+    path.write_bytes(_rewrite_manifest(path.read_bytes(), inflate))
+    with pytest.raises(FormatError, match="embeddings entry"):
+        load_checkpoint(str(path))
+
+
+# ---------------------------------------------------------------------------
+# malformed files through `attconv params --model`: exit 3 for a data error,
+# 2 for a version or config mismatch, never a traceback
+
+
+def _params_exit_code(path) -> int:
+    """Exit code of the command; an uncaught exception fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["params", "--model", str(path)])
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A d=2 checkpoint and a scratch path to write corrupted copies to."""
+    vocab = Vocabulary()
+    for t in ("a", "b", "c"):
+        vocab.add(t)
+    model = build_model(ModelConfig(variant="light", context_mode="single", d=2, seed=1),
+                        vocab, ["0", "1"])
+    workdir = tmp_path_factory.mktemp("fuzz")
+    path = workdir / "tiny.ckpt"
+    save_checkpoint(str(path), model, TrainConfig())
+    assert _params_exit_code(path) == 0
+    return path.read_bytes(), workdir / "bad.ckpt"
+
+
+def test_truncation_at_every_byte_is_a_data_error(tiny_checkpoint):
+    raw, bad = tiny_checkpoint
+    for n in range(len(raw)):
+        bad.write_bytes(raw[:n])
+        assert _params_exit_code(bad) == 3, n
+
+
+def _manifest_of(raw):
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16:16 + mlen].decode("utf-8"))
+
+
+def _field_paths(manifest):
+    """Key/index paths to every manifest field, and whether deleting it is
+    an error (a config key may be left out and take its default)."""
+    paths = [((key,), True) for key in manifest]
+    for section in ("model-config", "train-config"):
+        paths += [((section, key), False) for key in manifest[section]]
+    for key in ("vocab", "labels"):
+        paths += [((key, i), True) for i in range(len(manifest[key]))]
+    for name, entry in manifest["tensors"].items():
+        paths += [(("tensors", name), True)]
+        paths += [(("tensors", name, key), True) for key in entry]
+        paths += [(("tensors", name, "shape", i), True) for i in range(len(entry["shape"]))]
+    return paths
+
+
+def _kind(value):
+    """JSON kinds as the loader sees them: an int is also a valid float."""
+    if isinstance(value, bool):
+        return bool
+    return float if isinstance(value, (int, float)) else type(value)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_manifest_fields_exit_2_or_3(tiny_checkpoint, data):
+    raw, bad = tiny_checkpoint
+    path, deletable = data.draw(st.sampled_from(_field_paths(_manifest_of(raw))))
+    delete = deletable and data.draw(st.booleans())
+
+    def corrupt(manifest):
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            old = parent[path[-1]]
+            parent[path[-1]] = data.draw(_JSON.filter(lambda v: _kind(v) != _kind(old)))
+
+    bad.write_bytes(_rewrite_manifest(raw, corrupt))
+    assert _params_exit_code(bad) in (2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flipped_header_or_manifest_byte_never_crashes(tiny_checkpoint, data):
+    raw, bad = tiny_checkpoint
+    end = 16 + struct.unpack("<Q", raw[8:16])[0]
+    at = data.draw(st.integers(0, end - 1))
+    flipped = bytearray(raw)
+    flipped[at] ^= data.draw(st.integers(1, 255))
+    bad.write_bytes(bytes(flipped))
+    assert _params_exit_code(bad) in (0, 2, 3)

@@ -139,17 +139,17 @@ def test_init_embeddings_pad_row_zero_and_bounds():
     for t in "abcde":
         v.add(t)
     emb = init_embeddings(v, 6, seed=3)
-    assert emb.vectors.shape == (7, 6)
-    assert np.all(emb.vectors[PAD_ID] == 0)
-    assert np.all(np.abs(emb.vectors[1:]) <= 0.25)
+    assert emb.shape == (7, 6)
+    assert np.all(emb[PAD_ID] == 0)
+    assert np.all(np.abs(emb[1:]) <= 0.25)
 
 
 def test_init_embeddings_same_seed_identical():
     v = Vocabulary()
     v.add("a")
-    a = init_embeddings(v, 4, seed=11).vectors
-    b = init_embeddings(v, 4, seed=11).vectors
-    c = init_embeddings(v, 4, seed=12).vectors
+    a = init_embeddings(v, 4, seed=11)
+    b = init_embeddings(v, 4, seed=11)
+    c = init_embeddings(v, 4, seed=12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -159,10 +159,10 @@ def test_init_embeddings_pretrained_rows_kept_bit_for_bit(tmp_path):
     pre = load_pretrained(str(path), 3)
     v = build_vocab([Example(text=["cat", "new"], contexts=[], label=0)], pretrained=pre[0])
     emb = init_embeddings(v, 3, seed=0, pretrained=pre)
-    assert np.array_equal(emb.vectors[v.index["cat"]], [0.125, -0.5, 0.75])
+    assert np.array_equal(emb[v.index["cat"]], [0.125, -0.5, 0.75])
     # the out-of-file token draws from the seed stream instead
-    assert np.all(np.abs(emb.vectors[v.index["new"]]) <= 0.25)
-    assert not np.array_equal(emb.vectors[v.index["new"]], np.zeros(3))
+    assert np.all(np.abs(emb[v.index["new"]]) <= 0.25)
+    assert not np.array_equal(emb[v.index["new"]], np.zeros(3))
 
 
 def test_init_embeddings_pretrained_dim_mismatch(tmp_path):
@@ -178,7 +178,7 @@ def test_embed_shape_and_pad_column():
     for t in "abcdefg":
         v.add(t)
     emb = init_embeddings(v, 300, seed=5)
-    table = ad.constant(emb.vectors)
+    table = ad.constant(emb)
     H = ad.embed(table, v.encode(list("abcdefg")))
     assert H.value.shape == (300, 7)
     pad_col = ad.embed(table, [PAD_ID]).value
@@ -255,16 +255,8 @@ def test_make_batches_partition_and_masks():
     examples = _tiny_corpus(23)
     vocab = build_vocab(examples)
     batches = make_batches(examples, 5, seed=4, vocab=vocab)
-    seen = []
-    for b in batches:
-        for i in range(len(b)):
-            seen.append((tuple(b.example_text_ids(i)),
-                         tuple(tuple(c) for c in b.example_ctx_ids(i)),
-                         int(b.labels[i])))
-        # padding is right-aligned: mask is a prefix of True values
-        for row in b.text_mask:
-            k = int(row.sum())
-            assert row[:k].all() and not row[k:].any()
+    seen = [(tuple(text_ids), tuple(tuple(c) for c in ctx_ids), label)
+            for b in batches for text_ids, ctx_ids, label in b]
     want = sorted(
         (tuple(vocab.encode(ex.text)),
          tuple(tuple(vocab.encode(c)) for c in ex.contexts),
@@ -280,8 +272,8 @@ def test_make_batches_deterministic_and_seed_sensitive():
     a = make_batches(examples, 7, seed=9, vocab=vocab)
     b = make_batches(examples, 7, seed=9, vocab=vocab)
     c = make_batches(examples, 7, seed=[9, 2, 1], vocab=vocab)
-    assert all(np.array_equal(x.text_ids, y.text_ids) for x, y in zip(a, b))
-    assert any(not np.array_equal(x.labels, y.labels) for x, y in zip(a, c))
+    assert a == b
+    assert any([ex[2] for ex in x] != [ex[2] for ex in y] for x, y in zip(a, c))
 
 
 def test_make_batches_rejects_bad_batch_size():

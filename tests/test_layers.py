@@ -251,7 +251,9 @@ def test_intra_attconv_single_position_attends_to_itself():
     params = ly.LightParams.create(3, "dot", rng)
     h = rng.standard_normal((3, 1))
     trace = []
-    out = ly.intra_attconv(ad.constant(h), params, "include-self", trace=trace)
+    Hx = ad.constant(h)
+    out = ly.attend_and_convolve(Hx, Hx, params, mask=ly.intra_mask(1, "include-self"),
+                                 trace=trace)
     assert np.array_equal(trace[0].weights.value, np.array([[1.0]]))
     # with weight 1.0 the attentive context is the position's own state
     want = ly.light_attconv(ad.constant(h), ad.constant(h), params.conv).value
@@ -263,7 +265,7 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     params = ly.LightParams.create(3, "dot", rng)
     H = ad.constant(rng.standard_normal((3, 5)))
     trace = []
-    ly.intra_attconv(H, params, "exclude-self", trace=trace)
+    ly.attend_and_convolve(H, H, params, mask=ly.intra_mask(5, "exclude-self"), trace=trace)
     w = trace[0].weights.value
     assert np.all(np.diag(w) == 0.0)
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
