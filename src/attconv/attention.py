@@ -79,16 +79,8 @@ def match_scores(Hx: ad.Node, Hy: ad.Node, params: MatchParams) -> ad.Node:
     if params.method == "bilinear":
         return ad.matmul(ad.matmul(ad.transpose(Hx), params.W_e), Hy)
     if params.method == "additive":
-        m = Hx.value.shape[1]
-        n = Hy.value.shape[1]
-        P = ad.matmul(params.W_e, Hx)
-        Q = ad.matmul(params.U_e, Hy)
-        rows = []
-        for i in range(m):
-            col = ad.slice_cols(P, i, i + 1)
-            combined = ad.tanh(ad.add(ad.tile_cols(col, n), Q))
-            rows.append(ad.vecmat(params.v_e, combined))
-        return ad.stack_rows(rows)
+        return ad.additive_scores(ad.matmul(params.W_e, Hx), ad.matmul(params.U_e, Hy),
+                                  params.v_e)
     raise ConfigError(f"unknown match method {params.method!r}")
 
 

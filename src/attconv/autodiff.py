@@ -108,24 +108,6 @@ def matmul(a: Node, b: Node) -> Node:
     return out
 
 
-def vecmat(v: Node, m: Node) -> Node:
-    """Row-vector times matrix: (k,) @ (k,n) -> (n,)."""
-    vv, vm = v.value, m.value
-    if vv.ndim != 1:
-        raise DimensionError(f"vecmat lhs: expected 1-d, got {vv.shape}")
-    _require_2d(vm, "vecmat rhs")
-    if vv.shape[0] != vm.shape[0]:
-        raise DimensionError(f"vecmat: inner dims differ, {vv.shape} @ {vm.shape}")
-    out = Node(vv @ vm, "vecmat", (v, m))
-
-    def _bw(g):
-        _accum(v, vm @ g)
-        _accum(m, np.outer(vv, g))
-
-    out._backward = _bw
-    return out
-
-
 def add(a: Node, b: Node) -> Node:
     """Elementwise sum of two equal-shape nodes."""
     if a.value.shape != b.value.shape:
@@ -235,6 +217,35 @@ def add_bias(mat: Node, bias: Node) -> Node:
     return out
 
 
+def additive_scores(p: Node, q: Node, v: Node) -> Node:
+    """Additive match scores v . tanh(p_i + q_j) for every column pair, m x n.
+
+    ``p`` is d x m, ``q`` is d x n and ``v`` has length d. The tanh block is
+    held C-ordered in m x d x n layout, so each output row is ``v @ t[i]`` on
+    a contiguous d x n block: the same product, bit for bit, as a loop over
+    the rows. Plain broadcasting picks a strided layout when n is small, and
+    numpy's matmul sums strided blocks in another order.
+    """
+    vp, vq, vv = p.value, q.value, v.value
+    _require_2d(vp, "additive_scores p")
+    _require_2d(vq, "additive_scores q")
+    if vv.ndim != 1 or not (vp.shape[0] == vq.shape[0] == vv.shape[0]):
+        raise DimensionError(
+            f"additive_scores: p {vp.shape}, q {vq.shape} and v {vv.shape} must share d"
+        )
+    t = np.tanh(np.add(vp.T[:, :, None], vq[None, :, :], order="C"))
+    out = Node(vv @ t, "additive_scores", (p, q, v))
+
+    def _bw(g):
+        gt = vv[None, :, None] * g[:, None, :] * (1.0 - t * t)
+        _accum(p, gt.sum(axis=2).T)
+        _accum(q, gt.sum(axis=0))
+        _accum(v, (t * g[:, None, :]).sum(axis=(0, 2)))
+
+    out._backward = _bw
+    return out
+
+
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -243,6 +254,34 @@ def transpose(a: Node) -> Node:
     _require_2d(a.value, "transpose")
     out = Node(np.ascontiguousarray(a.value.T), "transpose", (a,))
     out._backward = lambda g: _accum(a, g.T)
+    return out
+
+
+def window3(h: Node) -> Node:
+    """Stack each position's [previous; current; next] columns as 3d x m.
+
+    Sequence boundaries see zero vectors, matching zero padding.
+    """
+    vh = h.value
+    _require_2d(vh, "window3")
+    d, m = vh.shape
+    win = np.zeros((3 * d, m))
+    win[:d, 1:] = vh[:, :-1]
+    win[d:2 * d] = vh
+    win[2 * d:, :-1] = vh[:, 1:]
+    out = Node(win, "window3", (h,))
+
+    def _bw(g):
+        # The centre block first, then the sum of both shifted blocks: the
+        # order of a pad, slice and concat composition, so gradients and
+        # trained checkpoints keep the bits that composition gave them.
+        _accum(h, g[d:2 * d])
+        shifted = np.zeros((d, m))
+        shifted[:, 1:] += g[2 * d:, :-1]
+        shifted[:, :-1] += g[:d, 1:]
+        _accum(h, shifted)
+
+    out._backward = _bw
     return out
 
 
@@ -266,26 +305,6 @@ def concat_rows(nodes: list[Node]) -> Node:
     return out
 
 
-def concat_cols(nodes: list[Node]) -> Node:
-    """Stack 2-d nodes side by side; all must share the row count."""
-    if not nodes:
-        raise ContractError("concat_cols: need at least one input")
-    rows = nodes[0].value.shape[0] if nodes[0].value.ndim == 2 else None
-    for n in nodes:
-        _require_2d(n.value, "concat_cols")
-        if n.value.shape[0] != rows:
-            raise DimensionError("concat_cols: row counts differ")
-    out = Node(np.concatenate([n.value for n in nodes], axis=1), "concat_cols", tuple(nodes))
-    offsets = np.cumsum([0] + [n.value.shape[1] for n in nodes])
-
-    def _bw(g):
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            _accum(n, g[:, lo:hi])
-
-    out._backward = _bw
-    return out
-
-
 def concat_vec(nodes: list[Node]) -> Node:
     """Concatenate 1-d nodes into one longer vector."""
     if not nodes:
@@ -304,45 +323,6 @@ def concat_vec(nodes: list[Node]) -> Node:
     return out
 
 
-def slice_cols(a: Node, start: int, stop: int) -> Node:
-    _require_2d(a.value, "slice_cols")
-    ncols = a.value.shape[1]
-    if not (0 <= start <= stop <= ncols):
-        raise ContractError(f"slice_cols: [{start}:{stop}] out of range for {ncols} columns")
-    out = Node(a.value[:, start:stop].copy(), "slice_cols", (a,))
-
-    def _bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[:, start:stop] += g
-
-    out._backward = _bw
-    return out
-
-
-def pad_cols(a: Node, left: int, right: int) -> Node:
-    """Zero-pad columns on either side of a 2-d node."""
-    _require_2d(a.value, "pad_cols")
-    if left < 0 or right < 0:
-        raise ContractError("pad_cols: pad widths must be nonnegative")
-    out = Node(np.pad(a.value, ((0, 0), (left, right))), "pad_cols", (a,))
-    stop = left + a.value.shape[1]
-    out._backward = lambda g: _accum(a, g[:, left:stop])
-    return out
-
-
-def tile_cols(a: Node, n: int) -> Node:
-    """Repeat a d x 1 column n times to form d x n."""
-    _require_2d(a.value, "tile_cols")
-    if a.value.shape[1] != 1:
-        raise DimensionError("tile_cols: input must have exactly one column")
-    if n < 1:
-        raise ContractError("tile_cols: n must be positive")
-    out = Node(np.repeat(a.value, n, axis=1), "tile_cols", (a,))
-    out._backward = lambda g: _accum(a, g.sum(axis=1, keepdims=True))
-    return out
-
-
 def stack_cols(nodes: list[Node]) -> Node:
     """Stack equal-length 1-d nodes as the columns of a matrix."""
     if not nodes:
@@ -356,24 +336,6 @@ def stack_cols(nodes: list[Node]) -> Node:
     def _bw(g):
         for i, n in enumerate(nodes):
             _accum(n, g[:, i])
-
-    out._backward = _bw
-    return out
-
-
-def stack_rows(nodes: list[Node]) -> Node:
-    """Stack equal-length 1-d nodes as the rows of a matrix."""
-    if not nodes:
-        raise ContractError("stack_rows: need at least one input")
-    length = nodes[0].value.shape[0] if nodes[0].value.ndim == 1 else None
-    for n in nodes:
-        if n.value.ndim != 1 or n.value.shape[0] != length:
-            raise DimensionError("stack_rows: inputs must be equal-length 1-d vectors")
-    out = Node(np.stack([n.value for n in nodes], axis=0), "stack_rows", tuple(nodes))
-
-    def _bw(g):
-        for i, n in enumerate(nodes):
-            _accum(n, g[i, :])
 
     out._backward = _bw
     return out
@@ -478,25 +440,14 @@ def max_over_positions(h: Node) -> tuple[Node, np.ndarray]:
 # softmax
 
 
-def masked_softmax(scores: Node, mask) -> Node:
-    """Softmax over the unmasked entries of a 1-d score vector.
-
-    Masked entries come out exactly 0. Stability comes from subtracting the
-    running max before exponentiation. Raises EmptyContextError when every
-    position is masked.
-    """
+def softmax(scores: Node) -> Node:
+    """Softmax of a 1-d score vector, shifted by its max for stability."""
     v = scores.value
     if v.ndim != 1:
-        raise DimensionError("masked_softmax: scores must be 1-d")
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != v.shape:
-        raise DimensionError(f"masked_softmax: mask {m.shape} does not match scores {v.shape}")
-    if not m.any():
-        raise EmptyContextError("masked_softmax: all positions are masked")
-    shifted = np.where(m, v, -np.inf)
-    e = np.exp(shifted - shifted.max())
+        raise DimensionError("softmax: scores must be 1-d")
+    e = np.exp(v - v.max())
     p = e / e.sum()
-    out = Node(p, "masked_softmax", (scores,))
+    out = Node(p, "softmax", (scores,))
     out._backward = lambda g: _accum(scores, p * (g - np.dot(g, p)))
     return out
 

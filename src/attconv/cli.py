@@ -158,6 +158,7 @@ def _gradcheck_model(model_cfg: ModelConfig) -> tuple[Model, list[int], list[lis
     vocab = Vocabulary()
     for i in range(12):
         vocab.add(f"t{i}")
+    vocab.add(SEP_TOKEN)  # after t0..t11, so multi-conc can join its contexts
     labels = [str(k) for k in range(cfg.num_classes)]
     model = build_model(cfg, vocab, labels)
     text_ids = [2, 3, 4, 5, 6]

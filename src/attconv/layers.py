@@ -222,21 +222,9 @@ class NoConvParams:
 # layer functions
 
 
-def window3(H: ad.Node) -> ad.Node:
-    """Stack each position's [previous; current; next] states as 3d x m.
-
-    Sequence boundaries see zero vectors, matching zero padding.
-    """
-    m = H.value.shape[1]
-    padded = ad.pad_cols(H, 1, 1)
-    prev = ad.slice_cols(padded, 0, m)
-    nxt = ad.slice_cols(padded, 2, m + 2)
-    return ad.concat_rows([prev, H, nxt])
-
-
 def vanilla_conv(H: ad.Node, params: ConvParams) -> ad.Node:
     """Width-3 convolution with tanh, the attention-free baseline."""
-    return ad.tanh(ad.add_bias(ad.matmul(params.W1, window3(H)), params.b))
+    return ad.tanh(ad.add_bias(ad.matmul(params.W1, ad.window3(H)), params.b))
 
 
 def light_attconv(Hx: ad.Node, Cx: ad.Node, params: LightAttConvParams) -> ad.Node:
@@ -249,7 +237,7 @@ def light_attconv(Hx: ad.Node, Cx: ad.Node, params: LightAttConvParams) -> ad.No
     """
     if Hx.value.shape[1] != Cx.value.shape[1]:
         raise DimensionError("light_attconv: H_x and C_x must align per position")
-    local = ad.matmul(params.W1, window3(Hx))
+    local = ad.matmul(params.W1, ad.window3(Hx))
     contextual = ad.matmul(params.W2, Cx)
     return ad.tanh(ad.add_bias(ad.add(local, contextual), params.b))
 
@@ -263,7 +251,7 @@ def gated_conv(H: ad.Node, params: GatedConvParams) -> ad.Node:
     if params.width == 1:
         win = H
     elif params.width == 3:
-        win = window3(H)
+        win = ad.window3(H)
     else:
         raise ContractError(f"gated conv width must be 1 or 3, got {params.width}")
     cand = ad.tanh(ad.add_bias(ad.matmul(params.W_h, win), params.b_h))
@@ -335,8 +323,8 @@ def attentive_pooling(Hx: ad.Node, Hy: ad.Node, params: ConvParams) -> tuple[ad.
     Hx2 = vanilla_conv(Hx, params)
     Hy2 = vanilla_conv(Hy, params)
     E = ad.matmul(ad.transpose(Hx2), Hy2)
-    wx = ad.masked_softmax(ad.row_sums(E), np.ones(Hx2.value.shape[1], dtype=bool))
-    wy = ad.masked_softmax(ad.row_sums(ad.transpose(E)), np.ones(Hy2.value.shape[1], dtype=bool))
+    wx = ad.softmax(ad.row_sums(E))
+    wy = ad.softmax(ad.row_sums(ad.transpose(E)))
     return ad.matmul(Hx2, wx), ad.matmul(Hy2, wy)
 
 

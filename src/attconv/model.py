@@ -181,35 +181,22 @@ def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],
     Weight matrices draw from the fan-balanced uniform initializer, biases
     start at zero, and the embedding table follows the pretrained/OOV rules
     in ``init_embeddings``. All draws come from substreams of config.seed
-    in a fixed order, so equal configs build bitwise-equal models.
+    in a fixed order, so equal configs build bitwise-equal models. A ``d``
+    too large to allocate is a ConfigError.
     """
     config.validate()
     if len(label_names) != config.num_classes:
         raise ConfigError(
             f"label list has {len(label_names)} entries but num-classes is {config.num_classes}"
         )
-    emb_node = ad.param(init_embeddings(vocab, config.d, config.seed, pretrained),
-                        EMBEDDINGS_KEY)
-    rng = np.random.default_rng([config.seed, _PARAM_STREAM])
-    d = config.d
-
-    if config.variant == "light":
-        net = ly.LightParams.create(d, config.match_method, rng)
-    elif config.variant == "advanced":
-        net = ly.AdvancedParams.create(d, config.match_method, rng)
-    elif config.variant in _CONTEXT_FREE:
-        net = ly.ConvParams.create(d, rng)
-    elif config.variant == "attentive-pooling":
-        net = ly.ConvParams.create(d, rng)
-    elif config.variant == "no-conv":
-        net = ly.NoConvParams.create(d, config.match_method, rng)
-    else:  # pragma: no cover - validate() guards this
-        raise ConfigError(f"unknown variant {config.variant!r}")
-
-    classifier = Classifier(
-        W=ad.param(ad.glorot(rng, config.num_classes, _rep_dim(config)), "W"),
-        b=ad.param(np.zeros(config.num_classes), "b"),
-    )
+    try:
+        emb_node = ad.param(init_embeddings(vocab, config.d, config.seed, pretrained),
+                            EMBEDDINGS_KEY)
+        net, classifier = _init_network(config)
+    except MemoryError:
+        raise ConfigError(
+            f"d={config.d} with a vocabulary of {len(vocab)} tokens does not fit in memory"
+        ) from None
 
     params: dict[str, ad.Node] = {EMBEDDINGS_KEY: emb_node}
     for k, v in net.tensors().items():
@@ -226,6 +213,29 @@ def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],
         classifier=classifier,
         embeddings=emb_node,
     )
+
+
+def _init_network(config: ModelConfig) -> tuple[object, Classifier]:
+    """The variant's layer parameters and the classifier head."""
+    rng = np.random.default_rng([config.seed, _PARAM_STREAM])
+    d = config.d
+    if config.variant == "light":
+        net = ly.LightParams.create(d, config.match_method, rng)
+    elif config.variant == "advanced":
+        net = ly.AdvancedParams.create(d, config.match_method, rng)
+    elif config.variant in _CONTEXT_FREE:
+        net = ly.ConvParams.create(d, rng)
+    elif config.variant == "attentive-pooling":
+        net = ly.ConvParams.create(d, rng)
+    elif config.variant == "no-conv":
+        net = ly.NoConvParams.create(d, config.match_method, rng)
+    else:  # pragma: no cover - validate() guards this
+        raise ConfigError(f"unknown variant {config.variant!r}")
+    classifier = Classifier(
+        W=ad.param(ad.glorot(rng, config.num_classes, _rep_dim(config)), "W"),
+        b=ad.param(np.zeros(config.num_classes), "b"),
+    )
+    return net, classifier
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +298,7 @@ def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]],
         rep = _forward_contextual(model, Hx, text_ids, ctx_ids, trace)
 
     logits = ad.add(ad.matmul(model.classifier.W, rep), model.classifier.b)
-    return ad.masked_softmax(logits, np.ones(cfg.num_classes, dtype=bool))
+    return ad.softmax(logits)
 
 
 def _forward_contextual(model: Model, Hx: ad.Node, text_ids: list[int],

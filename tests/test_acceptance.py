@@ -15,6 +15,7 @@ import pytest
 from attconv import autodiff as ad
 from attconv import layers as ly
 from attconv.attention import (
+    MATCH_METHODS,
     MatchParams,
     apply_attention,
     attention_weights,
@@ -32,6 +33,8 @@ from attconv.data import (
 )
 from attconv.attmap import export_attention
 from attconv.model import (
+    CONTEXT_MODES,
+    VARIANTS,
     ModelConfig,
     TrainConfig,
     build_model,
@@ -85,27 +88,32 @@ def test_joint_filter_equivalence():
 
 
 def test_gradient_suite(tmp_path, capsys):
+    # every variant x context mode; every match method where there is a
+    # match; intra attention with exclude-self
     cases = [
-        ("light", "single"),
-        ("advanced", "single"),
-        ("vanilla-cnn", "intra"),
-        ("attentive-pooling", "single"),
-        ("no-conv", "single"),
+        (variant, mode, method, "include-self")
+        for variant in VARIANTS for mode in CONTEXT_MODES
+        for method in (MATCH_METHODS if variant in ("light", "advanced", "no-conv") else ("dot",))
     ]
+    cases += [(variant, "intra", "dot", "exclude-self")
+              for variant in ("light", "advanced", "no-conv")]
     t0 = time.perf_counter()
     results = []
-    for variant, mode in cases:
-        config = tmp_path / f"{variant}.json"
+    for variant, mode, method, self_mode in cases:
+        config = tmp_path / "gradcheck.json"
         config.write_text(json.dumps({
-            "variant": variant, "context-mode": mode, "d": 4,
-            "num-classes": 2, "seed": 5,
+            "variant": variant, "context-mode": mode, "d": 4, "num-classes": 2,
+            "match-method": method, "self-mode": self_mode, "seed": 5,
         }), encoding="utf-8")
         code = main(["gradcheck", "--config", str(config), "--tolerance", "1e-6"])
         report = json.loads(capsys.readouterr().out)
-        results.append((variant, code, report["worst"]["error"]))
+        results.append((f"{variant}/{mode}/{method}/{self_mode}", code, report["worst"]["error"]))
     dt = time.perf_counter() - t0
     ok = all(code == 0 for _, code, _ in results) and dt < 120.0
-    detail = ", ".join(f"{v} {e:.1e}" for v, _, e in results) + f"; {dt:.1f}s"
+    failed = [name for name, code, _ in results if code != 0]
+    worst = max(results, key=lambda r: r[2])
+    detail = (f"{len(results)} configs, failed {failed}, worst {worst[0]} {worst[2]:.1e}; "
+              f"{dt:.1f}s")
     check("gradient suite", ok, detail)
 
 

@@ -167,27 +167,22 @@ def test_max_over_positions_empty_axis():
 
 
 def test_masked_softmax_symmetric_scores():
-    p = ad.masked_softmax(ad.constant(np.zeros(2)), np.array([True, True]))
+    p = ad.softmax(ad.constant(np.zeros(2)))
     assert np.array_equal(p.value, np.array([0.5, 0.5]))
+    rows = ad.masked_softmax_rows(ad.constant(np.zeros((1, 2))))
+    assert np.array_equal(rows.value, np.array([[0.5, 0.5]]))
 
 
 def test_masked_softmax_two_score_oracle():
     # independent evaluation of e^1 / (e^1 + e^0)
     want = math.exp(1.0) / (math.exp(1.0) + math.exp(0.0))
-    p = ad.masked_softmax(ad.constant(np.array([1.0, 0.0])), np.array([True, True]))
+    p = ad.softmax(ad.constant(np.array([1.0, 0.0])))
     assert abs(p.value[0] - want) < 1e-15
     assert abs(p.value[0] - 0.7310585786300049) < 1e-12
     assert abs(p.value.sum() - 1.0) < 1e-15
-
-
-def test_masked_softmax_single_unmasked_position():
-    p = ad.masked_softmax(ad.constant(np.array([5.0, 9.0])), np.array([True, False]))
-    assert np.array_equal(p.value, np.array([1.0, 0.0]))
-
-
-def test_masked_softmax_all_masked():
-    with pytest.raises(EmptyContextError):
-        ad.masked_softmax(ad.constant(np.array([1.0, 2.0])), np.array([False, False]))
+    # one row of the all-true row softmax is the same arithmetic
+    rows = ad.masked_softmax_rows(ad.constant(np.array([[1.0, 0.0]])))
+    assert np.array_equal(rows.value[0], p.value)
 
 
 def test_masked_softmax_rows_shared_and_full_masks():
@@ -231,13 +226,45 @@ def test_structural_op_preconditions():
     with pytest.raises(DimensionError):
         ad.concat_rows([ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 3)))])
     with pytest.raises(DimensionError):
-        ad.concat_cols([ad.constant(np.ones((2, 2))), ad.constant(np.ones((3, 2)))])
-    with pytest.raises(ContractError):
-        ad.slice_cols(ad.constant(np.ones((2, 2))), 0, 3)
+        ad.window3(ad.constant(np.ones(3)))
+    p = ad.constant(np.ones((2, 3)))
+    q = ad.constant(np.ones((2, 4)))
     with pytest.raises(DimensionError):
-        ad.tile_cols(ad.constant(np.ones((2, 2))), 3)
-    with pytest.raises(ContractError):
-        ad.pad_cols(ad.constant(np.ones((2, 2))), -1, 0)
+        ad.additive_scores(p, q, ad.constant(np.ones(3)))
+    with pytest.raises(DimensionError):
+        ad.additive_scores(p, ad.constant(np.ones((3, 4))), ad.constant(np.ones(2)))
+    with pytest.raises(DimensionError):
+        ad.additive_scores(p, q, ad.constant(np.ones((2, 1))))
+    with pytest.raises(DimensionError):
+        ad.additive_scores(ad.constant(np.ones(2)), q, ad.constant(np.ones(2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_additive_scores_match_the_per_row_loop(n):
+    # reference: one row at a time, v @ tanh(p_i + q) and its backward.
+    # Scores keep the loop's arithmetic, so they are compared bitwise, short
+    # contexts included; the gradients sum in another order, so they are
+    # compared to 1e-12 of their largest entry.
+    rng = np.random.default_rng(n)
+    d, m = 5, 4
+    p, q, v = rng.standard_normal((d, m)), rng.standard_normal((d, n)), rng.standard_normal(d)
+    g = rng.standard_normal((m, n))
+    want = np.empty((m, n))
+    gp, gq, gv = np.zeros((d, m)), np.zeros((d, n)), np.zeros(d)
+    for i in range(m):
+        t = np.tanh(np.repeat(p[:, i:i + 1], n, axis=1) + q)
+        want[i] = v @ t
+        gv += t @ g[i]
+        gpre = np.outer(v, g[i]) * (1.0 - t * t)
+        gq += gpre
+        gp[:, i] = gpre.sum(axis=1)
+
+    leaves = [ad.param(p), ad.param(q), ad.param(v)]
+    scores = ad.additive_scores(*leaves)
+    assert np.array_equal(scores.value, want)
+    ad.backward(ad.sum_all(ad.mul(scores, ad.constant(g))))
+    for leaf, ref in zip(leaves, (gp, gq, gv)):
+        assert np.max(np.abs(leaf.grad - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_glorot_bounds_and_determinism():
@@ -268,12 +295,6 @@ def _case_matmul_vector(rng):
     a = ad.param(rng.standard_normal((3, 4)))
     v = ad.param(rng.standard_normal(4))
     return [a, v], lambda: ad.sum_all(ad.matmul(a, v))
-
-
-def _case_vecmat(rng):
-    v = ad.param(rng.standard_normal(3))
-    m = ad.param(rng.standard_normal((3, 5)))
-    return [v, m], lambda: ad.sum_all(ad.vecmat(v, m))
 
 
 def _case_add_mul(rng):
@@ -333,13 +354,6 @@ def _case_concat_rows(rng):
     return [a, b], lambda: ad.sum_all(ad.mul(ad.concat_rows([a, b]), c))
 
 
-def _case_concat_cols(rng):
-    a = ad.param(rng.standard_normal((3, 2)))
-    b = ad.param(rng.standard_normal((3, 1)))
-    c = ad.constant(rng.standard_normal((3, 3)))
-    return [a, b], lambda: ad.sum_all(ad.mul(ad.concat_cols([a, b]), c))
-
-
 def _case_concat_vec(rng):
     a = ad.param(rng.standard_normal(2))
     b = ad.param(rng.standard_normal(3))
@@ -347,28 +361,28 @@ def _case_concat_vec(rng):
     return [a, b], lambda: ad.sum_all(ad.mul(ad.concat_vec([a, b]), c))
 
 
-def _case_slice_pad_tile(rng):
-    a = ad.param(rng.standard_normal((3, 6)))
-    c = ad.constant(rng.standard_normal((3, 4)))
+def _case_window3(m):
+    def case(rng):
+        a = ad.param(rng.standard_normal((3, m)))
+        c = ad.constant(rng.standard_normal((9, m)))
+        return [a], lambda: ad.sum_all(ad.mul(ad.window3(a), c))
 
-    def build():
-        mid = ad.slice_cols(ad.pad_cols(a, 1, 1), 2, 3)
-        return ad.sum_all(ad.mul(ad.tile_cols(mid, 4), c))
+    return case
 
-    return [a], build
+
+def _case_additive_scores(rng):
+    p = ad.param(rng.standard_normal((3, 4)))
+    q = ad.param(rng.standard_normal((3, 5)))
+    v = ad.param(rng.standard_normal(3))
+    c = ad.constant(rng.standard_normal((4, 5)))
+    return [p, q, v], lambda: ad.sum_all(ad.mul(ad.additive_scores(p, q, v), c))
 
 
 def _case_stack(rng):
     a = ad.param(rng.standard_normal(3))
     b = ad.param(rng.standard_normal(3))
     c = ad.constant(rng.standard_normal((3, 2)))
-
-    def build():
-        cols = ad.stack_cols([a, b])
-        rows = ad.stack_rows([a, b])
-        return ad.sum_all(ad.add(ad.mul(cols, c), ad.transpose(rows)))
-
-    return [a, b], build
+    return [a, b], lambda: ad.sum_all(ad.mul(ad.stack_cols([a, b]), c))
 
 
 def _case_row_sums(rng):
@@ -400,11 +414,10 @@ def _case_max_over_positions(rng):
     return [h], build
 
 
-def _case_masked_softmax(rng):
+def _case_softmax(rng):
     s = ad.param(rng.standard_normal(5))
     c = ad.constant(rng.standard_normal(5))
-    mask = np.array([True, True, False, True, True])
-    return [s], lambda: ad.sum_all(ad.mul(ad.masked_softmax(s, mask), c))
+    return [s], lambda: ad.sum_all(ad.mul(ad.softmax(s), c))
 
 
 def _case_masked_softmax_rows(rng):
@@ -419,7 +432,6 @@ def _case_masked_softmax_rows(rng):
 GRAD_CASES = {
     "matmul": _case_matmul,
     "matmul_vector": _case_matmul_vector,
-    "vecmat": _case_vecmat,
     "add_mul": _case_add_mul,
     "scale": _case_scale,
     "tanh": _case_tanh,
@@ -430,15 +442,16 @@ GRAD_CASES = {
     "add_bias": _case_add_bias,
     "transpose": _case_transpose,
     "concat_rows": _case_concat_rows,
-    "concat_cols": _case_concat_cols,
     "concat_vec": _case_concat_vec,
-    "slice_pad_tile": _case_slice_pad_tile,
+    "window3_m1": _case_window3(1),
+    "window3_m5": _case_window3(5),
+    "additive_scores": _case_additive_scores,
     "stack": _case_stack,
     "row_sums": _case_row_sums,
     "pick_mean": _case_pick_mean,
     "embed": _case_embed,
     "max_over_positions": _case_max_over_positions,
-    "masked_softmax": _case_masked_softmax,
+    "softmax": _case_softmax,
     "masked_softmax_rows": _case_masked_softmax_rows,
 }
 

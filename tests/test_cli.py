@@ -113,6 +113,18 @@ def test_train_wrongly_typed_config_value(tmp_path, capsys):
     assert "epochs must be an integer" in err
 
 
+def test_train_unallocatable_d_exits_2(tmp_path, capsys):
+    # 10**15 fails at once; a smaller d could really be allocated
+    config = write_config(tmp_path, d=10**15)
+    code, _, err = run(capsys, [
+        "train", "--config", config, "--train", write_data(tmp_path),
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert code == 2
+    assert "d=1000000000000000" in err and "vocabulary of" in err
+    assert "Traceback" not in err
+
+
 def test_train_class_count_must_match_data(tmp_path, capsys):
     config = write_config(tmp_path, **{"num-classes": 3})
     code, _, err = run(capsys, [
@@ -441,6 +453,12 @@ def test_params_from_checkpoint(trained, capsys):
     assert "note" not in report
     names = [t["name"] for t in report["tensors"]]
     assert "embeddings" in names and "classifier.W" in names
+
+
+def test_params_unallocatable_d_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, ["params", "--config", write_config(tmp_path, d=10**15)])
+    assert code == 2
+    assert "d=1000000000000000 with a vocabulary of 2 tokens" in err
 
 
 def test_params_needs_exactly_one_source(capsys):

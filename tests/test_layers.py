@@ -24,7 +24,7 @@ def _conv_params(d, rng):
 def test_window3_matches_numpy_oracle():
     rng = np.random.default_rng(0)
     H = ad.constant(rng.standard_normal((3, 5)))
-    assert np.array_equal(ly.window3(H).value, np_window3(H.value))
+    assert np.array_equal(ad.window3(H).value, np_window3(H.value))
 
 
 def test_vanilla_conv_hand_check_scalar_case():
