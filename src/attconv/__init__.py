@@ -1,6 +1,6 @@
 """Attention-augmented convolution for sentence classification."""
 
-from .attention import AttentionMatrix, MatchParams, match_scores
+from .attention import MatchParams, match_scores
 from .autodiff import Node, GradCheckReport, backward, grad_check, zero_grads
 from .data import (
     Dataset,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaGradState",
-    "AttentionMatrix",
     "Dataset",
     "Example",
     "GradCheckReport",

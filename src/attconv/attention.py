@@ -57,15 +57,6 @@ class MatchParams:
         return out
 
 
-@dataclass
-class AttentionMatrix:
-    """Raw scores plus their row-normalized weights for one attention pass."""
-
-    scores: ad.Node   # m x n
-    weights: ad.Node  # m x n, rows sum to 1 over unmasked columns
-    mask: np.ndarray | None
-
-
 def match_scores(Hx: ad.Node, Hy: ad.Node, params: MatchParams) -> ad.Node:
     """Score every (text position, context position) pair, giving m x n."""
     if Hx.value.ndim != 2 or Hy.value.ndim != 2:
@@ -84,11 +75,9 @@ def match_scores(Hx: ad.Node, Hy: ad.Node, params: MatchParams) -> ad.Node:
     raise ConfigError(f"unknown match method {params.method!r}")
 
 
-def attention_weights(scores: ad.Node, mask=None) -> AttentionMatrix:
-    """Normalize each score row over the unmasked context positions."""
-    weights = ad.masked_softmax_rows(scores, mask)
-    kept = None if mask is None else np.asarray(mask, dtype=bool)
-    return AttentionMatrix(scores=scores, weights=weights, mask=kept)
+def attention_weights(scores: ad.Node, mask=None) -> ad.Node:
+    """Normalize each m x n score row over the unmasked context positions."""
+    return ad.masked_softmax_rows(scores, mask)
 
 
 def apply_attention(weights: ad.Node, Hy: ad.Node) -> ad.Node:

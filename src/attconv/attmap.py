@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SEP_TOKEN, Dataset
 from .errors import ConfigError
-from .model import AttentionRecord, Model, forward
+from .model import AttentionRecord, Model, forward, join_context_ids
 
 # variants that produce a text-by-context attention matrix to export
 EXPORTABLE_VARIANTS = ("light", "advanced", "no-conv")
@@ -27,12 +27,7 @@ def context_tokens_for(model: Model, example, context_index: int) -> list[str]:
     if mode == "intra":
         return list(example.text)
     if mode == "multi-conc":
-        joined: list[str] = []
-        for k, ctx in enumerate(example.contexts):
-            if k > 0:
-                joined.append(SEP_TOKEN)
-            joined.extend(ctx)
-        return joined
+        return join_context_ids(example.contexts, SEP_TOKEN)
     return list(example.contexts[context_index])
 
 
@@ -56,7 +51,7 @@ def export_attention(model: Model, dataset: Dataset, fmt: str, out_dir: str) -> 
         for rec in trace:
             x_tokens = list(example.text)
             y_tokens = context_tokens_for(model, example, rec.context_index)
-            weights = rec.attention.weights.value
+            weights = rec.weights.value
             name = f"ex{ei:04d}_ctx{rec.context_index}_layer{rec.layer_index}.{fmt}"
             path = os.path.join(out_dir, name)
             if fmt == "tsv":

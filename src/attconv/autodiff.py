@@ -455,25 +455,18 @@ def softmax(scores: Node) -> Node:
 def masked_softmax_rows(scores: Node, mask=None) -> Node:
     """Row-wise masked softmax over an m x n score matrix.
 
-    ``mask`` may be a length-n vector shared by every row, a full m x n
-    boolean matrix (used by exclude-self attention), or None for all-true.
-    Any row left with zero unmasked entries raises EmptyContextError.
+    ``mask`` is an m x n boolean matrix (used by exclude-self attention), or
+    None for all-true. Any row left with zero unmasked entries raises
+    EmptyContextError.
     """
     v = scores.value
     _require_2d(v, "masked_softmax_rows")
-    m_rows, n_cols = v.shape
     if mask is None:
-        full = np.ones((m_rows, n_cols), dtype=bool)
+        full = np.ones(v.shape, dtype=bool)
     else:
-        mk = np.asarray(mask, dtype=bool)
-        if mk.ndim == 1:
-            if mk.shape[0] != n_cols:
-                raise DimensionError("masked_softmax_rows: mask length does not match columns")
-            full = np.broadcast_to(mk, (m_rows, n_cols))
-        elif mk.shape == (m_rows, n_cols):
-            full = mk
-        else:
-            raise DimensionError(f"masked_softmax_rows: mask {mk.shape} does not fit {v.shape}")
+        full = np.asarray(mask, dtype=bool)
+        if full.shape != v.shape:
+            raise DimensionError(f"masked_softmax_rows: mask {full.shape} does not fit {v.shape}")
     alive = full.any(axis=1)
     if not alive.all():
         bad = int(np.flatnonzero(~alive)[0])

@@ -78,6 +78,21 @@ def _check_layout(path: str, manifest: dict, blob_size: int) -> None:
             raise FormatError(f"{path}: tensor {name} lies outside the {blob_size}-byte blob")
 
 
+def _upgrade_configs(model_json: dict, train_json: dict) -> tuple[dict, dict]:
+    """Map the names older checkpoints store onto the current configs.
+
+    ``no-context`` was a second name for ``vanilla-cnn``, and ``filter-width``
+    a train field that could only hold 3. Any other width stays an unknown
+    field.
+    """
+    if model_json.get("variant") == "no-context":
+        model_json = {**model_json, "variant": "vanilla-cnn"}
+    width = train_json.get("filter-width")
+    if type(width) is int and width == 3:
+        train_json = {k: v for k, v in train_json.items() if k != "filter-width"}
+    return model_json, train_json
+
+
 def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     """Rebuild a model from a checkpoint file.
 
@@ -85,6 +100,8 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     FormatError. The network is constructed from the stored config and every
     tensor is overwritten from the blob, so the result is independent of the
     initializer. Version mismatches name both versions in the error.
+    Checkpoints written with the ``no-context`` variant or a ``filter-width``
+    of 3 load as ``vanilla-cnn`` without the width.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -108,8 +125,10 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
         )
     blob = raw[_HEADER_BYTES + mlen :]
     _check_layout(path, manifest, len(blob))
-    config = ModelConfig.from_json(manifest["model-config"])
-    train_config = TrainConfig.from_json(manifest["train-config"])
+    model_json, train_json = _upgrade_configs(manifest["model-config"],
+                                              manifest["train-config"])
+    config = ModelConfig.from_json(model_json)
+    train_config = TrainConfig.from_json(train_json)
     vocab = Vocabulary(tokens=list(manifest["vocab"]))
     directory = manifest["tensors"]
     # the stored table fits in the blob, so this bounds what build_model allocates

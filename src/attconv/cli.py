@@ -2,8 +2,8 @@
 
 All commands print machine-parseable JSON on stdout (the attention SVG
 export writes files instead). Exit codes: 0 success, 1 gradient check
-failure, 2 configuration problem, 3 data problem, 4 numeric problem
-(divergence or nondeterminism).
+failure, 2 configuration problem or any other library error, 3 data
+problem, 4 numeric problem (divergence or nondeterminism).
 """
 
 from __future__ import annotations
@@ -12,23 +12,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
-
-import numpy as np
+from dataclasses import fields, replace
 
 from . import autodiff as ad
 from .attmap import export_attention
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SEP_TOKEN, Dataset, Vocabulary, build_vocab, load_jsonl, load_pretrained
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DeterminismError,
-    DivergenceError,
-    EmptyContextError,
-    FormatError,
-)
+from .errors import AttconvError, ConfigError, DataError, DeterminismError, DivergenceError
 from .model import (
     Model,
     ModelConfig,
@@ -46,6 +36,10 @@ SEED_ENV = "ATTCONV_SEED"
 _MODEL_KEYS = {f.name.replace("_", "-") for f in fields(ModelConfig)}
 _TRAIN_KEYS = {f.name.replace("_", "-") for f in fields(TrainConfig)}
 _EXTRA_KEYS = {"embeddings"}  # optional path to pretrained word vectors
+
+# params --config and gradcheck name the classes "0".."K-1" themselves; the
+# bound keeps that list (about 60 bytes a name) small before build_model runs
+_MAX_UNNAMED_CLASSES = 10**6
 
 
 def _read_config(path: str) -> tuple[ModelConfig, TrainConfig, dict]:
@@ -147,20 +141,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _unnamed_labels(num_classes: int) -> list[str]:
+    """Class names "0".."K-1" for a model built from a config alone."""
+    if num_classes > _MAX_UNNAMED_CLASSES:
+        raise ConfigError(
+            f"num-classes {num_classes} exceeds {_MAX_UNNAMED_CLASSES} for a model without data"
+        )
+    return [str(k) for k in range(num_classes)]
+
+
 def _gradcheck_model(model_cfg: ModelConfig) -> tuple[Model, list[int], list[list[int]]]:
     """A tiny deterministic probe model plus one fixed encoded example."""
-    d = min(model_cfg.d, 8)  # forced small so the check stays tractable
-    cfg = ModelConfig(
-        variant=model_cfg.variant, context_mode=model_cfg.context_mode, d=d,
-        num_classes=model_cfg.num_classes, match_method=model_cfg.match_method,
-        self_mode=model_cfg.self_mode, seed=model_cfg.seed,
-    )
+    cfg = replace(model_cfg, d=min(model_cfg.d, 8))  # small so the check stays tractable
     vocab = Vocabulary()
     for i in range(12):
         vocab.add(f"t{i}")
     vocab.add(SEP_TOKEN)  # after t0..t11, so multi-conc can join its contexts
-    labels = [str(k) for k in range(cfg.num_classes)]
-    model = build_model(cfg, vocab, labels)
+    model = build_model(cfg, vocab, _unnamed_labels(cfg.num_classes))
     text_ids = [2, 3, 4, 5, 6]
     if cfg.context_mode == "intra":
         ctx_ids: list[list[int]] = []
@@ -210,8 +207,7 @@ def cmd_params(args) -> int:
     else:
         model_cfg, _, _ = _read_config(args.config)
         vocab = Vocabulary()  # placeholder: PAD and UNK only
-        labels = [str(k) for k in range(model_cfg.num_classes)]
-        model = build_model(model_cfg, vocab, labels)
+        model = build_model(model_cfg, vocab, _unnamed_labels(model_cfg.num_classes))
         note = "embedding rows reflect a placeholder vocabulary of 2 tokens"
     without = count_params(model.params, include_embeddings=False)
     with_emb = count_params(model.params, include_embeddings=True)
@@ -273,10 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, FormatError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -285,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DivergenceError, DeterminismError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except (ContractError, EmptyContextError) as exc:
+    except AttconvError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

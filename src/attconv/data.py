@@ -66,9 +66,6 @@ class Vocabulary:
                 out.append(self.index.get(t, UNK_ID))
         return out
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[int(i)] for i in ids]
-
     def copy(self) -> "Vocabulary":
         return Vocabulary(tokens=list(self.tokens), index=dict(self.index))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionMatrix, MatchParams, apply_attention, attention_weights, match_scores
+from .attention import MatchParams, apply_attention, attention_weights, match_scores
 from .errors import ContractError, DimensionError, EmptyContextError
 
 SELF_MODES = ("include-self", "exclude-self")
@@ -196,7 +196,6 @@ class NoConvParams:
     """
 
     layers: list[NoConvLayerParams] = field(default_factory=list)
-    depth: int = 4
 
     @classmethod
     def create(cls, d: int, method: str, rng: np.random.Generator) -> "NoConvParams":
@@ -272,27 +271,25 @@ def beneficiary(H: ad.Node, params: GatedConvParams) -> ad.Node:
 
 
 def attend_and_convolve(Hx: ad.Node, Hy: ad.Node, params, mask=None,
-                        trace: list[AttentionMatrix] | None = None) -> ad.Node:
+                        trace: list[ad.Node] | None = None) -> ad.Node:
     """Run the light or advanced attentive convolution of Hx against Hy.
 
     Dispatches on the parameter bundle type. ``trace``, when given,
-    collects the AttentionMatrix of every attention pass for export.
+    collects the m x n weights node of every attention pass for export.
     """
     if isinstance(params, LightParams):
-        scores = match_scores(Hx, Hy, params.match)
-        attn = attention_weights(scores, mask)
+        weights = attention_weights(match_scores(Hx, Hy, params.match), mask)
         if trace is not None:
-            trace.append(attn)
-        Cx = apply_attention(attn.weights, Hy)
+            trace.append(weights)
+        Cx = apply_attention(weights, Hy)
         return light_attconv(Hx, Cx, params.conv)
     if isinstance(params, AdvancedParams):
         src = mgran(Hx, params.source)
         foc = mgran(Hy, params.focus)
-        scores = match_scores(src, foc, params.match)
-        attn = attention_weights(scores, mask)
+        weights = attention_weights(match_scores(src, foc, params.match), mask)
         if trace is not None:
-            trace.append(attn)
-        Cx = apply_attention(attn.weights, foc)
+            trace.append(weights)
+        Cx = apply_attention(weights, foc)
         bene = beneficiary(Hx, params.beneficiary)
         return light_attconv(bene, Cx, params.conv)
     raise ContractError(f"attend_and_convolve: unsupported bundle {type(params).__name__}")
@@ -329,7 +326,7 @@ def attentive_pooling(Hx: ad.Node, Hy: ad.Node, params: ConvParams) -> tuple[ad.
 
 
 def no_conv_stack(Hx: ad.Node, Hy: ad.Node, params: NoConvParams, mask=None,
-                  trace: list[AttentionMatrix] | None = None) -> ad.Node:
+                  trace: list[ad.Node] | None = None) -> ad.Node:
     """Four layers of attend, add, fully-connected transform; no windows.
 
     Each layer matches the current text states against the fixed context
@@ -338,10 +335,9 @@ def no_conv_stack(Hx: ad.Node, Hy: ad.Node, params: NoConvParams, mask=None,
     """
     H = Hx
     for layer in params.layers:
-        scores = match_scores(H, Hy, layer.match)
-        attn = attention_weights(scores, mask)
+        weights = attention_weights(match_scores(H, Hy, layer.match), mask)
         if trace is not None:
-            trace.append(attn)
-        C = apply_attention(attn.weights, Hy)
+            trace.append(weights)
+        C = apply_attention(weights, Hy)
         H = ad.tanh(ad.add_bias(ad.matmul(layer.W, ad.add(H, C)), layer.b))
     return H

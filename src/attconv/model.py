@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers as ly
-from .attention import AttentionMatrix, MatchParams
 from .data import (
     SEP_TOKEN,
     Dataset,
@@ -32,11 +31,8 @@ from .errors import (
     EmptyContextError,
 )
 
-VARIANTS = ("light", "advanced", "vanilla-cnn", "attentive-pooling", "no-conv", "no-context")
+VARIANTS = ("light", "advanced", "vanilla-cnn", "attentive-pooling", "no-conv")
 CONTEXT_MODES = ("intra", "single", "multi-wise", "multi-conc")
-
-# variants whose representation of the text ignores every context
-_CONTEXT_FREE = ("vanilla-cnn", "no-context")
 
 _PARAM_STREAM = 1
 EMBEDDINGS_KEY = "embeddings"
@@ -85,14 +81,12 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    """Optimization knobs. The filter width is part of the architecture
-    and must stay 3."""
+    """Optimization knobs."""
 
     learning_rate: float = 0.01
     batch_size: int = 50
     epochs: int = 10
     adagrad_epsilon: float = 1e-8
-    filter_width: int = 3
     eval_every: int = 1
 
     def validate(self) -> None:
@@ -105,8 +99,6 @@ class TrainConfig:
             raise ConfigError("epochs must be at least 1")
         if self.adagrad_epsilon <= 0:
             raise ConfigError("adagrad-epsilon must be positive")
-        if self.filter_width != 3:
-            raise ConfigError("filter-width is fixed at 3")
         if self.eval_every < 1:
             raise ConfigError("eval-every must be at least 1")
 
@@ -223,9 +215,7 @@ def _init_network(config: ModelConfig) -> tuple[object, Classifier]:
         net = ly.LightParams.create(d, config.match_method, rng)
     elif config.variant == "advanced":
         net = ly.AdvancedParams.create(d, config.match_method, rng)
-    elif config.variant in _CONTEXT_FREE:
-        net = ly.ConvParams.create(d, rng)
-    elif config.variant == "attentive-pooling":
+    elif config.variant in ("vanilla-cnn", "attentive-pooling"):
         net = ly.ConvParams.create(d, rng)
     elif config.variant == "no-conv":
         net = ly.NoConvParams.create(d, config.match_method, rng)
@@ -248,12 +238,12 @@ class AttentionRecord:
 
     context_index: int
     layer_index: int
-    attention: AttentionMatrix
+    weights: ad.Node  # m x n, rows sum to 1 over unmasked columns
 
 
-def join_context_ids(ctx_ids: list[list[int]], sep_id: int) -> list[int]:
-    """Concatenate context id sequences with a separator between them."""
-    joined: list[int] = []
+def join_context_ids(ctx_ids: list[list], sep_id) -> list:
+    """Concatenate context sequences (of ids or tokens) with a separator between them."""
+    joined: list = []
     for k, ids in enumerate(ctx_ids):
         if k > 0:
             joined.append(sep_id)
@@ -262,7 +252,7 @@ def join_context_ids(ctx_ids: list[list[int]], sep_id: int) -> list[int]:
 
 
 def _context_rep(model: Model, Hx: ad.Node, Hy: ad.Node, mask,
-                 trace: list[AttentionMatrix] | None) -> ad.Node:
+                 trace: list[ad.Node] | None) -> ad.Node:
     """Sentence vector of the text given one context's hidden states."""
     cfg = model.config
     if cfg.variant in ("light", "advanced"):
@@ -291,7 +281,7 @@ def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]],
         raise ContractError("forward: empty text")
     Hx = ad.embed(model.embeddings, text_ids)
 
-    if cfg.variant in _CONTEXT_FREE:
+    if cfg.variant == "vanilla-cnn":
         fmap = ly.vanilla_conv(Hx, model.net)
         rep, _ = ad.max_over_positions(fmap)
     else:
@@ -307,11 +297,11 @@ def _forward_contextual(model: Model, Hx: ad.Node, text_ids: list[int],
     cfg = model.config
 
     def run(Hy: ad.Node, mask, ctx_index: int) -> ad.Node:
-        passes: list[AttentionMatrix] = []
+        passes: list[ad.Node] = []
         rep = _context_rep(model, Hx, Hy, mask, passes if trace is not None else None)
         if trace is not None:
-            for li, attn in enumerate(passes):
-                trace.append(AttentionRecord(ctx_index, li, attn))
+            for li, weights in enumerate(passes):
+                trace.append(AttentionRecord(ctx_index, li, weights))
         return rep
 
     if cfg.context_mode == "intra":
@@ -403,16 +393,6 @@ class EvalResult:
     n: int
     confusion: np.ndarray  # (K, K), gold rows, predicted columns
     loss: float  # mean cross-entropy
-
-    def per_class(self) -> list[dict]:
-        out = []
-        for k in range(self.confusion.shape[0]):
-            out.append({
-                "gold": int(self.confusion[k].sum()),
-                "correct": int(self.confusion[k, k]),
-                "predicted": int(self.confusion[:, k].sum()),
-            })
-        return out
 
 
 def evaluate(dataset: Dataset, model: Model) -> EvalResult:

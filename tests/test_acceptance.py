@@ -136,8 +136,7 @@ def test_attention_invariants():
 
         mask = rng.random(n) < 0.7
         mask[int(rng.integers(n))] = True
-        attn = attention_weights(match_scores(Hx, Hy, dot), mask)
-        w = attn.weights.value
+        w = attention_weights(match_scores(Hx, Hy, dot), np.broadcast_to(mask, (m, n))).value
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: rows not stochastic")
         if np.any(w[:, ~mask] != 0.0):
@@ -148,10 +147,10 @@ def test_attention_invariants():
                               match_scores(Hx, Hy, dot).value):
             ok, _ = False, notes.append(f"trial {trial}: bilinear identity differs")
 
-        c = apply_attention(attention_weights(match_scores(Hx, Hy, dot)).weights, Hy)
+        c = apply_attention(attention_weights(match_scores(Hx, Hy, dot)), Hy)
         perm = rng.permutation(n)
         Hyp = ad.constant(Hy.value[:, perm])
-        cp = apply_attention(attention_weights(match_scores(Hx, Hyp, dot)).weights, Hyp)
+        cp = apply_attention(attention_weights(match_scores(Hx, Hyp, dot)), Hyp)
         if np.max(np.abs(c.value - cp.value)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: permutation moved context")
 
@@ -240,7 +239,7 @@ def test_probe_row_attends_to_the_marker(nonlocal_run):
         if predict(probs.value) != 1:
             continue
         seen += 1
-        row = trace[0].attention.weights.value[-1]
+        row = trace[0].weights.value[-1]
         hits += int(np.argmax(row) == 0)
     rate = hits / seen
     check("probe-row attention", rate >= 0.80 and seen > 100,
@@ -255,7 +254,7 @@ def test_attention_export_carries_the_alignment(nonlocal_run, tmp_path):
             continue
         trace = []
         probs = forward(model, ex, trace=trace)
-        if predict(probs.value) == 1 and np.argmax(trace[0].attention.weights.value[-1]) == 0:
+        if predict(probs.value) == 1 and np.argmax(trace[0].weights.value[-1]) == 0:
             chosen = ex
             break
     assert chosen is not None
@@ -370,7 +369,7 @@ def entailment_run():
         return max(m["accuracy"] for m in metrics if m["split"] == "dev"), dt
 
     light_acc, light_t = run("light", stop=0.96)
-    blind_acc, blind_t = run("no-context", stop=None)
+    blind_acc, blind_t = run("vanilla-cnn", stop=None)
     return {"light": light_acc, "blind": blind_acc, "seconds": light_t + blind_t}
 
 

@@ -73,8 +73,8 @@ def test_additive_with_zero_vector_gives_uniform_attention():
     Hx, Hy = _hx_hy(rng, d=3, m=2, n=4)
     params = _params("additive", 3, rng)
     params.v_e.value[:] = 0.0
-    attn = attention_weights(match_scores(Hx, Hy, params))
-    assert np.array_equal(attn.weights.value, np.full((2, 4), 0.25))
+    weights = attention_weights(match_scores(Hx, Hy, params))
+    assert np.array_equal(weights.value, np.full((2, 4), 0.25))
 
 
 def test_match_params_create_surface():
@@ -104,20 +104,20 @@ def test_rows_are_stochastic_for_every_method(method):
         Hx = ad.constant(rng.standard_normal((d, m)))
         Hy = ad.constant(rng.standard_normal((d, n)))
         params = _params(method, int(d), rng)
-        attn = attention_weights(match_scores(Hx, Hy, params))
-        sums = attn.weights.value.sum(axis=1)
+        weights = attention_weights(match_scores(Hx, Hy, params))
+        sums = weights.value.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
-        assert np.all(attn.weights.value >= 0.0)
+        assert np.all(weights.value >= 0.0)
 
 
 def test_masked_positions_get_exactly_zero_weight():
     rng = np.random.default_rng(8)
     Hx, Hy = _hx_hy(rng, d=3, m=4, n=5)
     mask = np.array([True, False, True, False, True])
-    attn = attention_weights(match_scores(Hx, Hy, MatchParams(method="dot")), mask)
-    assert np.all(attn.weights.value[:, ~mask] == 0.0)
-    assert np.all(np.abs(attn.weights.value.sum(axis=1) - 1.0) <= 1e-12)
-    assert np.array_equal(attn.mask, mask)
+    weights = attention_weights(match_scores(Hx, Hy, MatchParams(method="dot")),
+                                np.broadcast_to(mask, (4, 5)))
+    assert np.all(weights.value[:, ~mask] == 0.0)
+    assert np.all(np.abs(weights.value.sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_two_column_context_oracle():
@@ -125,7 +125,7 @@ def test_two_column_context_oracle():
     hx = ad.constant(np.array([[1.0], [0.0]]))
     hy = ad.constant(np.eye(2))
     scores = match_scores(hx, hy, MatchParams(method="dot"))
-    c = apply_attention(attention_weights(scores).weights, hy)
+    c = apply_attention(attention_weights(scores), hy)
     w1 = math.exp(1.0) / (math.exp(1.0) + 1.0)
     assert abs(c.value[0, 0] - w1) < 1e-12
     assert abs(c.value[1, 0] - (1.0 - w1)) < 1e-12
@@ -135,7 +135,7 @@ def test_uniform_scores_give_column_means():
     rng = np.random.default_rng(9)
     Hy = ad.constant(rng.standard_normal((4, 6)))
     scores = ad.constant(np.zeros((3, 6)))
-    c = apply_attention(attention_weights(scores).weights, Hy)
+    c = apply_attention(attention_weights(scores), Hy)
     want = Hy.value.mean(axis=1)
     for i in range(3):
         assert np.allclose(c.value[:, i], want, atol=1e-15)
@@ -146,7 +146,7 @@ def test_single_context_column_passes_through():
     Hx = ad.constant(rng.standard_normal((4, 5)))
     Hy = ad.constant(rng.standard_normal((4, 1)))
     scores = match_scores(Hx, Hy, MatchParams(method="dot"))
-    c = apply_attention(attention_weights(scores).weights, Hy)
+    c = apply_attention(attention_weights(scores), Hy)
     for i in range(5):
         assert np.array_equal(c.value[:, i], Hy.value[:, 0])
 
@@ -158,7 +158,7 @@ def test_context_vectors_lie_in_convex_hull():
         Hx = ad.constant(rng.standard_normal((d, m)))
         Hy = ad.constant(rng.standard_normal((d, n)))
         scores = match_scores(Hx, Hy, MatchParams(method="dot"))
-        c = apply_attention(attention_weights(scores).weights, Hy)
+        c = apply_attention(attention_weights(scores), Hy)
         lo = Hy.value.min(axis=1, keepdims=True) - 1e-12
         hi = Hy.value.max(axis=1, keepdims=True) + 1e-12
         assert np.all(c.value >= lo) and np.all(c.value <= hi)
@@ -172,12 +172,12 @@ def test_permuting_context_columns_leaves_context_vectors_unchanged():
     Hyp = ad.constant(Hy.value[:, perm])
     sa = match_scores(Hx, Hy, MatchParams(method="dot"))
     sb = match_scores(Hx, Hyp, MatchParams(method="dot"))
-    a = apply_attention(attention_weights(sa).weights, Hy)
-    b = apply_attention(attention_weights(sb).weights, Hyp)
+    a = apply_attention(attention_weights(sa), Hy)
+    b = apply_attention(attention_weights(sb), Hyp)
     assert np.allclose(a.value, b.value, atol=1e-12)
     # and the weights themselves permute along for the ride
-    wa = attention_weights(match_scores(Hx, Hy, MatchParams(method="dot"))).weights.value
-    wb = attention_weights(match_scores(Hx, Hyp, MatchParams(method="dot"))).weights.value
+    wa = attention_weights(match_scores(Hx, Hy, MatchParams(method="dot"))).value
+    wb = attention_weights(match_scores(Hx, Hyp, MatchParams(method="dot"))).value
     assert np.allclose(wa[:, perm], wb, atol=1e-12)
 
 

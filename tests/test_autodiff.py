@@ -187,7 +187,7 @@ def test_masked_softmax_two_score_oracle():
 
 def test_masked_softmax_rows_shared_and_full_masks():
     scores = ad.constant(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-    shared = ad.masked_softmax_rows(scores, np.array([True, False, True]))
+    shared = ad.masked_softmax_rows(scores, np.broadcast_to([True, False, True], (2, 3)))
     assert np.all(shared.value[:, 1] == 0.0)
     assert np.allclose(shared.value.sum(axis=1), 1.0, atol=1e-15)
 
@@ -207,6 +207,8 @@ def test_masked_softmax_rows_mask_shape_errors():
     scores = ad.constant(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
         ad.masked_softmax_rows(scores, np.array([True, False]))
+    with pytest.raises(DimensionError):  # a length-n vector is not an m x n mask
+        ad.masked_softmax_rows(scores, np.array([True, False, True]))
     with pytest.raises(DimensionError):
         ad.masked_softmax_rows(scores, np.ones((3, 2), dtype=bool))
 

@@ -14,7 +14,7 @@ from attconv.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_chec
 from attconv.cli import main
 from attconv.data import Vocabulary, gen_context_match
 from attconv.errors import ConfigError, FormatError
-from attconv.model import ModelConfig, TrainConfig, build_model, evaluate, train
+from attconv.model import ModelConfig, TrainConfig, build_model, evaluate, forward_ids, train
 
 
 def trained_model():
@@ -245,3 +245,58 @@ def test_flipped_header_or_manifest_byte_never_crashes(tiny_checkpoint, data):
     flipped[at] ^= data.draw(st.integers(1, 255))
     bad.write_bytes(bytes(flipped))
     assert _params_exit_code(bad) in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# names written by older versions: the `no-context` alias of vanilla-cnn and
+# the one-valued `filter-width`; only the checkpoint loader still knows them
+
+
+def _legacy_checkpoint(tmp_path, filter_width):
+    """A vanilla-cnn checkpoint rewritten the way older versions stored it."""
+    vocab = Vocabulary()
+    for t in ("a", "b", "c", "d"):
+        vocab.add(t)
+    model = build_model(ModelConfig(variant="vanilla-cnn", context_mode="single", d=3, seed=4),
+                        vocab, ["0", "1"])
+    tcfg = TrainConfig(epochs=2)
+    path = tmp_path / "legacy.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+
+    def age(manifest):
+        manifest["model-config"]["variant"] = "no-context"
+        manifest["train-config"]["filter-width"] = filter_width
+
+    path.write_bytes(_rewrite_manifest(path.read_bytes(), age))
+    return model, tcfg, path
+
+
+def test_legacy_no_context_checkpoint_loads_as_vanilla_cnn(tmp_path):
+    model, tcfg, path = _legacy_checkpoint(tmp_path, 3)
+    loaded, loaded_tcfg = load_checkpoint(str(path))
+    assert loaded.config == model.config
+    assert loaded.config.variant == "vanilla-cnn"
+    assert loaded_tcfg == tcfg
+    for text, ctx in (([2, 3, 4], [[5]]), ([5, 5, 2, 1], [[3, 4]]), ([4], [[2, 3, 5]])):
+        want = forward_ids(model, text, ctx).value
+        assert np.array_equal(forward_ids(loaded, text, ctx).value, want)
+    # saving it again writes the current names
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(str(resaved), loaded, loaded_tcfg)
+    manifest = _manifest_of(resaved.read_bytes())
+    assert manifest["model-config"]["variant"] == "vanilla-cnn"
+    assert "filter-width" not in manifest["train-config"]
+
+
+@pytest.mark.parametrize("width", [5, 3.0, True, "3"])
+def test_legacy_filter_width_other_than_3_exits_2(tmp_path, width):
+    _, _, path = _legacy_checkpoint(tmp_path, width)
+    assert _params_exit_code(path) == 2
+
+
+@pytest.mark.parametrize("legacy", [{"variant": "no-context"}, {"filter-width": 3}])
+def test_legacy_names_in_a_config_file_exit_2(tmp_path, legacy):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"d": 4, **legacy}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["params", "--config", str(path)]) == 2

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from attconv import cli, errors
 from attconv.checkpoint import MAGIC, save_checkpoint
 from attconv.cli import SEED_ENV, main
 from attconv.data import Vocabulary, gen_context_match, save_jsonl
@@ -461,7 +462,36 @@ def test_params_unallocatable_d_exits_2(tmp_path, capsys):
     assert "d=1000000000000000 with a vocabulary of 2 tokens" in err
 
 
+@pytest.mark.parametrize("command", ["params", "gradcheck"])
+def test_huge_num_classes_exits_2_before_naming_the_classes(tmp_path, capsys, command):
+    config = write_config(tmp_path, **{"num-classes": 10**15})
+    code, _, err = run(capsys, [command, "--config", config])
+    assert code == 2
+    assert "num-classes 1000000000000000" in err
+
+
 def test_params_needs_exactly_one_source(capsys):
     with pytest.raises(SystemExit):
         main(["params"])
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# exit codes: every library error maps to a documented code
+
+
+_LIBRARY_ERRORS = sorted(
+    (e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, errors.AttconvError)),
+    key=lambda e: e.__name__,
+)
+
+
+@pytest.mark.parametrize("error", _LIBRARY_ERRORS, ids=lambda e: e.__name__)
+def test_every_library_error_has_a_documented_exit_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "cmd_params", fail)
+    code, _, err = run(capsys, ["params", "--config", "unused.json"])
+    assert code in (2, 3, 4)
+    assert "injected failure" in err and "Traceback" not in err

@@ -206,12 +206,11 @@ def test_attend_and_convolve_light_equals_manual_composition():
     trace = []
     got = ly.attend_and_convolve(Hx, Hy, params, trace=trace).value
 
-    attn = attention_weights(match_scores(Hx, Hy, params.match))
-    Cx = apply_attention(attn.weights, Hy)
+    Cx = apply_attention(attention_weights(match_scores(Hx, Hy, params.match)), Hy)
     want = ly.light_attconv(Hx, Cx, params.conv).value
     assert np.array_equal(got, want)
     assert len(trace) == 1
-    assert trace[0].weights.value.shape == (5, 6)
+    assert trace[0].value.shape == (5, 6)
 
 
 def test_attend_and_convolve_advanced_shapes_and_trace():
@@ -222,7 +221,7 @@ def test_attend_and_convolve_advanced_shapes_and_trace():
     out = ly.attend_and_convolve(Hx, Hx, params, trace=trace)
     assert out.value.shape == (3, 5)
     # matching runs over the multi-granular states, one row/column per position
-    assert trace[0].weights.value.shape == (5, 5)
+    assert trace[0].value.shape == (5, 5)
 
 
 def test_attend_and_convolve_rejects_unknown_bundles():
@@ -254,7 +253,7 @@ def test_intra_attconv_single_position_attends_to_itself():
     Hx = ad.constant(h)
     out = ly.attend_and_convolve(Hx, Hx, params, mask=ly.intra_mask(1, "include-self"),
                                  trace=trace)
-    assert np.array_equal(trace[0].weights.value, np.array([[1.0]]))
+    assert np.array_equal(trace[0].value, np.array([[1.0]]))
     # with weight 1.0 the attentive context is the position's own state
     want = ly.light_attconv(ad.constant(h), ad.constant(h), params.conv).value
     assert np.array_equal(out.value, want)
@@ -266,7 +265,7 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     H = ad.constant(rng.standard_normal((3, 5)))
     trace = []
     ly.attend_and_convolve(H, H, params, mask=ly.intra_mask(5, "exclude-self"), trace=trace)
-    w = trace[0].weights.value
+    w = trace[0].value
     assert np.all(np.diag(w) == 0.0)
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 

@@ -63,7 +63,7 @@ def test_train_config_json_roundtrip():
     cfg = TrainConfig(learning_rate=0.05, batch_size=10, epochs=3)
     data = cfg.to_json()
     assert set(data) == {"learning-rate", "batch-size", "epochs",
-                         "adagrad-epsilon", "filter-width", "eval-every"}
+                         "adagrad-epsilon", "eval-every"}
     assert TrainConfig.from_json(data) == cfg
 
 
@@ -72,6 +72,9 @@ def test_config_rejects_unknown_fields():
         ModelConfig.from_json({"depth": 9})
     with pytest.raises(ConfigError):
         TrainConfig.from_json({"momentum": 0.9})
+    # only the checkpoint loader accepts the key, from files written before it went
+    with pytest.raises(ConfigError, match="unknown TrainConfig field 'filter-width'"):
+        TrainConfig.from_json({"filter-width": 3})
 
 
 @pytest.mark.parametrize("overrides", [
@@ -96,7 +99,6 @@ def test_model_config_validation(overrides):
     {"batch_size": 0},
     {"epochs": 0},
     {"adagrad_epsilon": 0.0},
-    {"filter_width": 5},
     {"eval_every": 0},
     {"batch_size": None},
     {"learning_rate": "0.1"},
@@ -246,8 +248,8 @@ def test_multi_conc_order_moves_attention_columns_not_their_mass():
     t1, t2 = [], []
     a = forward_ids(model, text, [c1, c2], trace=t1).value
     b = forward_ids(model, text, [c2, c1], trace=t2).value
-    w1 = t1[0].attention.weights.value
-    w2 = t2[0].attention.weights.value
+    w1 = t1[0].weights.value
+    w2 = t2[0].weights.value
     perm = (list(range(len(c1) + 1, len(c1) + 1 + len(c2)))
             + [len(c1)] + list(range(len(c1))))
     assert np.allclose(w2, w1[:, perm], atol=1e-12)
@@ -478,8 +480,6 @@ def test_evaluate_accuracy_matches_confusion_recomputation():
     )
     assert abs(result.accuracy - weighted_recall) < 1e-12
     assert conf.sum() == result.n == 60
-    per = result.per_class()
-    assert [p["gold"] for p in per] == [int(conf[k].sum()) for k in range(2)]
 
 
 def test_evaluate_loss_is_the_mean_cross_entropy_bitwise():
