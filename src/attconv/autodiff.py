@@ -20,7 +20,6 @@ from .errors import (
     ContractError,
     DeterminismError,
     DimensionError,
-    DivergenceError,
     EmptyContextError,
     EmptyInputError,
 )
@@ -58,11 +57,6 @@ class Node:
 def param(value, name: str | None = None) -> Node:
     """Create a trainable leaf node."""
     return Node(value, op="param", name=name)
-
-
-def constant(value, name: str | None = None) -> Node:
-    """Create a leaf node that the optimizer never touches."""
-    return Node(value, op="const", name=name)
 
 
 def glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -122,28 +116,6 @@ def add(a: Node, b: Node) -> Node:
     return out
 
 
-def mul(a: Node, b: Node) -> Node:
-    """Hadamard product of two equal-shape nodes."""
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = Node(a.value * b.value, "mul", (a, b))
-
-    def _bw(g):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
-
-    out._backward = _bw
-    return out
-
-
-def scale(a: Node, s: float) -> Node:
-    """Multiply by a python scalar."""
-    s = float(s)
-    out = Node(a.value * s, "scale", (a,))
-    out._backward = lambda g: _accum(a, g * s)
-    return out
-
-
 def tanh(a: Node) -> Node:
     t = np.tanh(a.value)
     out = Node(t, "tanh", (a,))
@@ -164,24 +136,6 @@ def sigmoid(a: Node) -> Node:
     s = _sigmoid_stable(a.value)
     out = Node(s, "sigmoid", (a,))
     out._backward = lambda g: _accum(a, g * s * (1.0 - s))
-    return out
-
-
-def log(a: Node) -> Node:
-    """Natural log. The whole input must be strictly positive."""
-    if np.any(a.value <= 0.0):
-        raise ContractError("log: input must be strictly positive")
-    out = Node(np.log(a.value), "log", (a,))
-    out._backward = lambda g: _accum(a, g / a.value)
-    return out
-
-
-def clamp_min(a: Node, floor: float) -> Node:
-    """max(x, floor) elementwise; gradient passes only where x > floor."""
-    floor = float(floor)
-    keep = a.value > floor
-    out = Node(np.maximum(a.value, floor), "clamp_min", (a,))
-    out._backward = lambda g: _accum(a, g * keep)
     return out
 
 
@@ -349,29 +303,6 @@ def row_sums(a: Node) -> Node:
     return out
 
 
-def sum_all(a: Node) -> Node:
-    out = Node(a.value.sum(), "sum_all", (a,))
-    out._backward = lambda g: _accum(a, np.broadcast_to(g, a.value.shape))
-    return out
-
-
-def pick(v: Node, index: int) -> Node:
-    """Select one entry of a 1-d node as a scalar."""
-    if v.value.ndim != 1:
-        raise DimensionError("pick: input must be 1-d")
-    if not (0 <= index < v.value.shape[0]):
-        raise ContractError(f"pick: index {index} out of range for length {v.value.shape[0]}")
-    out = Node(np.asarray(v.value[index]), "pick", (v,))
-
-    def _bw(g):
-        if v.grad is None:
-            v.grad = np.zeros_like(v.value)
-        v.grad[index] += g
-
-    out._backward = _bw
-    return out
-
-
 def mean_of(nodes: list[Node]) -> Node:
     """Average a list of scalar nodes."""
     if not nodes:
@@ -389,6 +320,29 @@ def mean_of(nodes: list[Node]) -> Node:
         share = g / k
         for n in nodes:
             _accum(n, np.broadcast_to(share, n.value.shape))
+
+    out._backward = _bw
+    return out
+
+
+def nll(probs: Node, label: int) -> Node:
+    """Negative log of one entry of a 1-d probability vector, floored at 1e-12.
+
+    The gradient reaches the entry only where it lies above the floor.
+    """
+    v = probs.value
+    if v.ndim != 1:
+        raise DimensionError("nll: probabilities must be 1-d")
+    if not (0 <= label < v.shape[0]):
+        raise ContractError(f"nll: label {label} out of range for length {v.shape[0]}")
+    p = v[label]
+    floored = np.maximum(p, 1e-12)
+    out = Node(-np.log(floored), "nll", (probs,))
+
+    def _bw(g):
+        if probs.grad is None:
+            probs.grad = np.zeros_like(v)
+        probs.grad[label] += ((-g) / floored) * (p > 1e-12)
 
     out._backward = _bw
     return out
@@ -531,11 +485,6 @@ def zero_grads(nodes) -> None:
         n.grad = None
 
 
-def assert_finite(value: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(value)):
-        raise DivergenceError(f"non-finite value in {what}")
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -561,10 +510,6 @@ class GradCheckReport:
     @property
     def passed(self) -> bool:
         return all(e < self.tolerance for e in self.errors.values())
-
-    def lines(self) -> list[str]:
-        width = max((len(n) for n in self.errors), default=4)
-        return [f"{name:<{width}}  {err:.3e}" for name, err in self.errors.items()]
 
 
 def grad_check(build_loss, params: dict[str, Node], step: float = 1e-5,

@@ -50,11 +50,15 @@ def _read_config(path: str) -> tuple[ModelConfig, TrainConfig, dict]:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(raw) - _MODEL_KEYS - _TRAIN_KEYS - _EXTRA_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    if not isinstance(raw.get("embeddings", ""), str):
+        raise ConfigError(f"{path}: embeddings must be a path string")
     model_cfg = ModelConfig.from_json({k: v for k, v in raw.items() if k in _MODEL_KEYS})
     train_cfg = TrainConfig.from_json({k: v for k, v in raw.items() if k in _TRAIN_KEYS})
     extras = {k: v for k, v in raw.items() if k in _EXTRA_KEYS}

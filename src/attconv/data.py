@@ -8,6 +8,7 @@ is lowercase whitespace splitting throughout.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ UNK_ID = 1
 
 # independent substreams of the run seed
 _EMBED_STREAM = 0
+# rows per uniform draw in init_embeddings: one draw for a whole 16k x 300
+# table would hold a second table-sized array while it is scattered
+_DRAW_ROWS = 1024
 
 
 def tokenize(text: str) -> list[str]:
@@ -89,6 +93,16 @@ class Dataset:
         return iter(self.examples)
 
 
+@contextmanager
+def _utf8_text(path: str):
+    """Open a text file for reading; bytes that do not decode raise FormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
+
+
 def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarray]:
     """Read word vectors in the text format ``token v1 ... vd``.
 
@@ -102,7 +116,7 @@ def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarra
     """
     vocab = Vocabulary()
     rows = [np.zeros(expected_dim), np.zeros(expected_dim)]
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.rstrip("\n").split()
             if not parts:
@@ -161,19 +175,21 @@ def init_embeddings(vocab: Vocabulary, dim: int, seed: int,
     """
     rng = np.random.default_rng([seed, _EMBED_STREAM])
     table = np.zeros((len(vocab), dim), dtype=np.float64)
-    pvocab, pmat = pretrained if pretrained is not None else (None, None)
-    for i, tok in enumerate(vocab.tokens):
-        if i == PAD_ID:
-            continue
-        if pvocab is not None and tok in pvocab and pvocab.index[tok] > UNK_ID:
-            src = pmat[pvocab.index[tok]]
-            if src.shape[0] != dim:
-                raise ContractError(
-                    f"init_embeddings: pretrained dim {src.shape[0]} does not match {dim}"
-                )
-            table[i] = src
-        else:
-            table[i] = rng.uniform(-0.25, 0.25, size=dim)
+    pvocab, pmat = pretrained if pretrained is not None else (Vocabulary(), None)
+    src = np.array([pvocab.index.get(tok, PAD_ID) for tok in vocab.tokens], dtype=np.int64)
+    copied = src > UNK_ID
+    if copied.any():
+        if pmat.shape[1] != dim:
+            raise ContractError(
+                f"init_embeddings: pretrained dim {pmat.shape[1]} does not match {dim}"
+            )
+        table[copied] = pmat[src[copied]]
+    # consecutive draws continue one stream, so blocks of rows in ascending
+    # id order get the bits that one draw per row gives them
+    ids = np.flatnonzero(~copied & (np.arange(len(vocab)) != PAD_ID))
+    for lo in range(0, len(ids), _DRAW_ROWS):
+        block = ids[lo:lo + _DRAW_ROWS]
+        table[block] = rng.uniform(-0.25, 0.25, size=(len(block), dim))
     return table
 
 
@@ -182,7 +198,7 @@ def load_jsonl(path: str) -> Dataset:
     examples: list[Example] = []
     label_names: list[str] = []
     label_ids: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -70,6 +70,8 @@ class ModelConfig:
             raise ConfigError("d must be at least 1")
         if self.num_classes < 2:
             raise ConfigError("num-classes must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     def to_json(self) -> dict:
         return {_json_key(f.name): getattr(self, f.name) for f in fields(self)}
@@ -348,7 +350,7 @@ def forward(model: Model, example: Example,
 
 def cross_entropy(probs: ad.Node, label: int) -> ad.Node:
     """Negative log probability of the gold class, floored at 1e-12."""
-    return ad.scale(ad.log(ad.clamp_min(ad.pick(probs, label), 1e-12)), -1.0)
+    return ad.nll(probs, label)
 
 
 def predict(probs: np.ndarray) -> int:

@@ -73,7 +73,7 @@ def test_joint_filter_equivalence():
         params = ly.LightAttConvParams.create(d, d_c, rng)
         H = rng.standard_normal((d, m))
         C = rng.standard_normal((d_c, m))
-        got = ly.light_attconv(ad.constant(H), ad.constant(C), params).value
+        got = ly.light_attconv(ad.Node(H), ad.Node(C), params).value
         joint = np.hstack([params.W1.value, params.W2.value])
         want = np.tanh(joint @ np.vstack([np_window3(H), C]) + params.b.value[:, None])
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -130,8 +130,8 @@ def test_attention_invariants():
         d = int(rng.integers(1, 7))
         m = int(rng.integers(1, 8))
         n = int(rng.integers(2, 9))
-        Hx = ad.constant(rng.standard_normal((d, m)))
-        Hy = ad.constant(rng.standard_normal((d, n)))
+        Hx = ad.Node(rng.standard_normal((d, m)))
+        Hy = ad.Node(rng.standard_normal((d, n)))
         dot = MatchParams(method="dot")
 
         mask = rng.random(n) < 0.7
@@ -142,14 +142,14 @@ def test_attention_invariants():
         if np.any(w[:, ~mask] != 0.0):
             ok, _ = False, notes.append(f"trial {trial}: masked weight nonzero")
 
-        bil = MatchParams(method="bilinear", W_e=ad.constant(np.eye(d)))
+        bil = MatchParams(method="bilinear", W_e=ad.Node(np.eye(d)))
         if not np.array_equal(match_scores(Hx, Hy, bil).value,
                               match_scores(Hx, Hy, dot).value):
             ok, _ = False, notes.append(f"trial {trial}: bilinear identity differs")
 
         c = apply_attention(attention_weights(match_scores(Hx, Hy, dot)), Hy)
         perm = rng.permutation(n)
-        Hyp = ad.constant(Hy.value[:, perm])
+        Hyp = ad.Node(Hy.value[:, perm])
         cp = apply_attention(attention_weights(match_scores(Hx, Hyp, dot)), Hyp)
         if np.max(np.abs(c.value - cp.value)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: permutation moved context")

@@ -17,7 +17,7 @@ from attconv.errors import ConfigError, DimensionError
 
 
 def _hx_hy(rng, d=5, m=4, n=6):
-    return ad.constant(rng.standard_normal((d, m))), ad.constant(rng.standard_normal((d, n)))
+    return ad.Node(rng.standard_normal((d, m))), ad.Node(rng.standard_normal((d, n)))
 
 
 def _params(method, d, rng):
@@ -25,8 +25,8 @@ def _params(method, d, rng):
 
 
 def test_dot_scores_on_orthonormal_basis():
-    hx = ad.constant(np.array([[1.0], [0.0]]))
-    hy = ad.constant(np.eye(2))
+    hx = ad.Node(np.array([[1.0], [0.0]]))
+    hy = ad.Node(np.eye(2))
     scores = match_scores(hx, hy, MatchParams(method="dot"))
     assert scores.value.tolist() == [[1.0, 0.0]]
 
@@ -88,12 +88,12 @@ def test_match_params_create_surface():
 
 def test_match_scores_input_validation():
     rng = np.random.default_rng(6)
-    Hx = ad.constant(rng.standard_normal((4, 3)))
-    Hy = ad.constant(rng.standard_normal((5, 3)))
+    Hx = ad.Node(rng.standard_normal((4, 3)))
+    Hy = ad.Node(rng.standard_normal((5, 3)))
     with pytest.raises(DimensionError, match="hidden sizes differ"):
         match_scores(Hx, Hy, MatchParams(method="dot"))
     with pytest.raises(DimensionError):
-        match_scores(ad.constant(np.ones(4)), Hx, MatchParams(method="dot"))
+        match_scores(ad.Node(np.ones(4)), Hx, MatchParams(method="dot"))
 
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
@@ -101,8 +101,8 @@ def test_rows_are_stochastic_for_every_method(method):
     rng = np.random.default_rng(7)
     for trial in range(20):
         d, m, n = rng.integers(1, 7), rng.integers(1, 8), rng.integers(1, 8)
-        Hx = ad.constant(rng.standard_normal((d, m)))
-        Hy = ad.constant(rng.standard_normal((d, n)))
+        Hx = ad.Node(rng.standard_normal((d, m)))
+        Hy = ad.Node(rng.standard_normal((d, n)))
         params = _params(method, int(d), rng)
         weights = attention_weights(match_scores(Hx, Hy, params))
         sums = weights.value.sum(axis=1)
@@ -122,8 +122,8 @@ def test_masked_positions_get_exactly_zero_weight():
 
 def test_two_column_context_oracle():
     # scores [1, 0] over basis columns blends them with softmax weights
-    hx = ad.constant(np.array([[1.0], [0.0]]))
-    hy = ad.constant(np.eye(2))
+    hx = ad.Node(np.array([[1.0], [0.0]]))
+    hy = ad.Node(np.eye(2))
     scores = match_scores(hx, hy, MatchParams(method="dot"))
     c = apply_attention(attention_weights(scores), hy)
     w1 = math.exp(1.0) / (math.exp(1.0) + 1.0)
@@ -133,8 +133,8 @@ def test_two_column_context_oracle():
 
 def test_uniform_scores_give_column_means():
     rng = np.random.default_rng(9)
-    Hy = ad.constant(rng.standard_normal((4, 6)))
-    scores = ad.constant(np.zeros((3, 6)))
+    Hy = ad.Node(rng.standard_normal((4, 6)))
+    scores = ad.Node(np.zeros((3, 6)))
     c = apply_attention(attention_weights(scores), Hy)
     want = Hy.value.mean(axis=1)
     for i in range(3):
@@ -143,8 +143,8 @@ def test_uniform_scores_give_column_means():
 
 def test_single_context_column_passes_through():
     rng = np.random.default_rng(10)
-    Hx = ad.constant(rng.standard_normal((4, 5)))
-    Hy = ad.constant(rng.standard_normal((4, 1)))
+    Hx = ad.Node(rng.standard_normal((4, 5)))
+    Hy = ad.Node(rng.standard_normal((4, 1)))
     scores = match_scores(Hx, Hy, MatchParams(method="dot"))
     c = apply_attention(attention_weights(scores), Hy)
     for i in range(5):
@@ -155,8 +155,8 @@ def test_context_vectors_lie_in_convex_hull():
     rng = np.random.default_rng(11)
     for trial in range(60):
         d, m, n = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 7)
-        Hx = ad.constant(rng.standard_normal((d, m)))
-        Hy = ad.constant(rng.standard_normal((d, n)))
+        Hx = ad.Node(rng.standard_normal((d, m)))
+        Hy = ad.Node(rng.standard_normal((d, n)))
         scores = match_scores(Hx, Hy, MatchParams(method="dot"))
         c = apply_attention(attention_weights(scores), Hy)
         lo = Hy.value.min(axis=1, keepdims=True) - 1e-12
@@ -166,10 +166,10 @@ def test_context_vectors_lie_in_convex_hull():
 
 def test_permuting_context_columns_leaves_context_vectors_unchanged():
     rng = np.random.default_rng(12)
-    Hx = ad.constant(rng.standard_normal((4, 3)))
-    Hy = ad.constant(rng.standard_normal((4, 6)))
+    Hx = ad.Node(rng.standard_normal((4, 3)))
+    Hy = ad.Node(rng.standard_normal((4, 6)))
     perm = rng.permutation(6)
-    Hyp = ad.constant(Hy.value[:, perm])
+    Hyp = ad.Node(Hy.value[:, perm])
     sa = match_scores(Hx, Hy, MatchParams(method="dot"))
     sb = match_scores(Hx, Hyp, MatchParams(method="dot"))
     a = apply_attention(attention_weights(sa), Hy)
@@ -183,7 +183,7 @@ def test_permuting_context_columns_leaves_context_vectors_unchanged():
 
 def test_apply_attention_checks_column_agreement():
     rng = np.random.default_rng(13)
-    weights = ad.constant(np.full((2, 3), 1 / 3))
-    Hy = ad.constant(rng.standard_normal((4, 5)))
+    weights = ad.Node(np.full((2, 3), 1 / 3))
+    Hy = ad.Node(rng.standard_normal((4, 5)))
     with pytest.raises(DimensionError):
         apply_attention(weights, Hy)

@@ -186,6 +186,57 @@ def test_unparseable_env_seed(tmp_path, capsys, monkeypatch):
     assert SEED_ENV in err
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck", "params"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    if command == "train":
+        argv = ["train", "--config", write_config(tmp_path), "--train", write_data(tmp_path),
+                "--out", str(tmp_path / "m.ckpt"), "--seed", "-1"]
+    elif command == "gradcheck":
+        argv = ["gradcheck", "--config", write_config(tmp_path), "--seed", "-3"]
+    else:
+        argv = ["params", "--config", write_config(tmp_path, seed=-1)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "seed must be a non-negative integer" in err
+
+
+def test_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV, "-1")
+    code, _, err = run(capsys, [
+        "train", "--config", write_config(tmp_path), "--train", write_data(tmp_path),
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert code == 2
+    assert "seed must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("bad_file, want_code", [("config", 2), ("train", 3), ("embeddings", 3)])
+def test_undecodable_input_file_exits_with_its_code(tmp_path, capsys, bad_file, want_code):
+    data = write_data(tmp_path)
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("t0 0.1 0.2 0.3 0.4\n", encoding="utf-8")
+    config = write_config(tmp_path, embeddings=str(vectors))
+    target = {"config": config, "train": data, "embeddings": str(vectors)}[bad_file]
+    with open(target, "ab") as fh:
+        fh.write(b"\xff\n")
+    code, _, err = run(capsys, [
+        "train", "--config", config, "--train", data, "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert code == want_code
+    assert f"{target}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("value", [None, True, 5, ["vec.txt"]], ids=repr)
+def test_embeddings_must_be_a_path_string(tmp_path, capsys, value):
+    config = write_config(tmp_path, embeddings=value)
+    code, _, err = run(capsys, [
+        "train", "--config", config, "--train", write_data(tmp_path),
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert code == 2
+    assert "embeddings must be a path string" in err
+
+
 def test_train_missing_embeddings_file(tmp_path, capsys):
     config = write_config(tmp_path, embeddings=str(tmp_path / "vec.txt"))
     code, _, err = run(capsys, [

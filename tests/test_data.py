@@ -173,12 +173,41 @@ def test_init_embeddings_pretrained_dim_mismatch(tmp_path):
         init_embeddings(v, 4, seed=0, pretrained=pre)
 
 
+def _per_row_init(vocab, dim, seed, pretrained=None):
+    # reference: one uniform draw per non-pretrained row, in ascending id order
+    rng = np.random.default_rng([seed, 0])
+    table = np.zeros((len(vocab), dim))
+    pvocab, pmat = pretrained if pretrained is not None else (None, None)
+    for i, tok in enumerate(vocab.tokens):
+        if i == PAD_ID:
+            continue
+        if pvocab is not None and tok in pvocab and pvocab.index[tok] > UNK_ID:
+            table[i] = pmat[pvocab.index[tok]]
+        else:
+            table[i] = rng.uniform(-0.25, 0.25, size=dim)
+    return table
+
+
+@pytest.mark.parametrize("with_file", [False, True])
+def test_init_embeddings_matches_the_per_row_draws_bitwise(tmp_path, with_file):
+    pre = None
+    if with_file:
+        path = _write(tmp_path / "vec.txt", ["cat 0.125 -0.5 0.75", "x 1 2 3", "dog 4 5 6"])
+        pre = load_pretrained(path, 3)
+    # enough rows for several blocks of draws
+    text = ["new", "dog", "<unk>", "cat"] + [f"w{i}" for i in range(2500)]
+    v = build_vocab([Example(text=text, contexts=[], label=0)],
+                    pretrained=pre[0] if pre else None, extra_tokens=("</s>",))
+    got = init_embeddings(v, 3, seed=7, pretrained=pre)
+    assert got.tobytes() == _per_row_init(v, 3, 7, pre).tobytes()
+
+
 def test_embed_shape_and_pad_column():
     v = Vocabulary()
     for t in "abcdefg":
         v.add(t)
     emb = init_embeddings(v, 300, seed=5)
-    table = ad.constant(emb)
+    table = ad.Node(emb)
     H = ad.embed(table, v.encode(list("abcdefg")))
     assert H.value.shape == (300, 7)
     pad_col = ad.embed(table, [PAD_ID]).value

@@ -23,14 +23,14 @@ def _conv_params(d, rng):
 
 def test_window3_matches_numpy_oracle():
     rng = np.random.default_rng(0)
-    H = ad.constant(rng.standard_normal((3, 5)))
+    H = ad.Node(rng.standard_normal((3, 5)))
     assert np.array_equal(ad.window3(H).value, np_window3(H.value))
 
 
 def test_vanilla_conv_hand_check_scalar_case():
     # W1 = [1 1 1], H = [1 2 3]: windows sum to 3, 6, 5
     params = ly.ConvParams(W1=ad.param(np.ones((1, 3))), b=ad.param(np.zeros(1)))
-    out = ly.vanilla_conv(ad.constant(np.array([[1.0, 2.0, 3.0]])), params)
+    out = ly.vanilla_conv(ad.Node(np.array([[1.0, 2.0, 3.0]])), params)
     assert np.allclose(out.value, np.tanh([[3.0, 6.0, 5.0]]), atol=1e-15)
 
 
@@ -39,8 +39,8 @@ def test_vanilla_conv_translation_covariance_in_the_interior():
     d, m = 4, 9
     params = _conv_params(d, rng)
     H = rng.standard_normal((d, m))
-    out = ly.vanilla_conv(ad.constant(H), params).value
-    rolled = ly.vanilla_conv(ad.constant(np.roll(H, 1, axis=1)), params).value
+    out = ly.vanilla_conv(ad.Node(H), params).value
+    rolled = ly.vanilla_conv(ad.Node(np.roll(H, 1, axis=1)), params).value
     # away from both boundaries the shifted input just shifts the output
     assert np.array_equal(rolled[:, 2:m - 1], out[:, 1:m - 2])
 
@@ -54,7 +54,7 @@ def test_split_filter_equals_joint_filter_on_random_instances():
         params = ly.LightAttConvParams.create(d, d_c, rng)
         H = rng.standard_normal((d, m))
         C = rng.standard_normal((d_c, m))
-        got = ly.light_attconv(ad.constant(H), ad.constant(C), params).value
+        got = ly.light_attconv(ad.Node(H), ad.Node(C), params).value
         joint = np.hstack([params.W1.value, params.W2.value])
         stacked = np.vstack([np_window3(H), C])
         want = np.tanh(joint @ stacked + params.b.value[:, None])
@@ -64,8 +64,8 @@ def test_split_filter_equals_joint_filter_on_random_instances():
 def test_light_attconv_with_zero_context_is_vanilla():
     rng = np.random.default_rng(3)
     params = ly.LightAttConvParams.create(4, 6, rng)
-    H = ad.constant(rng.standard_normal((4, 7)))
-    C = ad.constant(np.zeros((6, 7)))
+    H = ad.Node(rng.standard_normal((4, 7)))
+    C = ad.Node(np.zeros((6, 7)))
     got = ly.light_attconv(H, C, params).value
     plain = ly.vanilla_conv(H, ly.ConvParams(W1=params.W1, b=params.b)).value
     assert np.array_equal(got, plain)
@@ -77,7 +77,7 @@ def test_light_attconv_single_position_boundary():
     params = ly.LightAttConvParams.create(d, d, rng)
     h = rng.standard_normal((d, 1))
     c = rng.standard_normal((d, 1))
-    got = ly.light_attconv(ad.constant(h), ad.constant(c), params).value
+    got = ly.light_attconv(ad.Node(h), ad.Node(c), params).value
     window = np.vstack([np.zeros((d, 1)), h, np.zeros((d, 1))])
     want = np.tanh(params.W1.value @ window + params.W2.value @ c + params.b.value[:, None])
     assert np.allclose(got, want, atol=1e-15)
@@ -87,8 +87,8 @@ def test_light_attconv_rejects_misaligned_context():
     rng = np.random.default_rng(5)
     params = ly.LightAttConvParams.create(3, 3, rng)
     with pytest.raises(DimensionError):
-        ly.light_attconv(ad.constant(np.zeros((3, 4))),
-                         ad.constant(np.zeros((3, 5))), params)
+        ly.light_attconv(ad.Node(np.zeros((3, 4))),
+                         ad.Node(np.zeros((3, 5))), params)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_light_attconv_rejects_misaligned_context():
 
 
 def test_gated_conv_all_zero_parameters_halve_the_input():
-    H = ad.constant(np.random.default_rng(6).standard_normal((3, 4)))
+    H = ad.Node(np.random.default_rng(6).standard_normal((3, 4)))
     params = ly.GatedConvParams(
         W_h=ad.param(np.zeros((3, 9))), b_h=ad.param(np.zeros(3)),
         W_g=ad.param(np.zeros((3, 9))), b_g=ad.param(np.zeros(3)), width=3,
@@ -110,7 +110,7 @@ def test_gated_conv_saturated_gate_passes_input_through(width):
     rng = np.random.default_rng(7)
     params = ly.GatedConvParams.create(4, width, rng)
     params.b_g.value[:] = 30.0
-    H = ad.constant(rng.standard_normal((4, 5)) * 0.1)
+    H = ad.Node(rng.standard_normal((4, 5)) * 0.1)
     out = ly.gated_conv(H, params)
     assert np.max(np.abs(out.value - H.value)) < 1e-9
 
@@ -120,7 +120,7 @@ def test_gated_conv_open_gate_yields_the_candidate():
     params = ly.GatedConvParams.create(3, 3, rng)
     params.b_g.value[:] = -30.0
     H = rng.standard_normal((3, 6)) * 0.1
-    out = ly.gated_conv(ad.constant(H), params).value
+    out = ly.gated_conv(ad.Node(H), params).value
     cand = np.tanh(params.W_h.value @ np_window3(H) + params.b_h.value[:, None])
     assert np.max(np.abs(out - cand)) < 1e-9
 
@@ -130,7 +130,7 @@ def test_gated_conv_output_between_input_and_candidate():
     for trial in range(10):
         params = ly.GatedConvParams.create(3, 3, rng)
         H = rng.standard_normal((3, 5))
-        out = ly.gated_conv(ad.constant(H), params).value
+        out = ly.gated_conv(ad.Node(H), params).value
         cand = np.tanh(params.W_h.value @ np_window3(H) + params.b_h.value[:, None])
         lo = np.minimum(H, cand) - 1e-12
         hi = np.maximum(H, cand) + 1e-12
@@ -150,7 +150,7 @@ def test_gated_conv_width_validation():
 def test_mgran_shape_and_composition():
     rng = np.random.default_rng(11)
     params = ly.MgranParams.create(4, rng)
-    H = ad.constant(rng.standard_normal((4, 5)))
+    H = ad.Node(rng.standard_normal((4, 5)))
     out = ly.mgran(H, params)
     assert out.value.shape == (8, 5)
     uni = ly.gated_conv(H, params.uni).value
@@ -163,10 +163,10 @@ def test_mgran_locality_of_the_two_granularities():
     d, m, j = 3, 7, 3
     params = ly.MgranParams.create(d, rng)
     H = rng.standard_normal((d, m))
-    base = ly.mgran(ad.constant(H), params).value
+    base = ly.mgran(ad.Node(H), params).value
     bumped = H.copy()
     bumped[:, j] += 0.5
-    out = ly.mgran(ad.constant(bumped), params).value
+    out = ly.mgran(ad.Node(bumped), params).value
     changed = np.flatnonzero(np.any(out != base, axis=0))
     # the uni half may move only column j, the tri half only j-1, j, j+1
     uni_changed = np.flatnonzero(np.any(out[:d] != base[:d], axis=0))
@@ -179,7 +179,7 @@ def test_mgran_locality_of_the_two_granularities():
 def test_beneficiary_keeps_shape_and_rejects_wide_filters():
     rng = np.random.default_rng(13)
     params = ly.GatedConvParams.create(4, 1, rng)
-    H = ad.constant(rng.standard_normal((4, 6)))
+    H = ad.Node(rng.standard_normal((4, 6)))
     assert ly.beneficiary(H, params).value.shape == (4, 6)
     wide = ly.GatedConvParams.create(4, 3, rng)
     with pytest.raises(ContractError):
@@ -190,7 +190,7 @@ def test_beneficiary_saturated_gate_is_near_identity():
     rng = np.random.default_rng(14)
     params = ly.GatedConvParams.create(4, 1, rng)
     params.b_g.value[:] = 30.0
-    H = ad.constant(rng.standard_normal((4, 6)) * 0.1)
+    H = ad.Node(rng.standard_normal((4, 6)) * 0.1)
     assert np.max(np.abs(ly.beneficiary(H, params).value - H.value)) < 1e-9
 
 
@@ -201,8 +201,8 @@ def test_beneficiary_saturated_gate_is_near_identity():
 def test_attend_and_convolve_light_equals_manual_composition():
     rng = np.random.default_rng(15)
     params = ly.LightParams.create(4, "dot", rng)
-    Hx = ad.constant(rng.standard_normal((4, 5)))
-    Hy = ad.constant(rng.standard_normal((4, 6)))
+    Hx = ad.Node(rng.standard_normal((4, 5)))
+    Hy = ad.Node(rng.standard_normal((4, 6)))
     trace = []
     got = ly.attend_and_convolve(Hx, Hy, params, trace=trace).value
 
@@ -216,7 +216,7 @@ def test_attend_and_convolve_light_equals_manual_composition():
 def test_attend_and_convolve_advanced_shapes_and_trace():
     rng = np.random.default_rng(16)
     params = ly.AdvancedParams.create(3, "dot", rng)
-    Hx = ad.constant(rng.standard_normal((3, 5)))
+    Hx = ad.Node(rng.standard_normal((3, 5)))
     trace = []
     out = ly.attend_and_convolve(Hx, Hx, params, trace=trace)
     assert out.value.shape == (3, 5)
@@ -226,7 +226,7 @@ def test_attend_and_convolve_advanced_shapes_and_trace():
 
 def test_attend_and_convolve_rejects_unknown_bundles():
     rng = np.random.default_rng(17)
-    H = ad.constant(np.zeros((2, 2)))
+    H = ad.Node(np.zeros((2, 2)))
     with pytest.raises(ContractError):
         ly.attend_and_convolve(H, H, object())
 
@@ -250,19 +250,19 @@ def test_intra_attconv_single_position_attends_to_itself():
     params = ly.LightParams.create(3, "dot", rng)
     h = rng.standard_normal((3, 1))
     trace = []
-    Hx = ad.constant(h)
+    Hx = ad.Node(h)
     out = ly.attend_and_convolve(Hx, Hx, params, mask=ly.intra_mask(1, "include-self"),
                                  trace=trace)
     assert np.array_equal(trace[0].value, np.array([[1.0]]))
     # with weight 1.0 the attentive context is the position's own state
-    want = ly.light_attconv(ad.constant(h), ad.constant(h), params.conv).value
+    want = ly.light_attconv(ad.Node(h), ad.Node(h), params.conv).value
     assert np.array_equal(out.value, want)
 
 
 def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     rng = np.random.default_rng(19)
     params = ly.LightParams.create(3, "dot", rng)
-    H = ad.constant(rng.standard_normal((3, 5)))
+    H = ad.Node(rng.standard_normal((3, 5)))
     trace = []
     ly.attend_and_convolve(H, H, params, mask=ly.intra_mask(5, "exclude-self"), trace=trace)
     w = trace[0].value
@@ -277,8 +277,8 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
 def test_attentive_pooling_is_symmetric_in_its_arguments():
     rng = np.random.default_rng(20)
     params = _conv_params(4, rng)
-    Hx = ad.constant(rng.standard_normal((4, 5)))
-    Hy = ad.constant(rng.standard_normal((4, 7)))
+    Hx = ad.Node(rng.standard_normal((4, 5)))
+    Hy = ad.Node(rng.standard_normal((4, 7)))
     rx, ry = ly.attentive_pooling(Hx, Hy, params)
     ry2, rx2 = ly.attentive_pooling(Hy, Hx, params)
     assert np.max(np.abs(rx.value - rx2.value)) <= 1e-12
@@ -288,7 +288,7 @@ def test_attentive_pooling_is_symmetric_in_its_arguments():
 def test_attentive_pooling_identical_sentences_give_equal_outputs():
     rng = np.random.default_rng(21)
     params = _conv_params(3, rng)
-    H = ad.constant(rng.standard_normal((3, 5)))
+    H = ad.Node(rng.standard_normal((3, 5)))
     rx, ry = ly.attentive_pooling(H, H, params)
     assert np.array_equal(rx.value, ry.value)
 
@@ -296,8 +296,8 @@ def test_attentive_pooling_identical_sentences_give_equal_outputs():
 def test_attentive_pooling_single_positions_return_their_states():
     rng = np.random.default_rng(22)
     params = _conv_params(3, rng)
-    Hx = ad.constant(rng.standard_normal((3, 1)))
-    Hy = ad.constant(rng.standard_normal((3, 1)))
+    Hx = ad.Node(rng.standard_normal((3, 1)))
+    Hy = ad.Node(rng.standard_normal((3, 1)))
     rx, ry = ly.attentive_pooling(Hx, Hy, params)
     assert np.array_equal(rx.value, ly.vanilla_conv(Hx, params).value[:, 0])
     assert np.array_equal(ry.value, ly.vanilla_conv(Hy, params).value[:, 0])
@@ -306,8 +306,8 @@ def test_attentive_pooling_single_positions_return_their_states():
 def test_attentive_pooling_outputs_stay_in_their_own_hull():
     rng = np.random.default_rng(23)
     params = _conv_params(3, rng)
-    Hx = ad.constant(rng.standard_normal((3, 6)))
-    Hy = ad.constant(rng.standard_normal((3, 4)))
+    Hx = ad.Node(rng.standard_normal((3, 6)))
+    Hy = ad.Node(rng.standard_normal((3, 4)))
     rx, ry = ly.attentive_pooling(Hx, Hy, params)
     cx = ly.vanilla_conv(Hx, params).value
     cy = ly.vanilla_conv(Hy, params).value
@@ -324,8 +324,8 @@ def test_attentive_pooling_outputs_stay_in_their_own_hull():
 def test_no_conv_stack_zero_context_reduces_to_mlp():
     rng = np.random.default_rng(24)
     params = ly.NoConvParams.create(3, "dot", rng)
-    Hx = ad.constant(rng.standard_normal((3, 4)))
-    Hy = ad.constant(np.zeros((3, 2)))
+    Hx = ad.Node(rng.standard_normal((3, 4)))
+    Hy = ad.Node(np.zeros((3, 2)))
     trace = []
     got = ly.no_conv_stack(Hx, Hy, params, trace=trace).value
     want = Hx.value

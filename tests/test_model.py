@@ -88,6 +88,7 @@ def test_config_rejects_unknown_fields():
     {"d": True},
     {"seed": "x"},
     {"num_classes": "2"},
+    {"seed": -1},
 ])
 def test_model_config_validation(overrides):
     with pytest.raises(ConfigError):
@@ -284,18 +285,26 @@ def test_no_conv_records_one_attention_pass_per_layer():
 
 
 def test_cross_entropy_perfect_prediction_is_zero():
-    probs = ad.constant(np.array([0.0, 1.0]))
+    probs = ad.Node(np.array([0.0, 1.0]))
     assert cross_entropy(probs, 1).value.item() == 0.0
 
 
 def test_cross_entropy_uniform_five_way():
-    probs = ad.constant(np.full(5, 0.2))
+    probs = ad.Node(np.full(5, 0.2))
     assert abs(cross_entropy(probs, 3).value.item() - math.log(5.0)) < 1e-12
 
 
 def test_cross_entropy_floors_vanishing_probabilities():
-    probs = ad.constant(np.array([1.0, 0.0]))
+    probs = ad.Node(np.array([1.0, 0.0]))
     assert abs(cross_entropy(probs, 1).value.item() - (-math.log(1e-12))) < 1e-9
+
+
+def test_cross_entropy_adds_one_node_to_the_forward_graph():
+    model = build_model(small_config(), VOCAB, LABELS)
+    probs = forward_ids(model, [2, 3, 4], [[5, 6]])
+    loss = cross_entropy(probs, 1)
+    assert len(ad.topo_order(loss)) == len(ad.topo_order(probs)) + 1
+    assert loss.op == "nll" and loss.inputs == (probs,)
 
 
 def test_predict_breaks_ties_toward_the_lowest_class():
