@@ -349,7 +349,13 @@ def nll(probs: Node, label: int) -> Node:
 
 
 def embed(table: Node, ids) -> Node:
-    """Gather embedding rows for a token id sequence as a d x len feature map."""
+    """Gather embedding rows for a token id sequence as a d x len feature map.
+
+    The backward costs O(len(ids) * d), not O(V * d): the columns are summed
+    per distinct id into a zero-started block, in id order, and the block is
+    added to the rows it covers. That is the sum a dense V x d scatter gives,
+    bit for bit; the rows it skips would only have had +0.0 added.
+    """
     _require_2d(table.value, "embed table")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
@@ -360,9 +366,12 @@ def embed(table: Node, ids) -> Node:
     out = Node(table.value[idx].T, "embed", (table,))
 
     def _bw(g):
-        gt = np.zeros_like(table.value)
-        np.add.at(gt, idx, g.T)
-        _accum(table, gt)
+        uniq, inv = np.unique(idx, return_inverse=True)
+        local = np.zeros((uniq.shape[0], table.value.shape[1]))
+        np.add.at(local, inv, g.T)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+        table.grad[uniq] += local
 
     out._backward = _bw
     return out
@@ -525,6 +534,8 @@ def grad_check(build_loss, params: dict[str, Node], step: float = 1e-5,
     """
     if step <= 0.0:
         raise ContractError("grad_check: step must be positive")
+    if not 0.0 <= tolerance < np.inf:
+        raise ContractError(f"grad_check: tolerance must be finite and >= 0, got {tolerance}")
     first = build_loss()
     second = build_loss()
     if not np.array_equal(first.value, second.value):

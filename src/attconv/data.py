@@ -138,6 +138,8 @@ def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarra
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: bad float ({exc})") from None
+            if not np.isfinite(vec).all():
+                raise FormatError(f"{path}: line {lineno}: non-finite value")
             vocab.add(token)
             rows.append(vec)
     return vocab, np.vstack(rows)

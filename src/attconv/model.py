@@ -10,6 +10,7 @@ batching itself is a loop over examples, one graph per batch.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -93,14 +94,18 @@ class TrainConfig:
 
     def validate(self) -> None:
         _check_types(self)
-        if self.learning_rate <= 0:
-            raise ConfigError("learning-rate must be positive")
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ConfigError(
+                f"learning-rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ConfigError("batch-size must be at least 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if self.adagrad_epsilon <= 0:
-            raise ConfigError("adagrad-epsilon must be positive")
+        if not 0 < self.adagrad_epsilon <= sys.float_info.max:
+            raise ConfigError(
+                f"adagrad-epsilon must be finite and positive, got {self.adagrad_epsilon}"
+            )
         if self.eval_every < 1:
             raise ConfigError("eval-every must be at least 1")
 

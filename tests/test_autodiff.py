@@ -1,6 +1,7 @@
 """Engine tests: op values, gradients against central differences, graph rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,59 @@ def test_embed_repeated_ids_accumulate_gradient():
     loss = project(ad.embed(table, [1, 1]))
     ad.backward(loss)
     assert np.array_equal(table.grad, np.array([[0, 0], [2, 2], [0, 0]], dtype=float))
+
+
+def _dense_embed_backward(grad, table_value, ids, g):
+    """The V x d scatter-then-accumulate backward, kept as the oracle."""
+    gt = np.zeros_like(table_value)
+    np.add.at(gt, np.asarray(ids), g.T)
+    if grad is None:
+        grad = np.zeros_like(table_value)
+    grad += gt
+    return grad
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("preset", [False, True], ids=["fresh", "preset"])
+def test_embed_backward_matches_the_dense_scatter_bitwise(seed, preset):
+    rng = np.random.default_rng(seed)
+    vocab, d = 12, 5
+    table = ad.param(rng.standard_normal((vocab, d)))
+
+    def spread(shape):
+        # magnitudes over 16 decades, so a changed summation order shows
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    start = spread((vocab, d)) if preset else None
+    table.grad = None if start is None else start.copy()
+    calls = [[7, 2, 7, 0, 11, 2, 2, 7], [3, 7, 9, 7, 0]]  # unsorted, repeated, shared
+    embeds = [ad.embed(table, ids) for ids in calls]
+    coeffs = [spread(e.value.shape) for e in embeds]
+    loss = ad.add(project(embeds[0], coeffs[0]), project(embeds[1], coeffs[1]))
+    ad.backward(loss)
+
+    want = start
+    for node in reversed(ad.topo_order(loss)):  # the order backward runs them
+        if node.op == "embed":
+            want = _dense_embed_backward(want, table.value, calls[embeds.index(node)], node.grad)
+    assert table.grad.tobytes() == want.tobytes()
+
+
+def test_embed_backward_allocates_no_table_per_call():
+    table = ad.param(np.ones((20_000, 64)))
+    calls = [[5, 19_999, 5, 0], [7, 8], [19_999, 3, 3], [12_345]]
+    loss = project(ad.embed(table, calls[0]))
+    for ids in calls[1:]:
+        loss = ad.add(loss, project(ad.embed(table, ids)))
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one V x d gradient is unavoidable; a scratch table per call is not
+    assert peak < 1.5 * table.value.nbytes
+    assert table.grad[3].tolist() == [2.0] * 64 and table.grad[1].tolist() == [0.0] * 64
 
 
 def test_embed_input_errors():
@@ -544,6 +598,13 @@ def test_grad_check_rejects_zero_step():
     w = ad.param(np.ones(1))
     with pytest.raises(ContractError):
         ad.grad_check(lambda: project(w), {"w": w}, step=0.0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+def test_grad_check_rejects_a_non_finite_or_negative_tolerance(tolerance):
+    w = ad.param(np.ones(1))
+    with pytest.raises(ContractError, match="tolerance"):
+        ad.grad_check(lambda: project(w), {"w": w}, tolerance=tolerance)
 
 
 def test_grad_check_detects_nondeterministic_loss():

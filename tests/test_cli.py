@@ -1,6 +1,7 @@
 """End-to-end command line flows and exit code mapping."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -247,6 +248,36 @@ def test_train_missing_embeddings_file(tmp_path, capsys):
     assert "embeddings file not found" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_vector_exits_3_even_for_an_unused_token(tmp_path, capsys, value):
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text(f"t0 0.1 0.2 0.3 0.4\nunused 0.1 {value} 0.3 0.4\n", encoding="utf-8")
+    out = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, [
+        "train", "--config", write_config(tmp_path, embeddings=str(vectors)),
+        "--train", write_data(tmp_path), "--out", str(out),
+    ])
+    assert code == 3
+    assert f"{vectors}: line 2: non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"learning-rate": math.nan},
+    {"learning-rate": math.inf},
+    {"adagrad-epsilon": math.nan},
+], ids=["lr-nan", "lr-inf", "eps-nan"])
+def test_non_finite_step_size_exits_2_without_a_checkpoint(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, epochs=1, **{"batch-size": 30}, **overrides)
+    out = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, [
+        "train", "--config", config, "--train", write_data(tmp_path), "--out", str(out),
+    ])
+    assert code == 2
+    assert "must be finite and positive" in err
+    assert not out.exists()
+
+
 def test_train_divergence_exits_4(tmp_path, capsys):
     # gigantic pretrained vectors blow the matching scores up to non-finite
     data = tmp_path / "tiny.jsonl"
@@ -372,6 +403,16 @@ def test_gradcheck_zero_tolerance_always_fails(tmp_path, capsys):
     report = json.loads(stdout)
     assert report["pass"] is False
     assert report["worst"]["tensor"]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_gradcheck_non_finite_or_negative_tolerance_exits_2(tmp_path, capsys, tolerance):
+    code, stdout, err = run(capsys, [
+        "gradcheck", "--config", write_config(tmp_path), "--tolerance", tolerance,
+    ])
+    assert code == 2
+    assert stdout == ""
+    assert "tolerance must be finite and >= 0" in err
 
 
 def test_gradcheck_is_seed_stable(tmp_path, capsys):

@@ -123,6 +123,13 @@ def test_load_pretrained_bad_float_names_the_line(tmp_path):
         load_pretrained(path, 2)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_pretrained_non_finite_value_names_the_line(tmp_path, value):
+    path = _write(tmp_path / "vec.txt", ["cat 1 2", f"dog 3 {value}"])
+    with pytest.raises(FormatError, match="vec.txt: line 2: non-finite"):
+        load_pretrained(path, 2)
+
+
 def test_load_pretrained_duplicate_keeps_first(tmp_path):
     path = _write(tmp_path / "vec.txt", ["cat 1 1", "cat 9 9"])
     vocab, mat = load_pretrained(path, 2)

@@ -105,6 +105,10 @@ def test_model_config_validation(overrides):
     {"learning_rate": "0.1"},
     {"learning_rate": True},
     {"epochs": 1.5},
+    {"learning_rate": math.nan},
+    {"learning_rate": math.inf},
+    {"adagrad_epsilon": math.nan},
+    {"learning_rate": 10**400},  # an int beyond float range
 ])
 def test_train_config_validation(overrides):
     with pytest.raises(ConfigError):
@@ -442,6 +446,19 @@ def test_train_moves_used_embedding_rows():
     before = model.embeddings.value[used].copy()
     train(model, data, TrainConfig(epochs=1, learning_rate=0.05, batch_size=10))
     assert not np.array_equal(model.embeddings.value[used], before)
+
+
+def test_multi_conc_training_step_moves_the_separator_row():
+    # </s> reaches the graph only through join_context_ids
+    model = build_model(small_config(context_mode="multi-conc"), VOCAB, LABELS)
+    sep = model.vocab.index["</s>"]
+    before = model.embeddings.value[sep].copy()
+    data = Dataset(examples=[
+        Example(text=["t2", "t3", "t4"], contexts=[["t5", "t6"], ["t7", "t8", "t9"]], label=0),
+        Example(text=["t1", "t3"], contexts=[["t6"], ["t2", "t5"]], label=1),
+    ], label_names=LABELS)
+    train(model, data, TrainConfig(epochs=1, batch_size=2, learning_rate=0.05))
+    assert not np.array_equal(model.embeddings.value[sep], before)
 
 
 def test_train_aborts_on_non_finite_loss():
