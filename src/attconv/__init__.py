@@ -1,6 +1,6 @@
 """Attention-augmented convolution for sentence classification."""
 
-from .attention import MatchParams, match_scores
+from .attention import match_scores
 from .autodiff import Node, GradCheckReport, backward, grad_check, zero_grads
 from .data import (
     Dataset,
@@ -38,7 +38,6 @@ __all__ = [
     "Dataset",
     "Example",
     "GradCheckReport",
-    "MatchParams",
     "Model",
     "ModelConfig",
     "Node",

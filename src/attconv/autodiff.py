@@ -377,11 +377,11 @@ def embed(table: Node, ids) -> Node:
     return out
 
 
-def max_over_positions(h: Node) -> tuple[Node, np.ndarray]:
+def max_over_positions(h: Node) -> Node:
     """Row-wise max over the position axis of a d x m feature map.
 
-    Returns the pooled vector and the winning column per row. Ties go to
-    the lowest column index, and the gradient is routed only to winners.
+    Returns the pooled vector. The gradient is routed only to the winning
+    column of each row; ties go to the lowest column index.
     """
     _require_2d(h.value, "max_over_positions")
     if h.value.shape[1] == 0:
@@ -396,7 +396,7 @@ def max_over_positions(h: Node) -> tuple[Node, np.ndarray]:
         np.add.at(h.grad, (rows, idx), g)
 
     out._backward = _bw
-    return out, idx.copy()
+    return out
 
 
 # ---------------------------------------------------------------------------

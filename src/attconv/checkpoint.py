@@ -16,9 +16,10 @@ import struct
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import Vocabulary
 from .errors import ConfigError, FormatError
-from .model import EMBEDDINGS_KEY, Model, ModelConfig, TrainConfig, build_model
+from .model import Model, ModelConfig, TrainConfig, check_labels, param_shapes
 
 MAGIC = b"ATTCONV1"
 FORMAT_VERSION = 1
@@ -97,11 +98,12 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     """Rebuild a model from a checkpoint file.
 
     The layout is checked before any tensor is read: a malformed file raises
-    FormatError. The network is constructed from the stored config and every
-    tensor is overwritten from the blob, so the result is independent of the
-    initializer. Version mismatches name both versions in the error.
-    Checkpoints written with the ``no-context`` variant or a ``filter-width``
-    of 3 load as ``vanilla-cnn`` without the width.
+    FormatError. The tensor directory must name exactly the tensors of
+    ``param_shapes`` for the stored config, with the same shapes; each tensor
+    is then copied out of the blob, so nothing is initialized or drawn.
+    Version mismatches name both versions in the error. Checkpoints written
+    with the ``no-context`` variant or a ``filter-width`` of 3 load as
+    ``vanilla-cnn`` without the width.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -130,20 +132,18 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     config = ModelConfig.from_json(model_json)
     train_config = TrainConfig.from_json(train_json)
     vocab = Vocabulary(tokens=list(manifest["vocab"]))
+    labels = list(manifest["labels"])
+    check_labels(config, labels)
     directory = manifest["tensors"]
-    # the stored table fits in the blob, so this bounds what build_model allocates
-    if directory.get(EMBEDDINGS_KEY, {}).get("shape") != [len(vocab), config.d]:
-        raise FormatError(f"{path}: embeddings entry does not match the vocabulary and d")
-    model = build_model(config, vocab, list(manifest["labels"]))
-    if set(directory) != set(model.params):
+    shapes = param_shapes(config, len(vocab))
+    if set(directory) != set(shapes):
         raise FormatError(f"{path}: tensor directory does not match the architecture")
-    for name, node in model.params.items():
+    params = {}
+    for name, shape in shapes.items():
         entry = directory[name]
-        shape = tuple(entry["shape"])
-        if shape != node.value.shape:
-            raise FormatError(
-                f"{path}: tensor {name} has shape {shape}, expected {node.value.shape}"
-            )
+        stored = tuple(entry["shape"])
+        if stored != shape:
+            raise FormatError(f"{path}: tensor {name} has shape {stored}, expected {shape}")
         arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=entry["offset"])
-        node.value[...] = arr.reshape(shape)
-    return model, train_config
+        params[name] = ad.param(arr.reshape(shape).astype(np.float64), name)
+    return Model(config=config, vocab=vocab, label_names=labels, params=params), train_config

@@ -108,9 +108,11 @@ def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarra
 
     An optional first line holding exactly two integers (count and dim) is
     detected and skipped. Every data line must carry exactly
-    ``expected_dim`` values; violations raise FormatError with the line
-    number. Duplicate tokens keep their first vector. Returns a vocabulary
-    of the file's tokens (after PAD and UNK) plus a V x d float64 matrix
+    ``expected_dim`` finite values; violations raise FormatError with the
+    line number. This holds for the lines of the reserved tokens and of
+    repeated tokens too, which are checked and then skipped, so a repeated
+    token keeps its first vector. Returns a vocabulary of the file's tokens
+    (after PAD and UNK) plus a V x d float64 matrix
     whose PAD and UNK rows are zero; randomized UNK/OOV rows are filled in
     later, under the run seed, by ``init_embeddings``.
     """
@@ -132,14 +134,14 @@ def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarra
                 raise FormatError(
                     f"{path}: line {lineno}: expected {expected_dim} values, got {len(values)}"
                 )
-            if token in (PAD_TOKEN, UNK_TOKEN) or token in vocab:
-                continue
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: bad float ({exc})") from None
             if not np.isfinite(vec).all():
                 raise FormatError(f"{path}: line {lineno}: non-finite value")
+            if token in (PAD_TOKEN, UNK_TOKEN) or token in vocab:
+                continue
             vocab.add(token)
             rows.append(vec)
     return vocab, np.vstack(rows)

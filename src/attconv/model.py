@@ -3,6 +3,9 @@
 The stack is fixed: embeddings feed one representation layer (which layer
 depends on the variant), max-over-positions pooling produces the sentence
 vector, and a logistic regression head produces class probabilities.
+``param_shapes`` is the one list of a variant's tensors: ``build_model``
+initializes along it, checkpoints store and load along it, and a model
+holds its tensors in one flat dict under those dotted names.
 Training is plain AdaGrad on the averaged cross-entropy of each batch;
 batching itself is a loop over examples, one graph per batch.
 """
@@ -17,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers as ly
+from .attention import MATCH_METHODS
 from .data import (
     SEP_TOKEN,
     Dataset,
@@ -63,7 +67,7 @@ class ModelConfig:
             raise ConfigError(
                 f"unknown context-mode {self.context_mode!r}; choose from {CONTEXT_MODES}"
             )
-        if self.match_method not in ("dot", "bilinear", "additive"):
+        if self.match_method not in MATCH_METHODS:
             raise ConfigError(f"unknown match-method {self.match_method!r}")
         if self.self_mode not in ly.SELF_MODES:
             raise ConfigError(f"unknown self-mode {self.self_mode!r}")
@@ -144,95 +148,122 @@ def _config_from_json(cls, data: dict):
 
 
 @dataclass
-class Classifier:
-    W: ad.Node
-    b: ad.Node
-
-    def tensors(self) -> dict[str, ad.Node]:
-        return {"W": self.W, "b": self.b}
-
-
-@dataclass
 class Model:
     """A built network: config, vocabulary, label order, and live tensors.
 
-    ``params`` maps dotted tensor names to the leaf nodes in a fixed build
-    order; the checkpoint format and the parameter report both follow it.
+    ``params`` maps the dotted names of ``param_shapes`` to the leaf nodes,
+    in that order; the checkpoint format and the parameter report both
+    follow it.
     """
 
     config: ModelConfig
     vocab: Vocabulary
     label_names: list[str]
     params: dict[str, ad.Node]
-    net: object
-    classifier: Classifier
-    embeddings: ad.Node
+
+    @property
+    def embeddings(self) -> ad.Node:
+        """The V x d embedding table; row 0 (PAD) stays zero."""
+        return self.params[EMBEDDINGS_KEY]
 
 
-def _rep_dim(config: ModelConfig) -> int:
-    return 2 * config.d if config.variant == "attentive-pooling" else config.d
+def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor of the configured network: dotted name -> shape, in order.
 
-
-def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],
-                pretrained: tuple[Vocabulary, np.ndarray] | None = None) -> Model:
-    """Initialize every tensor for the configured variant, deterministically.
-
-    Weight matrices draw from the fan-balanced uniform initializer, biases
-    start at zero, and the embedding table follows the pretrained/OOV rules
-    in ``init_embeddings``. All draws come from substreams of config.seed
-    in a fixed order, so equal configs build bitwise-equal models. A ``d``
-    too large to allocate is a ConfigError.
+    The order is the checkpoint order and the order ``build_model`` draws
+    the weights in. ``net.`` holds the representation layer of the variant,
+    ``classifier.`` the logistic regression head over the sentence vector.
     """
-    config.validate()
+    d = config.d
+    shapes: dict[str, tuple[int, ...]] = {EMBEDDINGS_KEY: (vocab_size, d)}
+
+    def match(at: str, size: int) -> None:
+        if config.match_method in ("bilinear", "additive"):
+            shapes[at + "W_e"] = (size, size)
+        if config.match_method == "additive":
+            shapes[at + "U_e"] = (size, size)
+            shapes[at + "v_e"] = (size,)
+
+    def gated(at: str, width: int) -> None:
+        shapes.update({at + "W_h": (d, width * d), at + "b_h": (d,),
+                       at + "W_g": (d, width * d), at + "b_g": (d,)})
+
+    def conv(at: str, d_c: int) -> None:
+        shapes.update({at + "W1": (d, 3 * d), at + "W2": (d, d_c), at + "b": (d,)})
+
+    if config.variant == "light":
+        match("net.match.", d)
+        conv("net.conv.", d)
+    elif config.variant == "advanced":
+        for side in ("source", "focus"):
+            gated(f"net.{side}.uni.", 1)
+            gated(f"net.{side}.tri.", 3)
+        gated("net.beneficiary.", 1)
+        match("net.match.", 2 * d)
+        conv("net.conv.", 2 * d)
+    elif config.variant in ("vanilla-cnn", "attentive-pooling"):
+        shapes.update({"net.W1": (d, 3 * d), "net.b": (d,)})
+    elif config.variant == "no-conv":
+        for i in range(ly.NO_CONV_LAYERS):
+            shapes[f"net.layer{i}.W"] = (d, d)
+            shapes[f"net.layer{i}.b"] = (d,)
+            match(f"net.layer{i}.match.", d)
+    else:  # pragma: no cover - validate() guards this
+        raise ConfigError(f"unknown variant {config.variant!r}")
+    rep_dim = 2 * d if config.variant == "attentive-pooling" else d
+    shapes["classifier.W"] = (config.num_classes, rep_dim)
+    shapes["classifier.b"] = (config.num_classes,)
+    return shapes
+
+
+def init_tensor(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Initial value of one non-embedding tensor, drawn from ``rng``.
+
+    Matrices are fan-balanced uniform, the additive match vector v_e is
+    uniform with the bound of a 1 x d matrix, and biases start at zero
+    without drawing.
+    """
+    if len(shape) == 2:
+        return ad.glorot(rng, *shape)
+    if name.endswith("v_e"):
+        return ad.glorot(rng, 1, shape[0])[0]
+    return np.zeros(shape)
+
+
+def check_labels(config: ModelConfig, label_names: list[str]) -> None:
+    """Reject a label list whose length is not the configured class count."""
     if len(label_names) != config.num_classes:
         raise ConfigError(
             f"label list has {len(label_names)} entries but num-classes is {config.num_classes}"
         )
+
+
+def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],
+                pretrained: tuple[Vocabulary, np.ndarray] | None = None) -> Model:
+    """Initialize every tensor of ``param_shapes``, deterministically.
+
+    The embedding table follows the pretrained/OOV rules in
+    ``init_embeddings``; every other tensor comes from ``init_tensor`` on
+    one substream of config.seed, in ``param_shapes`` order, so equal
+    configs build bitwise-equal models. A ``d`` too large to allocate is a
+    ConfigError.
+    """
+    config.validate()
+    check_labels(config, label_names)
+    rng = np.random.default_rng([config.seed, _PARAM_STREAM])
+    params: dict[str, ad.Node] = {}
     try:
-        emb_node = ad.param(init_embeddings(vocab, config.d, config.seed, pretrained),
-                            EMBEDDINGS_KEY)
-        net, classifier = _init_network(config)
+        for name, shape in param_shapes(config, len(vocab)).items():
+            if name == EMBEDDINGS_KEY:
+                value = init_embeddings(vocab, config.d, config.seed, pretrained)
+            else:
+                value = init_tensor(rng, name, shape)
+            params[name] = ad.param(value, name)
     except MemoryError:
         raise ConfigError(
             f"d={config.d} with a vocabulary of {len(vocab)} tokens does not fit in memory"
         ) from None
-
-    params: dict[str, ad.Node] = {EMBEDDINGS_KEY: emb_node}
-    for k, v in net.tensors().items():
-        params[f"net.{k}"] = v
-    for k, v in classifier.tensors().items():
-        params[f"classifier.{k}"] = v
-
-    return Model(
-        config=config,
-        vocab=vocab,
-        label_names=list(label_names),
-        params=params,
-        net=net,
-        classifier=classifier,
-        embeddings=emb_node,
-    )
-
-
-def _init_network(config: ModelConfig) -> tuple[object, Classifier]:
-    """The variant's layer parameters and the classifier head."""
-    rng = np.random.default_rng([config.seed, _PARAM_STREAM])
-    d = config.d
-    if config.variant == "light":
-        net = ly.LightParams.create(d, config.match_method, rng)
-    elif config.variant == "advanced":
-        net = ly.AdvancedParams.create(d, config.match_method, rng)
-    elif config.variant in ("vanilla-cnn", "attentive-pooling"):
-        net = ly.ConvParams.create(d, rng)
-    elif config.variant == "no-conv":
-        net = ly.NoConvParams.create(d, config.match_method, rng)
-    else:  # pragma: no cover - validate() guards this
-        raise ConfigError(f"unknown variant {config.variant!r}")
-    classifier = Classifier(
-        W=ad.param(ad.glorot(rng, config.num_classes, _rep_dim(config)), "W"),
-        b=ad.param(np.zeros(config.num_classes), "b"),
-    )
-    return net, classifier
+    return Model(config=config, vocab=vocab, label_names=list(label_names), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +294,15 @@ def _context_rep(model: Model, Hx: ad.Node, Hy: ad.Node, mask,
     """Sentence vector of the text given one context's hidden states."""
     cfg = model.config
     if cfg.variant in ("light", "advanced"):
-        fmap = ly.attend_and_convolve(Hx, Hy, model.net, mask=mask, trace=trace)
-        rep, _ = ad.max_over_positions(fmap)
-        return rep
+        fmap = ly.attend_and_convolve(Hx, Hy, model.params, "net.", cfg.match_method,
+                                      mask=mask, trace=trace)
+        return ad.max_over_positions(fmap)
     if cfg.variant == "no-conv":
-        fmap = ly.no_conv_stack(Hx, Hy, model.net, mask=mask, trace=trace)
-        rep, _ = ad.max_over_positions(fmap)
-        return rep
+        fmap = ly.no_conv_stack(Hx, Hy, model.params, "net.", cfg.match_method,
+                                mask=mask, trace=trace)
+        return ad.max_over_positions(fmap)
     if cfg.variant == "attentive-pooling":
-        rx, ry = ly.attentive_pooling(Hx, Hy, model.net)
+        rx, ry = ly.attentive_pooling(Hx, Hy, model.params, "net.")
         return ad.concat_vec([rx, ry])
     raise ContractError(f"variant {cfg.variant!r} takes no context")
 
@@ -289,12 +320,12 @@ def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]],
     Hx = ad.embed(model.embeddings, text_ids)
 
     if cfg.variant == "vanilla-cnn":
-        fmap = ly.vanilla_conv(Hx, model.net)
-        rep, _ = ad.max_over_positions(fmap)
+        rep = ad.max_over_positions(ly.vanilla_conv(Hx, model.params, "net."))
     else:
         rep = _forward_contextual(model, Hx, text_ids, ctx_ids, trace)
 
-    logits = ad.add(ad.matmul(model.classifier.W, rep), model.classifier.b)
+    p = model.params
+    logits = ad.add(ad.matmul(p["classifier.W"], rep), p["classifier.b"])
     return ad.softmax(logits)
 
 
@@ -330,8 +361,7 @@ def _forward_contextual(model: Model, Hx: ad.Node, text_ids: list[int],
         reps = [run(ad.embed(model.embeddings, ids), None, j) for j, ids in enumerate(ctx_ids)]
         if len(reps) == 1:
             return reps[0]
-        pooled, _ = ad.max_over_positions(ad.stack_cols(reps))
-        return pooled
+        return ad.max_over_positions(ad.stack_cols(reps))
 
     if cfg.context_mode == "multi-conc":
         if not ctx_ids:

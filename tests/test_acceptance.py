@@ -16,7 +16,6 @@ from attconv import autodiff as ad
 from attconv import layers as ly
 from attconv.attention import (
     MATCH_METHODS,
-    MatchParams,
     apply_attention,
     attention_weights,
     match_scores,
@@ -42,6 +41,7 @@ from attconv.model import (
     evaluate,
     forward,
     forward_ids,
+    init_tensor,
     predict,
     train,
 )
@@ -70,12 +70,13 @@ def test_joint_filter_equivalence():
         d = int(rng.integers(1, 9))
         m = int(rng.integers(1, 11))
         d_c = int(rng.integers(1, 17))
-        params = ly.LightAttConvParams.create(d, d_c, rng)
+        params = {name: ad.param(init_tensor(rng, name, shape))
+                  for name, shape in (("W1", (d, 3 * d)), ("W2", (d, d_c)), ("b", (d,)))}
         H = rng.standard_normal((d, m))
         C = rng.standard_normal((d_c, m))
-        got = ly.light_attconv(ad.Node(H), ad.Node(C), params).value
-        joint = np.hstack([params.W1.value, params.W2.value])
-        want = np.tanh(joint @ np.vstack([np_window3(H), C]) + params.b.value[:, None])
+        got = ly.light_attconv(ad.Node(H), ad.Node(C), params, "").value
+        joint = np.hstack([params["W1"].value, params["W2"].value])
+        want = np.tanh(joint @ np.vstack([np_window3(H), C]) + params["b"].value[:, None])
         worst = max(worst, float(np.max(np.abs(got - want))))
     dt = time.perf_counter() - t0
     check("joint-filter equivalence",
@@ -132,25 +133,22 @@ def test_attention_invariants():
         n = int(rng.integers(2, 9))
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
-        dot = MatchParams(method="dot")
-
         mask = rng.random(n) < 0.7
         mask[int(rng.integers(n))] = True
-        w = attention_weights(match_scores(Hx, Hy, dot), np.broadcast_to(mask, (m, n))).value
+        w = attention_weights(match_scores(Hx, Hy, "dot"), np.broadcast_to(mask, (m, n))).value
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: rows not stochastic")
         if np.any(w[:, ~mask] != 0.0):
             ok, _ = False, notes.append(f"trial {trial}: masked weight nonzero")
 
-        bil = MatchParams(method="bilinear", W_e=ad.Node(np.eye(d)))
-        if not np.array_equal(match_scores(Hx, Hy, bil).value,
-                              match_scores(Hx, Hy, dot).value):
+        bil = match_scores(Hx, Hy, "bilinear", {"W_e": ad.Node(np.eye(d))})
+        if not np.array_equal(bil.value, match_scores(Hx, Hy, "dot").value):
             ok, _ = False, notes.append(f"trial {trial}: bilinear identity differs")
 
-        c = apply_attention(attention_weights(match_scores(Hx, Hy, dot)), Hy)
+        c = apply_attention(attention_weights(match_scores(Hx, Hy, "dot")), Hy)
         perm = rng.permutation(n)
         Hyp = ad.Node(Hy.value[:, perm])
-        cp = apply_attention(attention_weights(match_scores(Hx, Hyp, dot)), Hyp)
+        cp = apply_attention(attention_weights(match_scores(Hx, Hyp, "dot")), Hyp)
         if np.max(np.abs(c.value - cp.value)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: permutation moved context")
 

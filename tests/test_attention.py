@@ -8,12 +8,12 @@ import pytest
 from attconv import autodiff as ad
 from attconv.attention import (
     MATCH_METHODS,
-    MatchParams,
     apply_attention,
     attention_weights,
     match_scores,
 )
 from attconv.errors import ConfigError, DimensionError
+from attconv.model import ModelConfig, init_tensor, param_shapes
 
 
 def _hx_hy(rng, d=5, m=4, n=6):
@@ -21,29 +21,31 @@ def _hx_hy(rng, d=5, m=4, n=6):
 
 
 def _params(method, d, rng):
-    return MatchParams.create(method, d, rng)
+    """The match tensors of a light model of width d, drawn as ``build_model`` draws them."""
+    shapes = param_shapes(ModelConfig(variant="light", d=d, match_method=method), 1)
+    return {k[len("net.match."):]: ad.param(init_tensor(rng, k, shape))
+            for k, shape in shapes.items() if k.startswith("net.match.")}
 
 
 def test_dot_scores_on_orthonormal_basis():
     hx = ad.Node(np.array([[1.0], [0.0]]))
     hy = ad.Node(np.eye(2))
-    scores = match_scores(hx, hy, MatchParams(method="dot"))
+    scores = match_scores(hx, hy, "dot")
     assert scores.value.tolist() == [[1.0, 0.0]]
 
 
 def test_dot_scores_match_numpy_oracle():
     rng = np.random.default_rng(0)
     Hx, Hy = _hx_hy(rng)
-    scores = match_scores(Hx, Hy, MatchParams(method="dot"))
+    scores = match_scores(Hx, Hy, "dot")
     assert np.allclose(scores.value, Hx.value.T @ Hy.value, atol=1e-15)
 
 
 def test_bilinear_with_identity_equals_dot():
     rng = np.random.default_rng(1)
     Hx, Hy = _hx_hy(rng)
-    bil = MatchParams(method="bilinear", W_e=ad.param(np.eye(5)))
-    a = match_scores(Hx, Hy, bil).value
-    b = match_scores(Hx, Hy, MatchParams(method="dot")).value
+    a = match_scores(Hx, Hy, "bilinear", {"W_e": ad.param(np.eye(5))}).value
+    b = match_scores(Hx, Hy, "dot").value
     assert np.array_equal(a, b)
 
 
@@ -51,8 +53,8 @@ def test_bilinear_scores_match_numpy_oracle():
     rng = np.random.default_rng(2)
     Hx, Hy = _hx_hy(rng)
     params = _params("bilinear", 5, rng)
-    scores = match_scores(Hx, Hy, params)
-    want = Hx.value.T @ params.W_e.value @ Hy.value
+    scores = match_scores(Hx, Hy, "bilinear", params)
+    want = Hx.value.T @ params["W_e"].value @ Hy.value
     assert np.allclose(scores.value, want, atol=1e-12)
 
 
@@ -60,8 +62,8 @@ def test_additive_scores_match_numpy_oracle():
     rng = np.random.default_rng(3)
     Hx, Hy = _hx_hy(rng, d=4, m=3, n=5)
     params = _params("additive", 4, rng)
-    scores = match_scores(Hx, Hy, params).value
-    We, Ue, ve = params.W_e.value, params.U_e.value, params.v_e.value
+    scores = match_scores(Hx, Hy, "additive", params).value
+    We, Ue, ve = params["W_e"].value, params["U_e"].value, params["v_e"].value
     for i in range(3):
         for j in range(5):
             want = ve @ np.tanh(We @ Hx.value[:, i] + Ue @ Hy.value[:, j])
@@ -72,18 +74,9 @@ def test_additive_with_zero_vector_gives_uniform_attention():
     rng = np.random.default_rng(4)
     Hx, Hy = _hx_hy(rng, d=3, m=2, n=4)
     params = _params("additive", 3, rng)
-    params.v_e.value[:] = 0.0
-    weights = attention_weights(match_scores(Hx, Hy, params))
+    params["v_e"].value[:] = 0.0
+    weights = attention_weights(match_scores(Hx, Hy, "additive", params))
     assert np.array_equal(weights.value, np.full((2, 4), 0.25))
-
-
-def test_match_params_create_surface():
-    rng = np.random.default_rng(5)
-    assert _params("dot", 4, rng).tensors() == {}
-    assert set(_params("bilinear", 4, rng).tensors()) == {"W_e"}
-    assert set(_params("additive", 4, rng).tensors()) == {"W_e", "U_e", "v_e"}
-    with pytest.raises(ConfigError):
-        MatchParams.create("cosine", 4, rng)
 
 
 def test_match_scores_input_validation():
@@ -91,9 +84,11 @@ def test_match_scores_input_validation():
     Hx = ad.Node(rng.standard_normal((4, 3)))
     Hy = ad.Node(rng.standard_normal((5, 3)))
     with pytest.raises(DimensionError, match="hidden sizes differ"):
-        match_scores(Hx, Hy, MatchParams(method="dot"))
+        match_scores(Hx, Hy, "dot")
     with pytest.raises(DimensionError):
-        match_scores(ad.Node(np.ones(4)), Hx, MatchParams(method="dot"))
+        match_scores(ad.Node(np.ones(4)), Hx, "dot")
+    with pytest.raises(ConfigError, match="cosine"):
+        match_scores(Hx, Hx, "cosine")
 
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
@@ -104,7 +99,7 @@ def test_rows_are_stochastic_for_every_method(method):
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
         params = _params(method, int(d), rng)
-        weights = attention_weights(match_scores(Hx, Hy, params))
+        weights = attention_weights(match_scores(Hx, Hy, method, params))
         sums = weights.value.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
         assert np.all(weights.value >= 0.0)
@@ -114,7 +109,7 @@ def test_masked_positions_get_exactly_zero_weight():
     rng = np.random.default_rng(8)
     Hx, Hy = _hx_hy(rng, d=3, m=4, n=5)
     mask = np.array([True, False, True, False, True])
-    weights = attention_weights(match_scores(Hx, Hy, MatchParams(method="dot")),
+    weights = attention_weights(match_scores(Hx, Hy, "dot"),
                                 np.broadcast_to(mask, (4, 5)))
     assert np.all(weights.value[:, ~mask] == 0.0)
     assert np.all(np.abs(weights.value.sum(axis=1) - 1.0) <= 1e-12)
@@ -124,7 +119,7 @@ def test_two_column_context_oracle():
     # scores [1, 0] over basis columns blends them with softmax weights
     hx = ad.Node(np.array([[1.0], [0.0]]))
     hy = ad.Node(np.eye(2))
-    scores = match_scores(hx, hy, MatchParams(method="dot"))
+    scores = match_scores(hx, hy, "dot")
     c = apply_attention(attention_weights(scores), hy)
     w1 = math.exp(1.0) / (math.exp(1.0) + 1.0)
     assert abs(c.value[0, 0] - w1) < 1e-12
@@ -145,7 +140,7 @@ def test_single_context_column_passes_through():
     rng = np.random.default_rng(10)
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 1)))
-    scores = match_scores(Hx, Hy, MatchParams(method="dot"))
+    scores = match_scores(Hx, Hy, "dot")
     c = apply_attention(attention_weights(scores), Hy)
     for i in range(5):
         assert np.array_equal(c.value[:, i], Hy.value[:, 0])
@@ -157,7 +152,7 @@ def test_context_vectors_lie_in_convex_hull():
         d, m, n = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 7)
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
-        scores = match_scores(Hx, Hy, MatchParams(method="dot"))
+        scores = match_scores(Hx, Hy, "dot")
         c = apply_attention(attention_weights(scores), Hy)
         lo = Hy.value.min(axis=1, keepdims=True) - 1e-12
         hi = Hy.value.max(axis=1, keepdims=True) + 1e-12
@@ -170,14 +165,14 @@ def test_permuting_context_columns_leaves_context_vectors_unchanged():
     Hy = ad.Node(rng.standard_normal((4, 6)))
     perm = rng.permutation(6)
     Hyp = ad.Node(Hy.value[:, perm])
-    sa = match_scores(Hx, Hy, MatchParams(method="dot"))
-    sb = match_scores(Hx, Hyp, MatchParams(method="dot"))
+    sa = match_scores(Hx, Hy, "dot")
+    sb = match_scores(Hx, Hyp, "dot")
     a = apply_attention(attention_weights(sa), Hy)
     b = apply_attention(attention_weights(sb), Hyp)
     assert np.allclose(a.value, b.value, atol=1e-12)
     # and the weights themselves permute along for the ride
-    wa = attention_weights(match_scores(Hx, Hy, MatchParams(method="dot"))).value
-    wb = attention_weights(match_scores(Hx, Hyp, MatchParams(method="dot"))).value
+    wa = attention_weights(match_scores(Hx, Hy, "dot")).value
+    wb = attention_weights(match_scores(Hx, Hyp, "dot")).value
     assert np.allclose(wa[:, perm], wb, atol=1e-12)
 
 

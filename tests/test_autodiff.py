@@ -187,21 +187,25 @@ def test_embed_input_errors():
 
 
 def test_max_over_positions_values_and_argmax():
-    h = ad.Node(np.array([[1.0, 3.0, 2.0], [0.0, -1.0, -2.0]]))
-    out, idx = ad.max_over_positions(h)
+    h = ad.param(np.array([[1.0, 3.0, 2.0], [0.0, -1.0, -2.0]]))
+    out = ad.max_over_positions(h)
     assert out.value.tolist() == [3.0, 0.0]
-    assert idx.tolist() == [1, 0]
+    # the winner of each row is where its gradient lands
+    ad.backward(project(out, np.array([1.0, 2.0])))
+    assert h.grad.tolist() == [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]
 
 
 def test_max_over_positions_tie_goes_to_lowest_index():
-    out, idx = ad.max_over_positions(ad.Node(np.array([[7.0, 7.0, 7.0]])))
+    h = ad.param(np.array([[7.0, 7.0, 7.0]]))
+    out = ad.max_over_positions(h)
     assert out.value.tolist() == [7.0]
-    assert idx.tolist() == [0]
+    ad.backward(project(out))
+    assert h.grad.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_max_over_positions_routes_gradient_to_winner():
     h = ad.param(np.array([[1.0, 5.0, 2.0]]))
-    out, _ = ad.max_over_positions(h)
+    out = ad.max_over_positions(h)
     ad.backward(project(out))
     assert np.array_equal(h.grad, np.array([[0.0, 1.0, 0.0]]))
 
@@ -481,8 +485,7 @@ def _case_max_over_positions(rng):
     h = ad.param(base + rng.uniform(-0.01, 0.01, (3, 5)))
 
     def build():
-        pooled, _ = ad.max_over_positions(h)
-        return project(pooled)
+        return project(ad.max_over_positions(h))
 
     return [h], build
 

@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attconv import autodiff as ad
+from attconv import data as data_module
+from attconv import model as model_module
 from attconv.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from attconv.cli import main
 from attconv.data import Vocabulary, gen_context_match
@@ -55,6 +58,40 @@ def test_save_load_save_is_byte_identical(tmp_path):
     loaded, loaded_tcfg = load_checkpoint(str(first))
     save_checkpoint(str(second), loaded, loaded_tcfg)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_loaded_model_trains_like_the_model_it_was_saved_from(tmp_path):
+    # loaded tensors are writable copies, so AdaGrad updates them in place
+    model, tcfg, data = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+    loaded, _ = load_checkpoint(str(path))
+    one_epoch = TrainConfig(epochs=1, batch_size=10, learning_rate=0.05)
+    train(model, data, one_epoch)
+    train(loaded, data, one_epoch)
+    in_memory, reloaded = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(str(in_memory), model, one_epoch)
+    save_checkpoint(str(reloaded), loaded, one_epoch)
+    assert reloaded.read_bytes() == in_memory.read_bytes()
+    assert reloaded.read_bytes() != path.read_bytes()
+
+
+def test_load_builds_and_draws_nothing(tmp_path, monkeypatch):
+    model, tcfg, _ = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint initialized a tensor")
+
+    monkeypatch.setattr(model_module, "build_model", refuse)
+    monkeypatch.setattr(model_module, "init_embeddings", refuse)
+    monkeypatch.setattr(data_module, "init_embeddings", refuse)
+    monkeypatch.setattr(ad, "glorot", refuse)
+    loaded, _ = load_checkpoint(str(path))
+    assert list(loaded.params) == list(model.params)
+    for name in model.params:
+        assert np.array_equal(loaded.params[name].value, model.params[name].value), name
 
 
 def test_file_starts_with_magic(tmp_path):
@@ -142,7 +179,7 @@ def test_oversized_d_is_rejected_before_building(tmp_path):
         manifest["model-config"]["d"] = 10**15  # a table no machine could allocate
 
     path.write_bytes(_rewrite_manifest(path.read_bytes(), inflate))
-    with pytest.raises(FormatError, match="embeddings entry"):
+    with pytest.raises(FormatError, match="tensor embeddings has shape"):
         load_checkpoint(str(path))
 
 

@@ -262,6 +262,21 @@ def test_non_finite_vector_exits_3_even_for_an_unused_token(tmp_path, capsys, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["t0 nan x 0.3 0.4", "<unk> 1 zz 1 1"])
+def test_bad_vector_of_a_skipped_token_exits_3(tmp_path, capsys, line):
+    # a repeated token and a reserved one are skipped, but only after their values parse
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text(f"t0 0.1 0.2 0.3 0.4\n{line}\n", encoding="utf-8")
+    out = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, [
+        "train", "--config", write_config(tmp_path, embeddings=str(vectors)),
+        "--train", write_data(tmp_path), "--out", str(out),
+    ])
+    assert code == 3
+    assert f"{vectors}: line 2: bad float" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"learning-rate": math.nan},
     {"learning-rate": math.inf},

@@ -137,6 +137,17 @@ def test_load_pretrained_duplicate_keeps_first(tmp_path):
     assert np.array_equal(mat[vocab.index["cat"]], [1, 1])
 
 
+@pytest.mark.parametrize("line, error", [
+    ("cat nan 1", "line 2: non-finite"),  # a repeated token
+    ("cat 1 x", "line 2: bad float"),
+    ("<unk> 1 zz", "line 2: bad float"),  # a reserved token
+])
+def test_load_pretrained_checks_lines_it_skips(tmp_path, line, error):
+    path = _write(tmp_path / "vec.txt", ["cat 1 1", line])
+    with pytest.raises(FormatError, match=error):
+        load_pretrained(path, 2)
+
+
 # ---------------------------------------------------------------------------
 # embedding init
 

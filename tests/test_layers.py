@@ -6,8 +6,9 @@ import pytest
 
 from attconv import autodiff as ad
 from attconv import layers as ly
-from attconv.attention import MatchParams, apply_attention, attention_weights, match_scores
+from attconv.attention import apply_attention, attention_weights, match_scores
 from attconv.errors import ContractError, DimensionError, EmptyContextError
+from attconv.model import ModelConfig, init_tensor, param_shapes
 
 
 def np_window3(H):
@@ -17,8 +18,32 @@ def np_window3(H):
     return np.vstack([padded[:, 0:m], H, padded[:, 2:m + 2]])
 
 
+def draw(rng, shapes):
+    """Param nodes for ``shapes``, drawn in order as ``build_model`` draws them."""
+    return {name: ad.param(init_tensor(rng, name, shape)) for name, shape in shapes.items()}
+
+
 def _conv_params(d, rng):
-    return ly.ConvParams.create(d, rng)
+    return draw(rng, {"W1": (d, 3 * d), "b": (d,)})
+
+
+def _light_conv_params(d, d_c, rng):
+    return draw(rng, {"W1": (d, 3 * d), "W2": (d, d_c), "b": (d,)})
+
+
+def _gated_shapes(d, width, at=""):
+    return {at + "W_h": (d, width * d), at + "b_h": (d,),
+            at + "W_g": (d, width * d), at + "b_g": (d,)}
+
+
+def _mgran_params(d, rng):
+    return draw(rng, {**_gated_shapes(d, 1, "uni."), **_gated_shapes(d, 3, "tri.")})
+
+
+def _net_params(variant, d, method, rng):
+    """The ``net.`` tensors of a variant, in ``param_shapes`` order."""
+    shapes = param_shapes(ModelConfig(variant=variant, d=d, match_method=method), 1)
+    return draw(rng, {k: v for k, v in shapes.items() if k.startswith("net.")})
 
 
 def test_window3_matches_numpy_oracle():
@@ -29,8 +54,8 @@ def test_window3_matches_numpy_oracle():
 
 def test_vanilla_conv_hand_check_scalar_case():
     # W1 = [1 1 1], H = [1 2 3]: windows sum to 3, 6, 5
-    params = ly.ConvParams(W1=ad.param(np.ones((1, 3))), b=ad.param(np.zeros(1)))
-    out = ly.vanilla_conv(ad.Node(np.array([[1.0, 2.0, 3.0]])), params)
+    params = {"W1": ad.param(np.ones((1, 3))), "b": ad.param(np.zeros(1))}
+    out = ly.vanilla_conv(ad.Node(np.array([[1.0, 2.0, 3.0]])), params, "")
     assert np.allclose(out.value, np.tanh([[3.0, 6.0, 5.0]]), atol=1e-15)
 
 
@@ -39,8 +64,8 @@ def test_vanilla_conv_translation_covariance_in_the_interior():
     d, m = 4, 9
     params = _conv_params(d, rng)
     H = rng.standard_normal((d, m))
-    out = ly.vanilla_conv(ad.Node(H), params).value
-    rolled = ly.vanilla_conv(ad.Node(np.roll(H, 1, axis=1)), params).value
+    out = ly.vanilla_conv(ad.Node(H), params, "").value
+    rolled = ly.vanilla_conv(ad.Node(np.roll(H, 1, axis=1)), params, "").value
     # away from both boundaries the shifted input just shifts the output
     assert np.array_equal(rolled[:, 2:m - 1], out[:, 1:m - 2])
 
@@ -51,44 +76,45 @@ def test_split_filter_equals_joint_filter_on_random_instances():
         d = int(rng.integers(1, 9))
         m = int(rng.integers(1, 11))
         d_c = int(rng.integers(1, 17))
-        params = ly.LightAttConvParams.create(d, d_c, rng)
+        params = _light_conv_params(d, d_c, rng)
         H = rng.standard_normal((d, m))
         C = rng.standard_normal((d_c, m))
-        got = ly.light_attconv(ad.Node(H), ad.Node(C), params).value
-        joint = np.hstack([params.W1.value, params.W2.value])
+        got = ly.light_attconv(ad.Node(H), ad.Node(C), params, "").value
+        joint = np.hstack([params["W1"].value, params["W2"].value])
         stacked = np.vstack([np_window3(H), C])
-        want = np.tanh(joint @ stacked + params.b.value[:, None])
+        want = np.tanh(joint @ stacked + params["b"].value[:, None])
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_light_attconv_with_zero_context_is_vanilla():
     rng = np.random.default_rng(3)
-    params = ly.LightAttConvParams.create(4, 6, rng)
+    params = _light_conv_params(4, 6, rng)
     H = ad.Node(rng.standard_normal((4, 7)))
     C = ad.Node(np.zeros((6, 7)))
-    got = ly.light_attconv(H, C, params).value
-    plain = ly.vanilla_conv(H, ly.ConvParams(W1=params.W1, b=params.b)).value
+    got = ly.light_attconv(H, C, params, "").value
+    plain = ly.vanilla_conv(H, params, "").value
     assert np.array_equal(got, plain)
 
 
 def test_light_attconv_single_position_boundary():
     rng = np.random.default_rng(4)
     d = 3
-    params = ly.LightAttConvParams.create(d, d, rng)
+    params = _light_conv_params(d, d, rng)
     h = rng.standard_normal((d, 1))
     c = rng.standard_normal((d, 1))
-    got = ly.light_attconv(ad.Node(h), ad.Node(c), params).value
+    got = ly.light_attconv(ad.Node(h), ad.Node(c), params, "").value
     window = np.vstack([np.zeros((d, 1)), h, np.zeros((d, 1))])
-    want = np.tanh(params.W1.value @ window + params.W2.value @ c + params.b.value[:, None])
+    want = np.tanh(params["W1"].value @ window + params["W2"].value @ c
+                   + params["b"].value[:, None])
     assert np.allclose(got, want, atol=1e-15)
 
 
 def test_light_attconv_rejects_misaligned_context():
     rng = np.random.default_rng(5)
-    params = ly.LightAttConvParams.create(3, 3, rng)
+    params = _light_conv_params(3, 3, rng)
     with pytest.raises(DimensionError):
         ly.light_attconv(ad.Node(np.zeros((3, 4))),
-                         ad.Node(np.zeros((3, 5))), params)
+                         ad.Node(np.zeros((3, 5))), params, "")
 
 
 # ---------------------------------------------------------------------------
@@ -97,50 +123,41 @@ def test_light_attconv_rejects_misaligned_context():
 
 def test_gated_conv_all_zero_parameters_halve_the_input():
     H = ad.Node(np.random.default_rng(6).standard_normal((3, 4)))
-    params = ly.GatedConvParams(
-        W_h=ad.param(np.zeros((3, 9))), b_h=ad.param(np.zeros(3)),
-        W_g=ad.param(np.zeros((3, 9))), b_g=ad.param(np.zeros(3)), width=3,
-    )
-    out = ly.gated_conv(H, params)
+    params = {name: ad.param(np.zeros(shape)) for name, shape in _gated_shapes(3, 3).items()}
+    out = ly.gated_conv(H, params, "")
     assert np.allclose(out.value, 0.5 * H.value, atol=1e-15)
 
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_gated_conv_saturated_gate_passes_input_through(width):
     rng = np.random.default_rng(7)
-    params = ly.GatedConvParams.create(4, width, rng)
-    params.b_g.value[:] = 30.0
+    params = draw(rng, _gated_shapes(4, width))
+    params["b_g"].value[:] = 30.0
     H = ad.Node(rng.standard_normal((4, 5)) * 0.1)
-    out = ly.gated_conv(H, params)
+    out = ly.gated_conv(H, params, "")
     assert np.max(np.abs(out.value - H.value)) < 1e-9
 
 
 def test_gated_conv_open_gate_yields_the_candidate():
     rng = np.random.default_rng(8)
-    params = ly.GatedConvParams.create(3, 3, rng)
-    params.b_g.value[:] = -30.0
+    params = draw(rng, _gated_shapes(3, 3))
+    params["b_g"].value[:] = -30.0
     H = rng.standard_normal((3, 6)) * 0.1
-    out = ly.gated_conv(ad.Node(H), params).value
-    cand = np.tanh(params.W_h.value @ np_window3(H) + params.b_h.value[:, None])
+    out = ly.gated_conv(ad.Node(H), params, "").value
+    cand = np.tanh(params["W_h"].value @ np_window3(H) + params["b_h"].value[:, None])
     assert np.max(np.abs(out - cand)) < 1e-9
 
 
 def test_gated_conv_output_between_input_and_candidate():
     rng = np.random.default_rng(9)
     for trial in range(10):
-        params = ly.GatedConvParams.create(3, 3, rng)
+        params = draw(rng, _gated_shapes(3, 3))
         H = rng.standard_normal((3, 5))
-        out = ly.gated_conv(ad.Node(H), params).value
-        cand = np.tanh(params.W_h.value @ np_window3(H) + params.b_h.value[:, None])
+        out = ly.gated_conv(ad.Node(H), params, "").value
+        cand = np.tanh(params["W_h"].value @ np_window3(H) + params["b_h"].value[:, None])
         lo = np.minimum(H, cand) - 1e-12
         hi = np.maximum(H, cand) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
-
-
-def test_gated_conv_width_validation():
-    rng = np.random.default_rng(10)
-    with pytest.raises(ContractError):
-        ly.GatedConvParams.create(3, 2, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +166,24 @@ def test_gated_conv_width_validation():
 
 def test_mgran_shape_and_composition():
     rng = np.random.default_rng(11)
-    params = ly.MgranParams.create(4, rng)
+    params = _mgran_params(4, rng)
     H = ad.Node(rng.standard_normal((4, 5)))
-    out = ly.mgran(H, params)
+    out = ly.mgran(H, params, "")
     assert out.value.shape == (8, 5)
-    uni = ly.gated_conv(H, params.uni).value
-    tri = ly.gated_conv(H, params.tri).value
+    uni = ly.gated_conv(H, params, "uni.").value
+    tri = ly.gated_conv(H, params, "tri.").value
     assert np.array_equal(out.value, np.vstack([uni, tri]))
 
 
 def test_mgran_locality_of_the_two_granularities():
     rng = np.random.default_rng(12)
     d, m, j = 3, 7, 3
-    params = ly.MgranParams.create(d, rng)
+    params = _mgran_params(d, rng)
     H = rng.standard_normal((d, m))
-    base = ly.mgran(ad.Node(H), params).value
+    base = ly.mgran(ad.Node(H), params, "").value
     bumped = H.copy()
     bumped[:, j] += 0.5
-    out = ly.mgran(ad.Node(bumped), params).value
+    out = ly.mgran(ad.Node(bumped), params, "").value
     changed = np.flatnonzero(np.any(out != base, axis=0))
     # the uni half may move only column j, the tri half only j-1, j, j+1
     uni_changed = np.flatnonzero(np.any(out[:d] != base[:d], axis=0))
@@ -176,22 +193,19 @@ def test_mgran_locality_of_the_two_granularities():
     assert set(changed.tolist()) <= {j - 1, j, j + 1}
 
 
-def test_beneficiary_keeps_shape_and_rejects_wide_filters():
+def test_beneficiary_keeps_shape():
     rng = np.random.default_rng(13)
-    params = ly.GatedConvParams.create(4, 1, rng)
+    params = draw(rng, _gated_shapes(4, 1))
     H = ad.Node(rng.standard_normal((4, 6)))
-    assert ly.beneficiary(H, params).value.shape == (4, 6)
-    wide = ly.GatedConvParams.create(4, 3, rng)
-    with pytest.raises(ContractError):
-        ly.beneficiary(H, wide)
+    assert ly.gated_conv(H, params, "").value.shape == (4, 6)
 
 
 def test_beneficiary_saturated_gate_is_near_identity():
     rng = np.random.default_rng(14)
-    params = ly.GatedConvParams.create(4, 1, rng)
-    params.b_g.value[:] = 30.0
+    params = draw(rng, _gated_shapes(4, 1))
+    params["b_g"].value[:] = 30.0
     H = ad.Node(rng.standard_normal((4, 6)) * 0.1)
-    assert np.max(np.abs(ly.beneficiary(H, params).value - H.value)) < 1e-9
+    assert np.max(np.abs(ly.gated_conv(H, params, "").value - H.value)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +214,14 @@ def test_beneficiary_saturated_gate_is_near_identity():
 
 def test_attend_and_convolve_light_equals_manual_composition():
     rng = np.random.default_rng(15)
-    params = ly.LightParams.create(4, "dot", rng)
+    params = _net_params("light", 4, "dot", rng)
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 6)))
     trace = []
-    got = ly.attend_and_convolve(Hx, Hy, params, trace=trace).value
+    got = ly.attend_and_convolve(Hx, Hy, params, "net.", "dot", trace=trace).value
 
-    Cx = apply_attention(attention_weights(match_scores(Hx, Hy, params.match)), Hy)
-    want = ly.light_attconv(Hx, Cx, params.conv).value
+    Cx = apply_attention(attention_weights(match_scores(Hx, Hy, "dot")), Hy)
+    want = ly.light_attconv(Hx, Cx, params, "net.conv.").value
     assert np.array_equal(got, want)
     assert len(trace) == 1
     assert trace[0].value.shape == (5, 6)
@@ -215,20 +229,22 @@ def test_attend_and_convolve_light_equals_manual_composition():
 
 def test_attend_and_convolve_advanced_shapes_and_trace():
     rng = np.random.default_rng(16)
-    params = ly.AdvancedParams.create(3, "dot", rng)
+    params = _net_params("advanced", 3, "dot", rng)
     Hx = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    out = ly.attend_and_convolve(Hx, Hx, params, trace=trace)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", trace=trace)
     assert out.value.shape == (3, 5)
     # matching runs over the multi-granular states, one row/column per position
     assert trace[0].value.shape == (5, 5)
 
 
 def test_attend_and_convolve_rejects_unknown_bundles():
+    # the tensors of another variant lack the attentive filter, named in full
     rng = np.random.default_rng(17)
+    params = _net_params("vanilla-cnn", 2, "dot", rng)
     H = ad.Node(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        ly.attend_and_convolve(H, H, object())
+    with pytest.raises(KeyError, match="net.conv.W1"):
+        ly.attend_and_convolve(H, H, params, "net.", "dot")
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +263,25 @@ def test_intra_mask_variants():
 
 def test_intra_attconv_single_position_attends_to_itself():
     rng = np.random.default_rng(18)
-    params = ly.LightParams.create(3, "dot", rng)
+    params = _net_params("light", 3, "dot", rng)
     h = rng.standard_normal((3, 1))
     trace = []
     Hx = ad.Node(h)
-    out = ly.attend_and_convolve(Hx, Hx, params, mask=ly.intra_mask(1, "include-self"),
-                                 trace=trace)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot",
+                                 mask=ly.intra_mask(1, "include-self"), trace=trace)
     assert np.array_equal(trace[0].value, np.array([[1.0]]))
     # with weight 1.0 the attentive context is the position's own state
-    want = ly.light_attconv(ad.Node(h), ad.Node(h), params.conv).value
+    want = ly.light_attconv(ad.Node(h), ad.Node(h), params, "net.conv.").value
     assert np.array_equal(out.value, want)
 
 
 def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     rng = np.random.default_rng(19)
-    params = ly.LightParams.create(3, "dot", rng)
+    params = _net_params("light", 3, "dot", rng)
     H = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    ly.attend_and_convolve(H, H, params, mask=ly.intra_mask(5, "exclude-self"), trace=trace)
+    ly.attend_and_convolve(H, H, params, "net.", "dot", mask=ly.intra_mask(5, "exclude-self"),
+                           trace=trace)
     w = trace[0].value
     assert np.all(np.diag(w) == 0.0)
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
@@ -279,8 +296,8 @@ def test_attentive_pooling_is_symmetric_in_its_arguments():
     params = _conv_params(4, rng)
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 7)))
-    rx, ry = ly.attentive_pooling(Hx, Hy, params)
-    ry2, rx2 = ly.attentive_pooling(Hy, Hx, params)
+    rx, ry = ly.attentive_pooling(Hx, Hy, params, "")
+    ry2, rx2 = ly.attentive_pooling(Hy, Hx, params, "")
     assert np.max(np.abs(rx.value - rx2.value)) <= 1e-12
     assert np.max(np.abs(ry.value - ry2.value)) <= 1e-12
 
@@ -289,7 +306,7 @@ def test_attentive_pooling_identical_sentences_give_equal_outputs():
     rng = np.random.default_rng(21)
     params = _conv_params(3, rng)
     H = ad.Node(rng.standard_normal((3, 5)))
-    rx, ry = ly.attentive_pooling(H, H, params)
+    rx, ry = ly.attentive_pooling(H, H, params, "")
     assert np.array_equal(rx.value, ry.value)
 
 
@@ -298,9 +315,9 @@ def test_attentive_pooling_single_positions_return_their_states():
     params = _conv_params(3, rng)
     Hx = ad.Node(rng.standard_normal((3, 1)))
     Hy = ad.Node(rng.standard_normal((3, 1)))
-    rx, ry = ly.attentive_pooling(Hx, Hy, params)
-    assert np.array_equal(rx.value, ly.vanilla_conv(Hx, params).value[:, 0])
-    assert np.array_equal(ry.value, ly.vanilla_conv(Hy, params).value[:, 0])
+    rx, ry = ly.attentive_pooling(Hx, Hy, params, "")
+    assert np.array_equal(rx.value, ly.vanilla_conv(Hx, params, "").value[:, 0])
+    assert np.array_equal(ry.value, ly.vanilla_conv(Hy, params, "").value[:, 0])
 
 
 def test_attentive_pooling_outputs_stay_in_their_own_hull():
@@ -308,9 +325,9 @@ def test_attentive_pooling_outputs_stay_in_their_own_hull():
     params = _conv_params(3, rng)
     Hx = ad.Node(rng.standard_normal((3, 6)))
     Hy = ad.Node(rng.standard_normal((3, 4)))
-    rx, ry = ly.attentive_pooling(Hx, Hy, params)
-    cx = ly.vanilla_conv(Hx, params).value
-    cy = ly.vanilla_conv(Hy, params).value
+    rx, ry = ly.attentive_pooling(Hx, Hy, params, "")
+    cx = ly.vanilla_conv(Hx, params, "").value
+    cy = ly.vanilla_conv(Hy, params, "").value
     assert np.all(rx.value >= cx.min(axis=1) - 1e-12)
     assert np.all(rx.value <= cx.max(axis=1) + 1e-12)
     assert np.all(ry.value >= cy.min(axis=1) - 1e-12)
@@ -323,46 +340,52 @@ def test_attentive_pooling_outputs_stay_in_their_own_hull():
 
 def test_no_conv_stack_zero_context_reduces_to_mlp():
     rng = np.random.default_rng(24)
-    params = ly.NoConvParams.create(3, "dot", rng)
+    params = _net_params("no-conv", 3, "dot", rng)
     Hx = ad.Node(rng.standard_normal((3, 4)))
     Hy = ad.Node(np.zeros((3, 2)))
     trace = []
-    got = ly.no_conv_stack(Hx, Hy, params, trace=trace).value
+    got = ly.no_conv_stack(Hx, Hy, params, "net.", "dot", trace=trace).value
     want = Hx.value
-    for layer in params.layers:
-        want = np.tanh(layer.W.value @ want + layer.b.value[:, None])
+    for i in range(ly.NO_CONV_LAYERS):
+        want = np.tanh(params[f"net.layer{i}.W"].value @ want
+                       + params[f"net.layer{i}.b"].value[:, None])
     assert np.allclose(got, want, atol=1e-15)
     assert len(trace) == 4
     assert got.shape == (3, 4)
 
 
+def _net_sizes(variant, d, method="dot"):
+    """Element count of each ``net.`` tensor, keyed by the name after ``net.``."""
+    shapes = param_shapes(ModelConfig(variant=variant, d=d, match_method=method), 1)
+    return {k[len("net."):]: int(np.prod(v)) for k, v in shapes.items() if k.startswith("net.")}
+
+
 def test_no_conv_weight_matrix_parity_with_light():
     d = 6
-    rng = np.random.default_rng(25)
-    stack = ly.NoConvParams.create(d, "dot", rng)
-    light = ly.LightParams.create(d, "dot", rng)
-    stack_w = sum(n.value.size for k, n in stack.tensors().items() if ".W" in k)
-    light_w = light.conv.W1.value.size + light.conv.W2.value.size
+    stack = _net_sizes("no-conv", d)
+    light = _net_sizes("light", d)
+    stack_w = sum(n for k, n in stack.items() if ".W" in k)
+    light_w = light["conv.W1"] + light["conv.W2"]
     assert stack_w == light_w == 4 * d * d
-    stack_b = sum(n.value.size for k, n in stack.tensors().items() if ".b" in k)
-    light_b = light.conv.b.value.size
-    assert (stack_b, light_b) == (4 * d, d)
+    stack_b = sum(n for k, n in stack.items() if ".b" in k)
+    assert (stack_b, light["conv.b"]) == (4 * d, d)
 
 
 def test_advanced_parameter_count_matches_symbolic_formula():
     d = 5
-    rng = np.random.default_rng(26)
-    adv = ly.AdvancedParams.create(d, "dot", rng)
-    total = sum(n.value.size for n in adv.tensors().values())
+    total = sum(_net_sizes("advanced", d).values())
     # two mgran pairs (8d^2+4d each), the width-1 beneficiary (2d^2+2d),
     # and the joint filter with a 2d-wide context branch (5d^2+d)
     assert total == 23 * d * d + 11 * d
-    light_total = sum(n.value.size for n in ly.LightParams.create(d, "dot", rng).tensors().values())
-    assert total > light_total
+    assert total > sum(_net_sizes("light", d).values())
 
 
 def test_advanced_bilinear_matching_runs_at_doubled_width():
     d = 3
     rng = np.random.default_rng(27)
-    adv = ly.AdvancedParams.create(d, "bilinear", rng)
-    assert adv.match.W_e.value.shape == (2 * d, 2 * d)
+    params = _net_params("advanced", d, "bilinear", rng)
+    assert params["net.match.W_e"].value.shape == (2 * d, 2 * d)
+    Hx = ad.Node(rng.standard_normal((d, 4)))
+    trace = []
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "bilinear", trace=trace)
+    assert out.value.shape == (d, 4) and trace[0].value.shape == (4, 4)

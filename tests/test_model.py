@@ -25,6 +25,7 @@ from attconv.model import (
     forward,
     forward_ids,
     join_context_ids,
+    param_shapes,
     predict,
     train,
 )
@@ -140,7 +141,36 @@ def test_build_model_rejects_label_count_mismatch():
 
 def test_attentive_pooling_head_is_twice_as_wide():
     model = build_model(small_config(variant="attentive-pooling"), VOCAB, LABELS)
-    assert model.classifier.W.value.shape == (2, 12)
+    assert model.params["classifier.W"].value.shape == (2, 12)
+
+
+def _gated(at, d, width):
+    return [(at + "W_h", (d, width * d)), (at + "b_h", (d,)),
+            (at + "W_g", (d, width * d)), (at + "b_g", (d,))]
+
+
+def test_param_shapes_golden_advanced_additive():
+    # the checkpoint order: every saved file lists its tensors in this order
+    shapes = param_shapes(ModelConfig(variant="advanced", match_method="additive", d=3), 10)
+    assert list(shapes.items()) == [
+        ("embeddings", (10, 3)),
+        *_gated("net.source.uni.", 3, 1), *_gated("net.source.tri.", 3, 3),
+        *_gated("net.focus.uni.", 3, 1), *_gated("net.focus.tri.", 3, 3),
+        *_gated("net.beneficiary.", 3, 1),
+        ("net.match.W_e", (6, 6)), ("net.match.U_e", (6, 6)), ("net.match.v_e", (6,)),
+        ("net.conv.W1", (3, 9)), ("net.conv.W2", (3, 6)), ("net.conv.b", (3,)),
+        ("classifier.W", (2, 3)), ("classifier.b", (2,)),
+    ]
+
+
+def test_param_shapes_golden_no_conv_bilinear():
+    shapes = param_shapes(ModelConfig(variant="no-conv", match_method="bilinear", d=3,
+                                      num_classes=4), 10)
+    layers = [(f"net.layer{i}.{name}", shape) for i in range(4)
+              for name, shape in (("W", (3, 3)), ("b", (3,)), ("match.W_e", (3, 3)))]
+    assert list(shapes.items()) == [
+        ("embeddings", (10, 3)), *layers, ("classifier.W", (4, 3)), ("classifier.b", (4,)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +187,8 @@ def test_probabilities_sum_to_one():
 def test_zero_classifier_gives_uniform_distribution():
     model = build_model(small_config(num_classes=4, context_mode="intra"),
                         VOCAB, ["a", "b", "c", "d"])
-    model.classifier.W.value[:] = 0.0
-    model.classifier.b.value[:] = 0.0
+    model.params["classifier.W"].value[:] = 0.0
+    model.params["classifier.b"].value[:] = 0.0
     probs = forward_ids(model, [2, 3], [])
     assert np.array_equal(probs.value, np.full(4, 0.25))
 
@@ -464,7 +494,7 @@ def test_multi_conc_training_step_moves_the_separator_row():
 def test_train_aborts_on_non_finite_loss():
     data = separable_dataset(8)
     model = _toy_model(data)
-    model.classifier.W.value[:] = np.inf
+    model.params["classifier.W"].value[:] = np.inf
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError, match="epoch 1"):
             train(model, data, TrainConfig(epochs=1, batch_size=8))
@@ -487,8 +517,8 @@ def test_evaluate_majority_predictor_measures_the_split():
     data = Dataset(examples=examples, label_names=LABELS)
     model = build_model(small_config(variant="vanilla-cnn", context_mode="intra"),
                         VOCAB, LABELS)
-    model.classifier.W.value[:] = 0.0
-    model.classifier.b.value[:] = 0.0
+    model.params["classifier.W"].value[:] = 0.0
+    model.params["classifier.b"].value[:] = 0.0
     result = evaluate(data, model)
     assert result.accuracy == 0.6
     assert result.confusion.tolist() == [[6, 0], [4, 0]]
