@@ -4,7 +4,8 @@ Given hidden states H_x (d x m) for the modeled text and H_y (d x n) for a
 context, the matching function scores every position pair, each row of the
 score matrix is softmax-normalized over the context positions, and the
 weighted average of context states becomes the attentive context C_x
-(d x m, one summary column per text position).
+(d x m, one summary column per text position). Exclude-self, for a text
+that is its own context, keeps each position from attending to itself.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ def match_scores(Hx: ad.Node, Hy: ad.Node, method: str,
     raise ConfigError(f"unknown match method {method!r}")
 
 
-def attention_weights(scores: ad.Node, mask=None) -> ad.Node:
-    """Normalize each m x n score row over the unmasked context positions."""
-    return ad.masked_softmax_rows(scores, mask)
+def attention_weights(scores: ad.Node, exclude_self: bool = False) -> ad.Node:
+    """Normalize each m x n score row; ``exclude_self`` gives the diagonal weight 0."""
+    return ad.masked_softmax_rows(scores, exclude_self)
 
 
 def apply_attention(weights: ad.Node, Hy: ad.Node) -> ad.Node:

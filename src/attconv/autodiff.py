@@ -415,27 +415,22 @@ def softmax(scores: Node) -> Node:
     return out
 
 
-def masked_softmax_rows(scores: Node, mask=None) -> Node:
-    """Row-wise masked softmax over an m x n score matrix.
+def masked_softmax_rows(scores: Node, exclude_self: bool = False) -> Node:
+    """Row-wise softmax over an m x n score matrix.
 
-    ``mask`` is an m x n boolean matrix (used by exclude-self attention), or
-    None for all-true. Any row left with zero unmasked entries raises
-    EmptyContextError.
+    ``exclude_self`` gives each diagonal entry weight exactly 0; it needs a
+    square matrix (DimensionError) of at least two rows (EmptyContextError).
     """
     v = scores.value
     _require_2d(v, "masked_softmax_rows")
-    if mask is None:
-        full = np.ones(v.shape, dtype=bool)
-    else:
-        full = np.asarray(mask, dtype=bool)
-        if full.shape != v.shape:
-            raise DimensionError(f"masked_softmax_rows: mask {full.shape} does not fit {v.shape}")
-    alive = full.any(axis=1)
-    if not alive.all():
-        bad = int(np.flatnonzero(~alive)[0])
-        raise EmptyContextError(f"masked_softmax_rows: row {bad} has no unmasked positions")
-    shifted = np.where(full, v, -np.inf)
-    e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+    if exclude_self:
+        if v.shape[0] != v.shape[1]:
+            raise DimensionError(f"masked_softmax_rows: exclude-self needs m == n, got {v.shape}")
+        if v.shape[0] < 2:
+            raise EmptyContextError("exclude-self with a single position leaves nothing to attend")
+        v = v.copy()
+        np.fill_diagonal(v, -np.inf)
+    e = np.exp(v - v.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     out = Node(p, "masked_softmax_rows", (scores,))
 

@@ -50,6 +50,8 @@ def _read_config(path: str) -> tuple[ModelConfig, TrainConfig, dict]:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
     if not isinstance(raw, dict):

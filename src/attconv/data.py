@@ -1,8 +1,9 @@
 """Text pipeline: vocabulary, embeddings, dataset loading, batching.
 
 Datasets are JSON Lines files. Each record holds a ``label`` string, a
-``text`` string, and an optional ``contexts`` list of strings. Tokenization
-is lowercase whitespace splitting throughout.
+``text`` string, and an optional ``contexts`` list of strings; a value of
+any other JSON type is a FormatError. Tokenization is lowercase whitespace
+splitting throughout.
 """
 
 from __future__ import annotations
@@ -211,13 +212,16 @@ def load_jsonl(path: str) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise FormatError(f"{path}: line {lineno}: JSON nested too deeply") from None
             if not isinstance(rec, dict):
                 raise FormatError(f"{path}: line {lineno}: record must be an object")
-            if "text" not in rec:
-                raise FormatError(f"{path}: line {lineno}: missing 'text'")
-            if "label" not in rec:
-                raise FormatError(f"{path}: line {lineno}: missing 'label'")
-            text = tokenize(str(rec["text"]))
+            for key in ("text", "label"):
+                if key not in rec:
+                    raise FormatError(f"{path}: line {lineno}: missing {key!r}")
+                if not isinstance(rec[key], str):
+                    raise FormatError(f"{path}: line {lineno}: {key!r} must be a string")
+            text = tokenize(rec["text"])
             if not text:
                 raise FormatError(f"{path}: line {lineno}: empty text")
             raw_ctx = rec.get("contexts", [])
@@ -225,11 +229,13 @@ def load_jsonl(path: str) -> Dataset:
                 raise FormatError(f"{path}: line {lineno}: 'contexts' must be a list")
             contexts = []
             for k, c in enumerate(raw_ctx):
-                toks = tokenize(str(c))
+                if not isinstance(c, str):
+                    raise FormatError(f"{path}: line {lineno}: context {k} must be a string")
+                toks = tokenize(c)
                 if not toks:
                     raise FormatError(f"{path}: line {lineno}: context {k} is empty")
                 contexts.append(toks)
-            name = str(rec["label"])
+            name = rec["label"]
             if name not in label_ids:
                 label_ids[name] = len(label_names)
                 label_names.append(name)
@@ -259,7 +265,7 @@ def make_batches(examples: list[Example], batch_size: int, seed,
 
     ``seed`` may be an int or a sequence of ints (numpy Generator entropy).
     Every example lands in exactly one batch; only the final batch may be
-    short. Empty contexts are dropped.
+    short.
     """
     if batch_size < 1:
         raise ContractError("make_batches: batch_size must be at least 1")
@@ -269,7 +275,7 @@ def make_batches(examples: list[Example], batch_size: int, seed,
     for lo in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[lo:lo + batch_size]]
         batches.append([
-            (vocab.encode(ex.text), [vocab.encode(c) for c in ex.contexts if c], ex.label)
+            (vocab.encode(ex.text), [vocab.encode(c) for c in ex.contexts], ex.label)
             for ex in chunk
         ])
     return batches

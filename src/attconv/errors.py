@@ -26,7 +26,7 @@ class FormatError(DataError):
 
 
 class EmptyContextError(AttconvError):
-    """Attention was asked to normalize over zero unmasked positions."""
+    """Attention has nowhere to go: no context, or exclude-self on one position."""
 
 
 class EmptyInputError(AttconvError):

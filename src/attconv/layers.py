@@ -7,16 +7,15 @@ length always equals input length.
 
 Layer functions take the model's flat parameter dict ``p`` and a name prefix
 ``at`` and look their tensors up as ``p[at + name]``; ``model.param_shapes``
-lists every name and shape.
+lists every name and shape. The attention layers' ``exclude_self`` is the
+intra-mode ``self-mode`` exclude-self: no position attends to itself.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .attention import apply_attention, attention_weights, match_scores
-from .errors import ContractError, DimensionError, EmptyContextError
+from .errors import DimensionError
 
 SELF_MODES = ("include-self", "exclude-self")
 NO_CONV_LAYERS = 4
@@ -67,38 +66,26 @@ def mgran(H: ad.Node, p: Params, at: str) -> ad.Node:
 
 
 def attend_and_convolve(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
-                        mask=None, trace: list[ad.Node] | None = None) -> ad.Node:
+                        exclude_self: bool = False, trace: list[ad.Node] | None = None) -> ad.Node:
     """Run the light or advanced attentive convolution of Hx against Hy.
 
     The advanced form, chosen when ``p`` holds a beneficiary gate, gives the
     source and focus sides their own multi-granular gated convolutions,
     matches over the resulting 2d states, refines the raw text states with
     the width-1 beneficiary gate, and convolves those against the 2d
-    attentive context. ``trace``, when given, collects the m x n weights
-    node of every attention pass for export.
+    attentive context. ``exclude_self`` keeps each position of a text that
+    is its own context (Hy is Hx) from attending to itself. ``trace``, when
+    given, collects the m x n weights node of every attention pass for export.
     """
     advanced = at + "beneficiary.W_h" in p
     src = mgran(Hx, p, at + "source.") if advanced else Hx
     foc = mgran(Hy, p, at + "focus.") if advanced else Hy
-    weights = attention_weights(match_scores(src, foc, method, p, at + "match."), mask)
+    weights = attention_weights(match_scores(src, foc, method, p, at + "match."), exclude_self)
     if trace is not None:
         trace.append(weights)
     Cx = apply_attention(weights, foc)
     bene = gated_conv(Hx, p, at + "beneficiary.") if advanced else Hx
     return light_attconv(bene, Cx, p, at + "conv.")
-
-
-def intra_mask(m: int, self_mode: str) -> np.ndarray | None:
-    """Build the attention mask for a text attending to itself."""
-    if self_mode == "include-self":
-        return None
-    if self_mode == "exclude-self":
-        if m == 1:
-            raise EmptyContextError(
-                "exclude-self with a single position leaves nothing to attend"
-            )
-        return ~np.eye(m, dtype=bool)
-    raise ContractError(f"unknown self mode {self_mode!r}")
 
 
 def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str) -> tuple[ad.Node, ad.Node]:
@@ -118,18 +105,20 @@ def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str) -> tuple[ad.
     return ad.matmul(Hx2, wx), ad.matmul(Hy2, wy)
 
 
-def no_conv_stack(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str, mask=None,
-                  trace: list[ad.Node] | None = None) -> ad.Node:
+def no_conv_stack(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
+                  exclude_self: bool = False, trace: list[ad.Node] | None = None) -> ad.Node:
     """Four layers of attend, add, fully-connected transform; no windows.
 
     Each layer ``layer<i>.`` matches the current text states against the
     fixed context states, adds the attentive context to the text state, and
-    applies its own d x d transform W with bias b and tanh.
+    applies its own d x d transform W with bias b and tanh. ``exclude_self``
+    and ``trace`` are as in ``attend_and_convolve``.
     """
     H = Hx
     for i in range(NO_CONV_LAYERS):
         layer = f"{at}layer{i}."
-        weights = attention_weights(match_scores(H, Hy, method, p, layer + "match."), mask)
+        weights = attention_weights(match_scores(H, Hy, method, p, layer + "match."),
+                                    exclude_self)
         if trace is not None:
             trace.append(weights)
         C = apply_attention(weights, Hy)

@@ -276,7 +276,7 @@ class AttentionRecord:
 
     context_index: int
     layer_index: int
-    weights: ad.Node  # m x n, rows sum to 1 over unmasked columns
+    weights: ad.Node  # m x n, rows sum to 1
 
 
 def join_context_ids(ctx_ids: list[list], sep_id) -> list:
@@ -287,24 +287,6 @@ def join_context_ids(ctx_ids: list[list], sep_id) -> list:
             joined.append(sep_id)
         joined.extend(ids)
     return joined
-
-
-def _context_rep(model: Model, Hx: ad.Node, Hy: ad.Node, mask,
-                 trace: list[ad.Node] | None) -> ad.Node:
-    """Sentence vector of the text given one context's hidden states."""
-    cfg = model.config
-    if cfg.variant in ("light", "advanced"):
-        fmap = ly.attend_and_convolve(Hx, Hy, model.params, "net.", cfg.match_method,
-                                      mask=mask, trace=trace)
-        return ad.max_over_positions(fmap)
-    if cfg.variant == "no-conv":
-        fmap = ly.no_conv_stack(Hx, Hy, model.params, "net.", cfg.match_method,
-                                mask=mask, trace=trace)
-        return ad.max_over_positions(fmap)
-    if cfg.variant == "attentive-pooling":
-        rx, ry = ly.attentive_pooling(Hx, Hy, model.params, "net.")
-        return ad.concat_vec([rx, ry])
-    raise ContractError(f"variant {cfg.variant!r} takes no context")
 
 
 def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]],
@@ -322,57 +304,51 @@ def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]],
     if cfg.variant == "vanilla-cnn":
         rep = ad.max_over_positions(ly.vanilla_conv(Hx, model.params, "net."))
     else:
-        rep = _forward_contextual(model, Hx, text_ids, ctx_ids, trace)
+        rep = _forward_contextual(model, Hx, ctx_ids, trace)
 
     p = model.params
     logits = ad.add(ad.matmul(p["classifier.W"], rep), p["classifier.b"])
     return ad.softmax(logits)
 
 
-def _forward_contextual(model: Model, Hx: ad.Node, text_ids: list[int],
-                        ctx_ids: list[list[int]],
+def _forward_contextual(model: Model, Hx: ad.Node, ctx_ids: list[list[int]],
                         trace: list[AttentionRecord] | None) -> ad.Node:
+    """Max-pool one sentence vector per context map: Hx itself in intra mode,
+    the joined contexts in multi-conc mode, one embedded context otherwise.
+    ``trace`` gets the attention passes of each map, tagged with its index."""
     cfg = model.config
-
-    def run(Hy: ad.Node, mask, ctx_index: int) -> ad.Node:
-        passes: list[ad.Node] = []
-        rep = _context_rep(model, Hx, Hy, mask, passes if trace is not None else None)
-        if trace is not None:
-            for li, weights in enumerate(passes):
-                trace.append(AttentionRecord(ctx_index, li, weights))
-        return rep
-
-    if cfg.context_mode == "intra":
+    mode = cfg.context_mode
+    if mode == "intra":
         if ctx_ids:
             raise ConfigError("intra-context model was given contexts")
-        mask = ly.intra_mask(len(text_ids), cfg.self_mode)
-        return run(Hx, mask, ctx_index=0)
-
-    if cfg.context_mode == "single":
-        if len(ctx_ids) != 1:
-            raise ConfigError(
-                f"single-context model expects exactly 1 context, got {len(ctx_ids)}"
-            )
-        return run(ad.embed(model.embeddings, ctx_ids[0]), None, ctx_index=0)
-
-    if cfg.context_mode == "multi-wise":
-        if not ctx_ids:
-            raise EmptyContextError("multi-wise forward needs at least one context")
-        reps = [run(ad.embed(model.embeddings, ids), None, j) for j, ids in enumerate(ctx_ids)]
-        if len(reps) == 1:
-            return reps[0]
-        return ad.max_over_positions(ad.stack_cols(reps))
-
-    if cfg.context_mode == "multi-conc":
-        if not ctx_ids:
-            raise EmptyContextError("multi-conc forward needs at least one context")
+        maps = [Hx]
+    elif mode == "single" and len(ctx_ids) != 1:
+        raise ConfigError(f"single-context model expects exactly 1 context, got {len(ctx_ids)}")
+    elif not ctx_ids:
+        raise EmptyContextError(f"{mode} forward needs at least one context")
+    elif mode == "multi-conc":
         sep = model.vocab.index.get(SEP_TOKEN)
         if sep is None:
             raise ConfigError(f"multi-conc needs {SEP_TOKEN!r} in the vocabulary")
-        joined = join_context_ids(ctx_ids, sep)
-        return run(ad.embed(model.embeddings, joined), None, ctx_index=0)
+        maps = [ad.embed(model.embeddings, join_context_ids(ctx_ids, sep))]
+    else:
+        maps = [ad.embed(model.embeddings, ids) for ids in ctx_ids]
 
-    raise ConfigError(f"unknown context-mode {cfg.context_mode!r}")
+    exclude_self = mode == "intra" and cfg.self_mode == "exclude-self"
+    layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
+    reps = []
+    for j, Hy in enumerate(maps):
+        passes: list[ad.Node] = []
+        if cfg.variant == "attentive-pooling":
+            reps.append(ad.concat_vec(list(ly.attentive_pooling(Hx, Hy, model.params, "net."))))
+        else:
+            fmap = layer(Hx, Hy, model.params, "net.", cfg.match_method, exclude_self, passes)
+            reps.append(ad.max_over_positions(fmap))
+        if trace is not None:
+            trace.extend(AttentionRecord(j, li, weights) for li, weights in enumerate(passes))
+    if len(reps) == 1:
+        return reps[0]
+    return ad.max_over_positions(ad.stack_cols(reps))
 
 
 def forward(model: Model, example: Example,

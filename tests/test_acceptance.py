@@ -133,13 +133,12 @@ def test_attention_invariants():
         n = int(rng.integers(2, 9))
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
-        mask = rng.random(n) < 0.7
-        mask[int(rng.integers(n))] = True
-        w = attention_weights(match_scores(Hx, Hy, "dot"), np.broadcast_to(mask, (m, n))).value
+        # exclude-self: the context attends to itself, m = n
+        w = attention_weights(match_scores(Hy, Hy, "dot"), exclude_self=True).value
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: rows not stochastic")
-        if np.any(w[:, ~mask] != 0.0):
-            ok, _ = False, notes.append(f"trial {trial}: masked weight nonzero")
+        if np.any(np.diag(w) != 0.0):
+            ok, _ = False, notes.append(f"trial {trial}: self weight nonzero")
 
         bil = match_scores(Hx, Hy, "bilinear", {"W_e": ad.Node(np.eye(d))})
         if not np.array_equal(bil.value, match_scores(Hx, Hy, "dot").value):

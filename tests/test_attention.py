@@ -105,16 +105,6 @@ def test_rows_are_stochastic_for_every_method(method):
         assert np.all(weights.value >= 0.0)
 
 
-def test_masked_positions_get_exactly_zero_weight():
-    rng = np.random.default_rng(8)
-    Hx, Hy = _hx_hy(rng, d=3, m=4, n=5)
-    mask = np.array([True, False, True, False, True])
-    weights = attention_weights(match_scores(Hx, Hy, "dot"),
-                                np.broadcast_to(mask, (4, 5)))
-    assert np.all(weights.value[:, ~mask] == 0.0)
-    assert np.all(np.abs(weights.value.sum(axis=1) - 1.0) <= 1e-12)
-
-
 def test_two_column_context_oracle():
     # scores [1, 0] over basis columns blends them with softmax weights
     hx = ad.Node(np.array([[1.0], [0.0]]))

@@ -234,32 +234,26 @@ def test_masked_softmax_two_score_oracle():
     assert np.array_equal(rows.value[0], p.value)
 
 
-def test_masked_softmax_rows_shared_and_full_masks():
-    scores = ad.Node(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-    shared = ad.masked_softmax_rows(scores, np.broadcast_to([True, False, True], (2, 3)))
-    assert np.all(shared.value[:, 1] == 0.0)
-    assert np.allclose(shared.value.sum(axis=1), 1.0, atol=1e-15)
-
-    full = np.array([[True, True, False], [False, True, True]])
-    per_row = ad.masked_softmax_rows(scores, full)
-    assert per_row.value[0, 2] == 0.0 and per_row.value[1, 0] == 0.0
-
-
 def test_masked_softmax_rows_names_the_dead_row():
-    scores = ad.Node(np.zeros((2, 2)))
-    mask = np.array([[True, True], [False, False]])
-    with pytest.raises(EmptyContextError, match="row 1"):
-        ad.masked_softmax_rows(scores, mask)
+    # exclude-self on one position leaves its only row nothing to attend
+    with pytest.raises(EmptyContextError, match="nothing to attend"):
+        ad.masked_softmax_rows(ad.Node(np.zeros((1, 1))), exclude_self=True)
 
 
 def test_masked_softmax_rows_mask_shape_errors():
-    scores = ad.Node(np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        ad.masked_softmax_rows(scores, np.array([True, False]))
-    with pytest.raises(DimensionError):  # a length-n vector is not an m x n mask
-        ad.masked_softmax_rows(scores, np.array([True, False, True]))
-    with pytest.raises(DimensionError):
-        ad.masked_softmax_rows(scores, np.ones((3, 2), dtype=bool))
+    # the diagonal is only a mask of a square matrix
+    with pytest.raises(DimensionError, match="m == n"):
+        ad.masked_softmax_rows(ad.Node(np.zeros((2, 3))), exclude_self=True)
+
+
+def test_masked_softmax_rows_exclude_self_matches_the_submatrix_softmax():
+    # each row equals the softmax of that row with its diagonal entry removed
+    scores = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0], [2.0, 2.0, 2.0]])
+    w = ad.masked_softmax_rows(ad.Node(scores), exclude_self=True).value
+    for i in range(3):
+        assert w[i, i] == 0.0
+        rest = np.delete(scores[i], i)
+        assert np.array_equal(np.delete(w[i], i), ad.softmax(ad.Node(rest)).value)
 
 
 def test_nll_and_mean_of_values():
@@ -497,12 +491,9 @@ def _case_softmax(rng):
 
 
 def _case_masked_softmax_rows(rng):
-    s = ad.param(rng.standard_normal((3, 4)))
-    c = rng.standard_normal((3, 4))
-    mask = np.ones((3, 4), dtype=bool)
-    mask[0, 2] = False
-    mask[2, 0] = False
-    return [s], lambda: project(ad.masked_softmax_rows(s, mask), c)
+    s = ad.param(rng.standard_normal((4, 4)))
+    c = rng.standard_normal((4, 4))
+    return [s], lambda: project(ad.masked_softmax_rows(s, exclude_self=True), c)
 
 
 GRAD_CASES = {

@@ -50,6 +50,9 @@ def run(capsys, argv):
 # train
 
 
+DEEP = "[" * 200_000 + "]" * 200_000  # deeper than any recursion limit
+
+
 def test_train_writes_checkpoint_and_metric_stream(tmp_path, capsys):
     config = write_config(tmp_path)
     data = write_data(tmp_path)
@@ -199,6 +202,63 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "seed must be a non-negative integer" in err
+
+
+def test_deeply_nested_jsonl_line_exits_3(tmp_path, capsys):
+    data = tmp_path / "deep.jsonl"
+    data.write_text(json.dumps({"label": "0", "text": "a"}) + "\n"
+                    + '{"label": "1", "text": "b", "extra": ' + DEEP + "}\n", encoding="utf-8")
+    code, _, err = run(capsys, ["train", "--config", write_config(tmp_path),
+                                "--train", str(data), "--out", str(tmp_path / "m.ckpt")])
+    assert code == 3
+    assert "line 2" in err and "nested" in err
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text('{"d": ' + DEEP + "}", encoding="utf-8")
+    code, _, err = run(capsys, ["params", "--config", str(config)])
+    assert code == 2
+    assert "nested" in err and err.count("\n") == 1
+
+
+def test_deeply_nested_checkpoint_manifest_exits_3(tmp_path, capsys):
+    manifest = ('{"format-version": ' + DEEP + "}").encode("utf-8")
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest)
+    code, _, err = run(capsys, ["params", "--model", str(path)])
+    assert code == 3
+    assert "corrupt manifest" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("record", [
+    {"label": 1, "text": "a"},
+    {"label": "1", "text": None},
+    {"label": "1", "text": "a", "contexts": [["b"]]},
+], ids=["label-int", "text-null", "context-list"])
+def test_non_string_jsonl_field_exits_3(tmp_path, capsys, record):
+    # integer labels included: 1 and "1" would otherwise be one class
+    data = tmp_path / "typed.jsonl"
+    data.write_text(json.dumps({"label": "0", "text": "a", "contexts": ["b"]}) + "\n"
+                    + json.dumps(record) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, ["train", "--config", write_config(tmp_path),
+                                "--train", str(data), "--out", str(tmp_path / "m.ckpt")])
+    assert code == 3
+    assert "line 2" in err and "must be a string" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_exclude_self_on_a_one_token_text_exits_2(tmp_path, capsys):
+    data = tmp_path / "short.jsonl"
+    data.write_text(json.dumps({"label": "0", "text": "a b"}) + "\n"
+                    + json.dumps({"label": "1", "text": "c"}) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, **{"context-mode": "intra", "self-mode": "exclude-self"})
+    code, _, err = run(capsys, ["train", "--config", config, "--train", str(data),
+                                "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    assert "nothing to attend" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):

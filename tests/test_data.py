@@ -267,6 +267,25 @@ def test_load_jsonl_format_errors(tmp_path, line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("record,fragment", [
+    ({"label": "a", "text": None}, "'text' must be a string"),
+    ({"label": "a", "text": ["x"]}, "'text' must be a string"),
+    ({"label": ["y"], "text": "x"}, "'label' must be a string"),
+    ({"label": 1, "text": "x"}, "'label' must be a string"),
+    ({"label": None, "text": "x"}, "'label' must be a string"),
+    ({"label": "a", "text": "x", "contexts": ["c", 3]}, "context 1 must be a string"),
+    ({"label": "a", "text": "x", "contexts": [None]}, "context 0 must be a string"),
+], ids=["text-null", "text-list", "label-list", "label-int", "label-null", "context-int",
+        "context-null"])
+def test_load_jsonl_fields_must_be_json_strings(tmp_path, record, fragment):
+    path = _write(tmp_path / "bad.jsonl", [json.dumps({"label": "a", "text": "ok"}),
+                                           json.dumps(record)])
+    with pytest.raises(FormatError) as err:
+        load_jsonl(path)
+    assert "line 2" in str(err.value)
+    assert fragment in str(err.value)
+
+
 def test_save_load_jsonl_roundtrip(tmp_path):
     ds = gen_context_match(20, 5, 4, 12, seed=3)
     path = tmp_path / "rt.jsonl"

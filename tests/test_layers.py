@@ -7,7 +7,7 @@ import pytest
 from attconv import autodiff as ad
 from attconv import layers as ly
 from attconv.attention import apply_attention, attention_weights, match_scores
-from attconv.errors import ContractError, DimensionError, EmptyContextError
+from attconv.errors import DimensionError
 from attconv.model import ModelConfig, init_tensor, param_shapes
 
 
@@ -251,24 +251,13 @@ def test_attend_and_convolve_rejects_unknown_bundles():
 # intra-context masking
 
 
-def test_intra_mask_variants():
-    assert ly.intra_mask(4, "include-self") is None
-    mask = ly.intra_mask(3, "exclude-self")
-    assert np.array_equal(mask, ~np.eye(3, dtype=bool))
-    with pytest.raises(EmptyContextError):
-        ly.intra_mask(1, "exclude-self")
-    with pytest.raises(ContractError):
-        ly.intra_mask(3, "no-such-mode")
-
-
 def test_intra_attconv_single_position_attends_to_itself():
     rng = np.random.default_rng(18)
     params = _net_params("light", 3, "dot", rng)
     h = rng.standard_normal((3, 1))
     trace = []
     Hx = ad.Node(h)
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot",
-                                 mask=ly.intra_mask(1, "include-self"), trace=trace)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", trace=trace)
     assert np.array_equal(trace[0].value, np.array([[1.0]]))
     # with weight 1.0 the attentive context is the position's own state
     want = ly.light_attconv(ad.Node(h), ad.Node(h), params, "net.conv.").value
@@ -280,8 +269,7 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     params = _net_params("light", 3, "dot", rng)
     H = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    ly.attend_and_convolve(H, H, params, "net.", "dot", mask=ly.intra_mask(5, "exclude-self"),
-                           trace=trace)
+    ly.attend_and_convolve(H, H, params, "net.", "dot", exclude_self=True, trace=trace)
     w = trace[0].value
     assert np.all(np.diag(w) == 0.0)
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)

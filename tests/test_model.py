@@ -8,10 +8,12 @@ import pytest
 from attconv import autodiff as ad
 from attconv.data import Dataset, Example, Vocabulary, gen_context_match
 from attconv.errors import (
+    AttconvError,
     ConfigError,
     ContractError,
     DivergenceError,
     EmptyContextError,
+    EmptyInputError,
 )
 from attconv.model import (
     AdaGradState,
@@ -231,6 +233,25 @@ def test_multi_conc_needs_separator_in_vocab():
     model = build_model(small_config(context_mode="multi-conc"), bare, LABELS)
     with pytest.raises(ConfigError):
         forward_ids(model, [2, 3], [[4], [3]])
+
+
+@pytest.mark.parametrize("variant", ["light", "advanced", "no-conv"])
+def test_exclude_self_leaves_a_one_token_text_nothing_to_attend(variant):
+    model = build_model(small_config(variant=variant, context_mode="intra",
+                                     self_mode="exclude-self"), VOCAB, LABELS)
+    with pytest.raises(EmptyContextError, match="nothing to attend"):
+        forward_ids(model, [2], [])
+
+
+def test_attentive_pooling_ignores_exclude_self():
+    # its attention only weights the pooling, so there is no diagonal to drop
+    excluding = build_model(small_config(variant="attentive-pooling", context_mode="intra",
+                                         self_mode="exclude-self"), VOCAB, LABELS)
+    including = build_model(small_config(variant="attentive-pooling", context_mode="intra"),
+                            VOCAB, LABELS)
+    for text in ([2], [2, 3, 4]):
+        assert np.array_equal(forward_ids(excluding, text, []).value,
+                              forward_ids(including, text, []).value)
 
 
 def test_vanilla_cnn_ignores_contexts():
@@ -498,6 +519,23 @@ def test_train_aborts_on_non_finite_loss():
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError, match="epoch 1"):
             train(model, data, TrainConfig(epochs=1, batch_size=8))
+
+
+@pytest.mark.parametrize("mode, contexts, error", [
+    ("multi-wise", [["t1"], []], EmptyInputError),
+    ("intra", [[]], ConfigError),
+])
+def test_train_and_evaluate_encode_contexts_alike(mode, contexts, error):
+    # an empty context is an error in training exactly when it is one in evaluation
+    model = build_model(small_config(context_mode=mode), VOCAB, LABELS)
+    data = Dataset(examples=[Example(text=["t2", "t3"], contexts=contexts, label=0)],
+                   label_names=LABELS)
+    raised = []
+    for run in (lambda: evaluate(data, model), lambda: train(model, data, TrainConfig(epochs=1))):
+        with pytest.raises(AttconvError) as err:
+            run()
+        raised.append(type(err.value))
+    assert raised == [error, error]
 
 
 def test_train_rejects_empty_dataset():
