@@ -1,6 +1,6 @@
 """Attention-augmented convolution for sentence classification."""
 
-from .attention import match_scores
+from .attention import match_scores, project_text
 from .autodiff import Node, GradCheckReport, backward, grad_check, zero_grads
 from .data import (
     Dataset,
@@ -60,6 +60,7 @@ __all__ = [
     "load_pretrained",
     "make_batches",
     "match_scores",
+    "project_text",
     "save_checkpoint",
     "save_jsonl",
     "tokenize",

@@ -6,6 +6,8 @@ score matrix is softmax-normalized over the context positions, and the
 weighted average of context states becomes the attentive context C_x
 (d x m, one summary column per text position). Exclude-self, for a text
 that is its own context, keeps each position from attending to itself.
+The match is split at its context-free part: ``project_text`` is built once
+per text and ``match_scores`` once per context.
 """
 
 from __future__ import annotations
@@ -16,27 +18,43 @@ from .errors import ConfigError, DimensionError
 MATCH_METHODS = ("dot", "bilinear", "additive")
 
 
-def match_scores(Hx: ad.Node, Hy: ad.Node, method: str,
+def project_text(Hx: ad.Node, method: str,
+                 p: dict[str, ad.Node] | None = None, at: str = "") -> ad.Node:
+    """The context-free half of the match, built once per text.
+
+    ``dot`` gives Hx^T (m x d), ``bilinear`` Hx^T W_e (m x d) with
+    ``p[at + "W_e"]`` (d x d), and ``additive`` W_e Hx (d x m). Every context
+    map is then scored against it by ``match_scores``.
+    """
+    if Hx.value.ndim != 2:
+        raise DimensionError("match_scores: inputs must be 2-d feature maps")
+    if method == "dot":
+        return ad.transpose(Hx)
+    if method == "bilinear":
+        return ad.matmul(ad.transpose(Hx), p[at + "W_e"])
+    if method == "additive":
+        return ad.matmul(p[at + "W_e"], Hx)
+    raise ConfigError(f"unknown match method {method!r}")
+
+
+def match_scores(Tx: ad.Node, Hy: ad.Node, method: str,
                  p: dict[str, ad.Node] | None = None, at: str = "") -> ad.Node:
     """Score every (text position, context position) pair, giving m x n.
 
-    ``dot`` has no parameters. ``bilinear`` scores h_x . W_e h_y with
-    ``p[at + "W_e"]`` (d x d). ``additive`` scores v_e . tanh(W_e h_x + U_e h_y)
-    with W_e, U_e (d x d) and v_e (d), all looked up under ``at``.
+    ``Tx`` is ``project_text`` of the text under the same method and
+    tensors. ``dot`` and ``bilinear`` then score Tx H_y, so bilinear scores
+    h_x . W_e h_y. ``additive`` scores v_e . tanh(W_e h_x + U_e h_y) with
+    U_e (d x d) and v_e (d), also looked up under ``at``.
     """
-    if Hx.value.ndim != 2 or Hy.value.ndim != 2:
+    if Tx.value.ndim != 2 or Hy.value.ndim != 2:
         raise DimensionError("match_scores: inputs must be 2-d feature maps")
-    if Hx.value.shape[0] != Hy.value.shape[0]:
-        raise DimensionError(
-            f"match_scores: hidden sizes differ, {Hx.value.shape[0]} vs {Hy.value.shape[0]}"
-        )
-    if method == "dot":
-        return ad.matmul(ad.transpose(Hx), Hy)
-    if method == "bilinear":
-        return ad.matmul(ad.matmul(ad.transpose(Hx), p[at + "W_e"]), Hy)
+    d_x = Tx.value.shape[0 if method == "additive" else 1]
+    if d_x != Hy.value.shape[0]:
+        raise DimensionError(f"match_scores: hidden sizes differ, {d_x} vs {Hy.value.shape[0]}")
+    if method in ("dot", "bilinear"):
+        return ad.matmul(Tx, Hy)
     if method == "additive":
-        return ad.additive_scores(ad.matmul(p[at + "W_e"], Hx), ad.matmul(p[at + "U_e"], Hy),
-                                  p[at + "v_e"])
+        return ad.additive_scores(Tx, ad.matmul(p[at + "U_e"], Hy), p[at + "v_e"])
     raise ConfigError(f"unknown match method {method!r}")
 
 

@@ -116,7 +116,8 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
         raise FormatError(f"{path}: manifest length {mlen} exceeds the {len(raw)}-byte file")
     try:
         manifest = json.loads(raw[_HEADER_BYTES : _HEADER_BYTES + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: corrupt manifest ({exc})") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")

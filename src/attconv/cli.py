@@ -54,6 +54,8 @@ def _read_config(path: str) -> tuple[ModelConfig, TrainConfig, dict]:
         raise ConfigError(f"{path}: JSON nested too deeply") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(raw) - _MODEL_KEYS - _TRAIN_KEYS - _EXTRA_KEYS

@@ -214,6 +214,8 @@ def load_jsonl(path: str) -> Dataset:
                 raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
             except RecursionError:
                 raise FormatError(f"{path}: line {lineno}: JSON nested too deeply") from None
+            except ValueError as exc:  # an integer past Python's digit limit
+                raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
             if not isinstance(rec, dict):
                 raise FormatError(f"{path}: line {lineno}: record must be an object")
             for key in ("text", "label"):

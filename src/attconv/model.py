@@ -315,6 +315,7 @@ def _forward_contextual(model: Model, Hx: ad.Node, ctx_ids: list[list[int]],
                         trace: list[AttentionRecord] | None) -> ad.Node:
     """Max-pool one sentence vector per context map: Hx itself in intra mode,
     the joined contexts in multi-conc mode, one embedded context otherwise.
+    The layer gets every map at once and builds its text side once.
     ``trace`` gets the attention passes of each map, tagged with its index."""
     cfg = model.config
     mode = cfg.context_mode
@@ -335,17 +336,17 @@ def _forward_contextual(model: Model, Hx: ad.Node, ctx_ids: list[list[int]],
         maps = [ad.embed(model.embeddings, ids) for ids in ctx_ids]
 
     exclude_self = mode == "intra" and cfg.self_mode == "exclude-self"
-    layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
-    reps = []
-    for j, Hy in enumerate(maps):
-        passes: list[ad.Node] = []
-        if cfg.variant == "attentive-pooling":
-            reps.append(ad.concat_vec(list(ly.attentive_pooling(Hx, Hy, model.params, "net."))))
-        else:
-            fmap = layer(Hx, Hy, model.params, "net.", cfg.match_method, exclude_self, passes)
-            reps.append(ad.max_over_positions(fmap))
-        if trace is not None:
-            trace.extend(AttentionRecord(j, li, weights) for li, weights in enumerate(passes))
+    passes: list[list[ad.Node]] | None = None if trace is None else []
+    if cfg.variant == "attentive-pooling":
+        reps = ly.attentive_pooling(Hx, maps, model.params, "net.")
+    else:
+        layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
+        fmaps = layer(Hx, maps, model.params, "net.", cfg.match_method, exclude_self, passes)
+        reps = [ad.max_over_positions(fmap) for fmap in fmaps]
+    if trace is not None:
+        trace.extend(AttentionRecord(j, li, weights)
+                     for j, map_passes in enumerate(passes)
+                     for li, weights in enumerate(map_passes))
     if len(reps) == 1:
         return reps[0]
     return ad.max_over_positions(ad.stack_cols(reps))

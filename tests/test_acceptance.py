@@ -19,6 +19,7 @@ from attconv.attention import (
     apply_attention,
     attention_weights,
     match_scores,
+    project_text,
 )
 from attconv.checkpoint import load_checkpoint, save_checkpoint
 from attconv.cli import main
@@ -52,6 +53,11 @@ def check(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def match(Hx, Hy, method, p=None):
+    """Both halves of the match: the text-side projection, then the scores."""
+    return match_scores(project_text(Hx, method, p), Hy, method, p)
+
+
 def np_window3(H):
     m = H.shape[1]
     padded = np.pad(H, ((0, 0), (1, 1)))
@@ -74,7 +80,8 @@ def test_joint_filter_equivalence():
                   for name, shape in (("W1", (d, 3 * d)), ("W2", (d, d_c)), ("b", (d,)))}
         H = rng.standard_normal((d, m))
         C = rng.standard_normal((d_c, m))
-        got = ly.light_attconv(ad.Node(H), ad.Node(C), params, "").value
+        local = ad.matmul(params["W1"], ad.window3(ad.Node(H)))
+        got = ly.light_attconv(local, ad.Node(C), params, "").value
         joint = np.hstack([params["W1"].value, params["W2"].value])
         want = np.tanh(joint @ np.vstack([np_window3(H), C]) + params["b"].value[:, None])
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -134,20 +141,20 @@ def test_attention_invariants():
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
         # exclude-self: the context attends to itself, m = n
-        w = attention_weights(match_scores(Hy, Hy, "dot"), exclude_self=True).value
+        w = attention_weights(match(Hy, Hy, "dot"), exclude_self=True).value
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: rows not stochastic")
         if np.any(np.diag(w) != 0.0):
             ok, _ = False, notes.append(f"trial {trial}: self weight nonzero")
 
-        bil = match_scores(Hx, Hy, "bilinear", {"W_e": ad.Node(np.eye(d))})
-        if not np.array_equal(bil.value, match_scores(Hx, Hy, "dot").value):
+        bil = match(Hx, Hy, "bilinear", {"W_e": ad.Node(np.eye(d))})
+        if not np.array_equal(bil.value, match(Hx, Hy, "dot").value):
             ok, _ = False, notes.append(f"trial {trial}: bilinear identity differs")
 
-        c = apply_attention(attention_weights(match_scores(Hx, Hy, "dot")), Hy)
+        c = apply_attention(attention_weights(match(Hx, Hy, "dot")), Hy)
         perm = rng.permutation(n)
         Hyp = ad.Node(Hy.value[:, perm])
-        cp = apply_attention(attention_weights(match_scores(Hx, Hyp, "dot")), Hyp)
+        cp = apply_attention(attention_weights(match(Hx, Hyp, "dot")), Hyp)
         if np.max(np.abs(c.value - cp.value)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: permutation moved context")
 

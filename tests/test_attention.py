@@ -11,6 +11,7 @@ from attconv.attention import (
     apply_attention,
     attention_weights,
     match_scores,
+    project_text,
 )
 from attconv.errors import ConfigError, DimensionError
 from attconv.model import ModelConfig, init_tensor, param_shapes
@@ -18,6 +19,11 @@ from attconv.model import ModelConfig, init_tensor, param_shapes
 
 def _hx_hy(rng, d=5, m=4, n=6):
     return ad.Node(rng.standard_normal((d, m))), ad.Node(rng.standard_normal((d, n)))
+
+
+def match(Hx, Hy, method, p=None):
+    """Both halves of the match: the text-side projection, then the scores."""
+    return match_scores(project_text(Hx, method, p), Hy, method, p)
 
 
 def _params(method, d, rng):
@@ -30,22 +36,22 @@ def _params(method, d, rng):
 def test_dot_scores_on_orthonormal_basis():
     hx = ad.Node(np.array([[1.0], [0.0]]))
     hy = ad.Node(np.eye(2))
-    scores = match_scores(hx, hy, "dot")
+    scores = match(hx, hy, "dot")
     assert scores.value.tolist() == [[1.0, 0.0]]
 
 
 def test_dot_scores_match_numpy_oracle():
     rng = np.random.default_rng(0)
     Hx, Hy = _hx_hy(rng)
-    scores = match_scores(Hx, Hy, "dot")
+    scores = match(Hx, Hy, "dot")
     assert np.allclose(scores.value, Hx.value.T @ Hy.value, atol=1e-15)
 
 
 def test_bilinear_with_identity_equals_dot():
     rng = np.random.default_rng(1)
     Hx, Hy = _hx_hy(rng)
-    a = match_scores(Hx, Hy, "bilinear", {"W_e": ad.param(np.eye(5))}).value
-    b = match_scores(Hx, Hy, "dot").value
+    a = match(Hx, Hy, "bilinear", {"W_e": ad.param(np.eye(5))}).value
+    b = match(Hx, Hy, "dot").value
     assert np.array_equal(a, b)
 
 
@@ -53,7 +59,7 @@ def test_bilinear_scores_match_numpy_oracle():
     rng = np.random.default_rng(2)
     Hx, Hy = _hx_hy(rng)
     params = _params("bilinear", 5, rng)
-    scores = match_scores(Hx, Hy, "bilinear", params)
+    scores = match(Hx, Hy, "bilinear", params)
     want = Hx.value.T @ params["W_e"].value @ Hy.value
     assert np.allclose(scores.value, want, atol=1e-12)
 
@@ -62,7 +68,7 @@ def test_additive_scores_match_numpy_oracle():
     rng = np.random.default_rng(3)
     Hx, Hy = _hx_hy(rng, d=4, m=3, n=5)
     params = _params("additive", 4, rng)
-    scores = match_scores(Hx, Hy, "additive", params).value
+    scores = match(Hx, Hy, "additive", params).value
     We, Ue, ve = params["W_e"].value, params["U_e"].value, params["v_e"].value
     for i in range(3):
         for j in range(5):
@@ -75,7 +81,7 @@ def test_additive_with_zero_vector_gives_uniform_attention():
     Hx, Hy = _hx_hy(rng, d=3, m=2, n=4)
     params = _params("additive", 3, rng)
     params["v_e"].value[:] = 0.0
-    weights = attention_weights(match_scores(Hx, Hy, "additive", params))
+    weights = attention_weights(match(Hx, Hy, "additive", params))
     assert np.array_equal(weights.value, np.full((2, 4), 0.25))
 
 
@@ -83,12 +89,20 @@ def test_match_scores_input_validation():
     rng = np.random.default_rng(6)
     Hx = ad.Node(rng.standard_normal((4, 3)))
     Hy = ad.Node(rng.standard_normal((5, 3)))
-    with pytest.raises(DimensionError, match="hidden sizes differ"):
-        match_scores(Hx, Hy, "dot")
-    with pytest.raises(DimensionError):
-        match_scores(ad.Node(np.ones(4)), Hx, "dot")
+    for method in MATCH_METHODS:
+        params = _params(method, 4, rng)
+        with pytest.raises(DimensionError, match="hidden sizes differ, 4 vs 5"):
+            match(Hx, Hy, method, params)
+        with pytest.raises(DimensionError, match="2-d feature maps"):
+            project_text(ad.Node(np.ones(4)), method, params)
+        with pytest.raises(DimensionError, match="2-d feature maps"):
+            match(Hx, ad.Node(np.ones(4)), method, params)
+        with pytest.raises(DimensionError, match="2-d feature maps"):
+            match_scores(ad.Node(np.ones(4)), Hy, method, params)
     with pytest.raises(ConfigError, match="cosine"):
-        match_scores(Hx, Hx, "cosine")
+        project_text(Hx, "cosine")
+    with pytest.raises(ConfigError, match="cosine"):
+        match_scores(ad.transpose(Hx), Hx, "cosine")
 
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
@@ -99,7 +113,7 @@ def test_rows_are_stochastic_for_every_method(method):
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
         params = _params(method, int(d), rng)
-        weights = attention_weights(match_scores(Hx, Hy, method, params))
+        weights = attention_weights(match(Hx, Hy, method, params))
         sums = weights.value.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
         assert np.all(weights.value >= 0.0)
@@ -109,7 +123,7 @@ def test_two_column_context_oracle():
     # scores [1, 0] over basis columns blends them with softmax weights
     hx = ad.Node(np.array([[1.0], [0.0]]))
     hy = ad.Node(np.eye(2))
-    scores = match_scores(hx, hy, "dot")
+    scores = match(hx, hy, "dot")
     c = apply_attention(attention_weights(scores), hy)
     w1 = math.exp(1.0) / (math.exp(1.0) + 1.0)
     assert abs(c.value[0, 0] - w1) < 1e-12
@@ -130,7 +144,7 @@ def test_single_context_column_passes_through():
     rng = np.random.default_rng(10)
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 1)))
-    scores = match_scores(Hx, Hy, "dot")
+    scores = match(Hx, Hy, "dot")
     c = apply_attention(attention_weights(scores), Hy)
     for i in range(5):
         assert np.array_equal(c.value[:, i], Hy.value[:, 0])
@@ -142,7 +156,7 @@ def test_context_vectors_lie_in_convex_hull():
         d, m, n = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 7)
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
-        scores = match_scores(Hx, Hy, "dot")
+        scores = match(Hx, Hy, "dot")
         c = apply_attention(attention_weights(scores), Hy)
         lo = Hy.value.min(axis=1, keepdims=True) - 1e-12
         hi = Hy.value.max(axis=1, keepdims=True) + 1e-12
@@ -155,14 +169,14 @@ def test_permuting_context_columns_leaves_context_vectors_unchanged():
     Hy = ad.Node(rng.standard_normal((4, 6)))
     perm = rng.permutation(6)
     Hyp = ad.Node(Hy.value[:, perm])
-    sa = match_scores(Hx, Hy, "dot")
-    sb = match_scores(Hx, Hyp, "dot")
+    sa = match(Hx, Hy, "dot")
+    sb = match(Hx, Hyp, "dot")
     a = apply_attention(attention_weights(sa), Hy)
     b = apply_attention(attention_weights(sb), Hyp)
     assert np.allclose(a.value, b.value, atol=1e-12)
     # and the weights themselves permute along for the ride
-    wa = attention_weights(match_scores(Hx, Hy, "dot")).value
-    wb = attention_weights(match_scores(Hx, Hyp, "dot")).value
+    wa = attention_weights(match(Hx, Hy, "dot")).value
+    wb = attention_weights(match(Hx, Hyp, "dot")).value
     assert np.allclose(wa[:, perm], wb, atol=1e-12)
 
 

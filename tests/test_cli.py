@@ -51,6 +51,7 @@ def run(capsys, argv):
 
 
 DEEP = "[" * 200_000 + "]" * 200_000  # deeper than any recursion limit
+HUGE = "1" * 5000  # longer than Python's 4300-digit int conversion limit
 
 
 def test_train_writes_checkpoint_and_metric_stream(tmp_path, capsys):
@@ -230,6 +231,34 @@ def test_deeply_nested_checkpoint_manifest_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, ["params", "--model", str(path)])
     assert code == 3
     assert "corrupt manifest" in err and err.count("\n") == 1
+
+
+def test_huge_jsonl_integer_exits_3(tmp_path, capsys):
+    data = tmp_path / "huge.jsonl"
+    data.write_text(json.dumps({"label": "0", "text": "a"}) + "\n"
+                    + '{"label": "1", "text": "b", "n": ' + HUGE + "}\n", encoding="utf-8")
+    code, _, err = run(capsys, ["train", "--config", write_config(tmp_path),
+                                "--train", str(data), "--out", str(tmp_path / "m.ckpt")])
+    assert code == 3
+    assert "line 2" in err and "invalid JSON" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_huge_config_integer_exits_2(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text('{"d": ' + HUGE + "}", encoding="utf-8")
+    code, _, err = run(capsys, ["params", "--config", str(config)])
+    assert code == 2
+    assert "invalid JSON" in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_huge_checkpoint_manifest_integer_exits_3(tmp_path, capsys):
+    manifest = ('{"format-version": ' + HUGE + "}").encode("utf-8")
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest)
+    code, _, err = run(capsys, ["params", "--model", str(path)])
+    assert code == 3
+    assert "corrupt manifest" in err and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("record", [

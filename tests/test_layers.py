@@ -6,7 +6,7 @@ import pytest
 
 from attconv import autodiff as ad
 from attconv import layers as ly
-from attconv.attention import apply_attention, attention_weights, match_scores
+from attconv.attention import apply_attention, attention_weights, match_scores, project_text
 from attconv.errors import DimensionError
 from attconv.model import ModelConfig, init_tensor, param_shapes
 
@@ -21,6 +21,11 @@ def np_window3(H):
 def draw(rng, shapes):
     """Param nodes for ``shapes``, drawn in order as ``build_model`` draws them."""
     return {name: ad.param(init_tensor(rng, name, shape)) for name, shape in shapes.items()}
+
+
+def light(H, C, params, at=""):
+    """``light_attconv`` with its W1 term built from H, as the attentive layers build it."""
+    return ly.light_attconv(ad.matmul(params[at + "W1"], ad.window3(H)), C, params, at)
 
 
 def _conv_params(d, rng):
@@ -79,7 +84,7 @@ def test_split_filter_equals_joint_filter_on_random_instances():
         params = _light_conv_params(d, d_c, rng)
         H = rng.standard_normal((d, m))
         C = rng.standard_normal((d_c, m))
-        got = ly.light_attconv(ad.Node(H), ad.Node(C), params, "").value
+        got = light(ad.Node(H), ad.Node(C), params).value
         joint = np.hstack([params["W1"].value, params["W2"].value])
         stacked = np.vstack([np_window3(H), C])
         want = np.tanh(joint @ stacked + params["b"].value[:, None])
@@ -91,7 +96,7 @@ def test_light_attconv_with_zero_context_is_vanilla():
     params = _light_conv_params(4, 6, rng)
     H = ad.Node(rng.standard_normal((4, 7)))
     C = ad.Node(np.zeros((6, 7)))
-    got = ly.light_attconv(H, C, params, "").value
+    got = light(H, C, params).value
     plain = ly.vanilla_conv(H, params, "").value
     assert np.array_equal(got, plain)
 
@@ -102,7 +107,7 @@ def test_light_attconv_single_position_boundary():
     params = _light_conv_params(d, d, rng)
     h = rng.standard_normal((d, 1))
     c = rng.standard_normal((d, 1))
-    got = ly.light_attconv(ad.Node(h), ad.Node(c), params, "").value
+    got = light(ad.Node(h), ad.Node(c), params).value
     window = np.vstack([np.zeros((d, 1)), h, np.zeros((d, 1))])
     want = np.tanh(params["W1"].value @ window + params["W2"].value @ c
                    + params["b"].value[:, None])
@@ -113,8 +118,7 @@ def test_light_attconv_rejects_misaligned_context():
     rng = np.random.default_rng(5)
     params = _light_conv_params(3, 3, rng)
     with pytest.raises(DimensionError):
-        ly.light_attconv(ad.Node(np.zeros((3, 4))),
-                         ad.Node(np.zeros((3, 5))), params, "")
+        light(ad.Node(np.zeros((3, 4))), ad.Node(np.zeros((3, 5))), params)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +222,13 @@ def test_attend_and_convolve_light_equals_manual_composition():
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 6)))
     trace = []
-    got = ly.attend_and_convolve(Hx, Hy, params, "net.", "dot", trace=trace).value
+    [got] = ly.attend_and_convolve(Hx, [Hy], params, "net.", "dot", trace=trace)
 
-    Cx = apply_attention(attention_weights(match_scores(Hx, Hy, "dot")), Hy)
-    want = ly.light_attconv(Hx, Cx, params, "net.conv.").value
-    assert np.array_equal(got, want)
-    assert len(trace) == 1
-    assert trace[0].value.shape == (5, 6)
+    Cx = apply_attention(attention_weights(match_scores(project_text(Hx, "dot"), Hy, "dot")), Hy)
+    want = light(Hx, Cx, params, "net.conv.").value
+    assert np.array_equal(got.value, want)
+    assert len(trace) == 1 and len(trace[0]) == 1
+    assert trace[0][0].value.shape == (5, 6)
 
 
 def test_attend_and_convolve_advanced_shapes_and_trace():
@@ -232,10 +236,10 @@ def test_attend_and_convolve_advanced_shapes_and_trace():
     params = _net_params("advanced", 3, "dot", rng)
     Hx = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", trace=trace)
+    [out] = ly.attend_and_convolve(Hx, [Hx], params, "net.", "dot", trace=trace)
     assert out.value.shape == (3, 5)
     # matching runs over the multi-granular states, one row/column per position
-    assert trace[0].value.shape == (5, 5)
+    assert trace[0][0].value.shape == (5, 5)
 
 
 def test_attend_and_convolve_rejects_unknown_bundles():
@@ -244,7 +248,7 @@ def test_attend_and_convolve_rejects_unknown_bundles():
     params = _net_params("vanilla-cnn", 2, "dot", rng)
     H = ad.Node(np.zeros((2, 2)))
     with pytest.raises(KeyError, match="net.conv.W1"):
-        ly.attend_and_convolve(H, H, params, "net.", "dot")
+        ly.attend_and_convolve(H, [H], params, "net.", "dot")
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +261,10 @@ def test_intra_attconv_single_position_attends_to_itself():
     h = rng.standard_normal((3, 1))
     trace = []
     Hx = ad.Node(h)
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", trace=trace)
-    assert np.array_equal(trace[0].value, np.array([[1.0]]))
+    [out] = ly.attend_and_convolve(Hx, [Hx], params, "net.", "dot", trace=trace)
+    assert np.array_equal(trace[0][0].value, np.array([[1.0]]))
     # with weight 1.0 the attentive context is the position's own state
-    want = ly.light_attconv(ad.Node(h), ad.Node(h), params, "net.conv.").value
+    want = light(ad.Node(h), ad.Node(h), params, "net.conv.").value
     assert np.array_equal(out.value, want)
 
 
@@ -269,8 +273,8 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     params = _net_params("light", 3, "dot", rng)
     H = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    ly.attend_and_convolve(H, H, params, "net.", "dot", exclude_self=True, trace=trace)
-    w = trace[0].value
+    ly.attend_and_convolve(H, [H], params, "net.", "dot", exclude_self=True, trace=trace)
+    w = trace[0][0].value
     assert np.all(np.diag(w) == 0.0)
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -279,23 +283,30 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
 # attentive pooling baseline
 
 
+def pool_pair(Hx, Hy, params):
+    """The pooled x and y states of ``attentive_pooling`` on one context map."""
+    [rep] = ly.attentive_pooling(Hx, [Hy], params, "")
+    d = Hx.value.shape[0]
+    return rep.value[:d], rep.value[d:]
+
+
 def test_attentive_pooling_is_symmetric_in_its_arguments():
     rng = np.random.default_rng(20)
     params = _conv_params(4, rng)
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 7)))
-    rx, ry = ly.attentive_pooling(Hx, Hy, params, "")
-    ry2, rx2 = ly.attentive_pooling(Hy, Hx, params, "")
-    assert np.max(np.abs(rx.value - rx2.value)) <= 1e-12
-    assert np.max(np.abs(ry.value - ry2.value)) <= 1e-12
+    rx, ry = pool_pair(Hx, Hy, params)
+    ry2, rx2 = pool_pair(Hy, Hx, params)
+    assert np.max(np.abs(rx - rx2)) <= 1e-12
+    assert np.max(np.abs(ry - ry2)) <= 1e-12
 
 
 def test_attentive_pooling_identical_sentences_give_equal_outputs():
     rng = np.random.default_rng(21)
     params = _conv_params(3, rng)
     H = ad.Node(rng.standard_normal((3, 5)))
-    rx, ry = ly.attentive_pooling(H, H, params, "")
-    assert np.array_equal(rx.value, ry.value)
+    rx, ry = pool_pair(H, H, params)
+    assert np.array_equal(rx, ry)
 
 
 def test_attentive_pooling_single_positions_return_their_states():
@@ -303,9 +314,9 @@ def test_attentive_pooling_single_positions_return_their_states():
     params = _conv_params(3, rng)
     Hx = ad.Node(rng.standard_normal((3, 1)))
     Hy = ad.Node(rng.standard_normal((3, 1)))
-    rx, ry = ly.attentive_pooling(Hx, Hy, params, "")
-    assert np.array_equal(rx.value, ly.vanilla_conv(Hx, params, "").value[:, 0])
-    assert np.array_equal(ry.value, ly.vanilla_conv(Hy, params, "").value[:, 0])
+    rx, ry = pool_pair(Hx, Hy, params)
+    assert np.array_equal(rx, ly.vanilla_conv(Hx, params, "").value[:, 0])
+    assert np.array_equal(ry, ly.vanilla_conv(Hy, params, "").value[:, 0])
 
 
 def test_attentive_pooling_outputs_stay_in_their_own_hull():
@@ -313,13 +324,13 @@ def test_attentive_pooling_outputs_stay_in_their_own_hull():
     params = _conv_params(3, rng)
     Hx = ad.Node(rng.standard_normal((3, 6)))
     Hy = ad.Node(rng.standard_normal((3, 4)))
-    rx, ry = ly.attentive_pooling(Hx, Hy, params, "")
+    rx, ry = pool_pair(Hx, Hy, params)
     cx = ly.vanilla_conv(Hx, params, "").value
     cy = ly.vanilla_conv(Hy, params, "").value
-    assert np.all(rx.value >= cx.min(axis=1) - 1e-12)
-    assert np.all(rx.value <= cx.max(axis=1) + 1e-12)
-    assert np.all(ry.value >= cy.min(axis=1) - 1e-12)
-    assert np.all(ry.value <= cy.max(axis=1) + 1e-12)
+    assert np.all(rx >= cx.min(axis=1) - 1e-12)
+    assert np.all(rx <= cx.max(axis=1) + 1e-12)
+    assert np.all(ry >= cy.min(axis=1) - 1e-12)
+    assert np.all(ry <= cy.max(axis=1) + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +343,14 @@ def test_no_conv_stack_zero_context_reduces_to_mlp():
     Hx = ad.Node(rng.standard_normal((3, 4)))
     Hy = ad.Node(np.zeros((3, 2)))
     trace = []
-    got = ly.no_conv_stack(Hx, Hy, params, "net.", "dot", trace=trace).value
+    [out] = ly.no_conv_stack(Hx, [Hy], params, "net.", "dot", trace=trace)
+    got = out.value
     want = Hx.value
     for i in range(ly.NO_CONV_LAYERS):
         want = np.tanh(params[f"net.layer{i}.W"].value @ want
                        + params[f"net.layer{i}.b"].value[:, None])
     assert np.allclose(got, want, atol=1e-15)
-    assert len(trace) == 4
+    assert len(trace) == 1 and len(trace[0]) == 4
     assert got.shape == (3, 4)
 
 
@@ -375,5 +387,5 @@ def test_advanced_bilinear_matching_runs_at_doubled_width():
     assert params["net.match.W_e"].value.shape == (2 * d, 2 * d)
     Hx = ad.Node(rng.standard_normal((d, 4)))
     trace = []
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "bilinear", trace=trace)
-    assert out.value.shape == (d, 4) and trace[0].value.shape == (4, 4)
+    [out] = ly.attend_and_convolve(Hx, [Hx], params, "net.", "bilinear", trace=trace)
+    assert out.value.shape == (d, 4) and trace[0][0].value.shape == (4, 4)

@@ -1,0 +1,181 @@
+"""The text side of each attentive layer is built once per example.
+
+The oracle is the per-context forward: the layer called with one context map
+at a time, each map's feature map max-pooled, the maps max-pooled, then the
+classifier. The shared forward must give bitwise-equal probabilities and
+attention traces, because every value is computed by the same arithmetic.
+Training is compared with a tolerance instead: a node shared by several
+contexts sums their gradients before its one backward, where the oracle sums
+them at the parameter, so the last bits can differ.
+"""
+
+import numpy as np
+import pytest
+
+from attconv import autodiff as ad
+from attconv import layers as ly
+from attconv import model as model_module
+from attconv.attention import MATCH_METHODS
+from attconv.data import SEP_TOKEN, Dataset, Example, Vocabulary
+from attconv.model import (
+    AttentionRecord,
+    ModelConfig,
+    TrainConfig,
+    build_model,
+    evaluate,
+    forward_ids,
+    join_context_ids,
+    predict,
+    train,
+)
+
+VOCAB = Vocabulary()
+for _tok in [f"t{i}" for i in range(12)] + [SEP_TOKEN]:
+    VOCAB.add(_tok)
+LABELS = ["a", "b"]
+CONTEXTUAL = ("light", "advanced", "attentive-pooling", "no-conv")
+# (context mode, self mode): intra in both self modes, then the context modes
+MODES = (("intra", "include-self"), ("intra", "exclude-self"), ("single", "include-self"),
+         ("multi-wise", "include-self"), ("multi-conc", "include-self"))
+TRAIN_TOLERANCE = 1e-12  # relative to each tensor's largest entry
+
+
+def oracle_forward_ids(model, text_ids, ctx_ids, trace=None):
+    """Per-context forward: one layer call per context map, then max-pooling."""
+    cfg, p = model.config, model.params
+    Hx = ad.embed(model.embeddings, text_ids)
+    if cfg.context_mode == "intra":
+        maps = [Hx]
+    elif cfg.context_mode == "multi-conc":
+        maps = [ad.embed(model.embeddings,
+                         join_context_ids(ctx_ids, model.vocab.index[SEP_TOKEN]))]
+    else:
+        maps = [ad.embed(model.embeddings, ids) for ids in ctx_ids]
+    exclude_self = cfg.context_mode == "intra" and cfg.self_mode == "exclude-self"
+    layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
+    reps = []
+    for j, Hy in enumerate(maps):
+        if cfg.variant == "attentive-pooling":
+            [rep] = ly.attentive_pooling(Hx, [Hy], p, "net.")
+        else:
+            passes = []
+            [fmap] = layer(Hx, [Hy], p, "net.", cfg.match_method, exclude_self, passes)
+            rep = ad.max_over_positions(fmap)
+            if trace is not None:
+                trace.extend(AttentionRecord(j, li, w) for li, w in enumerate(passes[0]))
+        reps.append(rep)
+    rep = reps[0] if len(reps) == 1 else ad.max_over_positions(ad.stack_cols(reps))
+    return ad.softmax(ad.add(ad.matmul(p["classifier.W"], rep), p["classifier.b"]))
+
+
+def _example_ids(rng, mode):
+    def sent(lo):
+        return [int(i) for i in rng.integers(2, 14, size=int(rng.integers(lo, 7)))]
+    text = sent(2)
+    n_ctx = {"intra": 0, "single": 1}.get(mode, 3)
+    return text, [sent(1) for _ in range(n_ctx)]
+
+
+def _trace_key(trace):
+    return [(r.context_index, r.layer_index, r.weights.value.shape, r.weights.value.tobytes())
+            for r in trace]
+
+
+@pytest.mark.parametrize("method", MATCH_METHODS)
+@pytest.mark.parametrize("mode,self_mode", MODES)
+@pytest.mark.parametrize("variant", CONTEXTUAL)
+def test_forward_is_bitwise_equal_to_the_per_context_oracle(variant, mode, self_mode, method):
+    # comparison: bitwise (array_equal on probabilities, bytes of every trace)
+    cfg = ModelConfig(variant=variant, context_mode=mode, self_mode=self_mode, d=8,
+                      match_method=method, seed=4)
+    model = build_model(cfg, VOCAB, LABELS)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        text, ctxs = _example_ids(rng, mode)
+        got_trace, want_trace = [], []
+        got = forward_ids(model, text, ctxs, trace=got_trace).value
+        want = oracle_forward_ids(model, text, ctxs, trace=want_trace).value
+        assert np.array_equal(got, want)
+        assert _trace_key(got_trace) == _trace_key(want_trace)
+        if variant != "attentive-pooling":
+            passes = 4 if variant == "no-conv" else 1
+            n_maps = len(ctxs) if mode == "multi-wise" else 1
+            assert len(got_trace) == passes * n_maps
+
+
+def _multiwise_data(seed, n=20):
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i in range(n):
+        text, ctxs = _example_ids(rng, "multi-wise")
+        examples.append(Example(text=[VOCAB.tokens[t] for t in text],
+                                contexts=[[VOCAB.tokens[t] for t in c] for c in ctxs],
+                                label=i % 2))
+    return Dataset(examples=examples, label_names=LABELS)
+
+
+@pytest.mark.parametrize("method", MATCH_METHODS)
+@pytest.mark.parametrize("variant", CONTEXTUAL)
+def test_multiwise_training_stays_within_tolerance_of_the_oracle(variant, method, monkeypatch):
+    # comparison: parameters within TRAIN_TOLERANCE of each tensor's largest
+    # entry, and identical predictions (equal confusion matrices)
+    data = _multiwise_data(5)
+    cfg = ModelConfig(variant=variant, context_mode="multi-wise", d=8, match_method=method,
+                      seed=2)
+    tcfg = TrainConfig(learning_rate=0.1, batch_size=5, epochs=2)
+    shared = build_model(cfg, VOCAB, LABELS)
+    train(shared, data, tcfg)
+    oracle = build_model(cfg, VOCAB, LABELS)
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "forward_ids", oracle_forward_ids)
+        train(oracle, data, tcfg)
+    for name, node in shared.params.items():
+        want = oracle.params[name].value
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+        assert float(np.max(np.abs(node.value - want))) <= TRAIN_TOLERANCE * scale, name
+    a, b = evaluate(data, shared), evaluate(data, oracle)
+    assert np.array_equal(a.confusion, b.confusion)
+    for ex in data.examples:
+        text = VOCAB.encode(ex.text)
+        ctxs = [VOCAB.encode(c) for c in ex.contexts]
+        assert (predict(forward_ids(shared, text, ctxs).value)
+                == predict(forward_ids(oracle, text, ctxs).value))
+
+
+def _multiwise_graph(variant):
+    cfg = ModelConfig(variant=variant, context_mode="multi-wise", d=8,
+                      match_method="bilinear", seed=1)
+    model = build_model(cfg, VOCAB, LABELS)
+    probs = forward_ids(model, [2, 3, 4, 5], [[6, 7], [8, 9, 10], [11]])
+    return ad.topo_order(probs)
+
+
+def _matmuls_reading(nodes, prefix):
+    """How many matmul nodes take a parameter named under ``prefix``, by parameter."""
+    counts = {}
+    for node in nodes:
+        if node.op == "matmul":
+            for inp in node.inputs:
+                if inp.name is not None and inp.name.startswith(prefix):
+                    counts[inp.name] = counts.get(inp.name, 0) + 1
+    return counts
+
+
+def test_light_builds_its_text_side_once_per_example():
+    nodes = _multiwise_graph("light")
+    # per example: Hx^T W_e and W1 window3(Hx); per context: scores,
+    # attentive context and W2; then the classifier
+    assert sum(node.op == "matmul" for node in nodes) == 2 + 3 * 3 + 1
+    assert _matmuls_reading(nodes, "net.conv.W1") == {"net.conv.W1": 1}
+    assert _matmuls_reading(nodes, "net.match.W_e") == {"net.match.W_e": 1}
+    assert _matmuls_reading(nodes, "net.conv.W2") == {"net.conv.W2": 3}
+
+
+def test_advanced_builds_source_and_beneficiary_gates_once_per_example():
+    nodes = _multiwise_graph("advanced")
+    assert sum(node.op == "matmul" for node in nodes) == 30
+    for side in ("net.source.", "net.beneficiary."):
+        counts = _matmuls_reading(nodes, side)
+        assert counts and set(counts.values()) == {1}, side
+    focus = _matmuls_reading(nodes, "net.focus.")
+    assert len(focus) == 4 and set(focus.values()) == {3}
