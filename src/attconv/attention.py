@@ -8,6 +8,11 @@ weighted average of context states becomes the attentive context C_x
 that is its own context, keeps each position from attending to itself.
 The match is split at its context-free part: ``project_text`` is built once
 per text and ``match_scores`` once per context.
+
+Several (text, context) pairs can be packed side by side; ``blocks``
+(``autodiff.Blocks``) then says which text positions each pair's context
+positions are scored against, and the scores, weights and summaries of all
+pairs are each one node. Without ``blocks`` there is one pair.
 """
 
 from __future__ import annotations
@@ -19,27 +24,36 @@ MATCH_METHODS = ("dot", "bilinear", "additive")
 
 
 def project_text(Hx: ad.Node, method: str,
-                 p: dict[str, ad.Node] | None = None, at: str = "") -> ad.Node:
+                 p: dict[str, ad.Node] | None = None, at: str = "",
+                 spread=None) -> ad.Node:
     """The context-free half of the match, built once per text.
 
     ``dot`` gives Hx^T (m x d), ``bilinear`` Hx^T W_e (m x d) with
     ``p[at + "W_e"]`` (d x d), and ``additive`` W_e Hx (d x m). Every context
-    map is then scored against it by ``match_scores``.
+    map is then scored against it by ``match_scores``. ``spread``, when
+    given, lists the text position behind each pair position: the
+    projection is built once and then copied out once per pair.
     """
     if Hx.value.ndim != 2:
         raise DimensionError("match_scores: inputs must be 2-d feature maps")
     if method == "dot":
-        return ad.transpose(Hx)
-    if method == "bilinear":
-        return ad.matmul(ad.transpose(Hx), p[at + "W_e"])
-    if method == "additive":
-        return ad.matmul(p[at + "W_e"], Hx)
-    raise ConfigError(f"unknown match method {method!r}")
+        Tx = ad.transpose(Hx)
+    elif method == "bilinear":
+        Tx = ad.matmul(ad.transpose(Hx), p[at + "W_e"])
+    elif method == "additive":
+        Tx = ad.matmul(p[at + "W_e"], Hx)
+    else:
+        raise ConfigError(f"unknown match method {method!r}")
+    if spread is None:
+        return Tx
+    return ad.gather(Tx, spread, axis=1 if method == "additive" else 0)
 
 
 def match_scores(Tx: ad.Node, Hy: ad.Node, method: str,
-                 p: dict[str, ad.Node] | None = None, at: str = "") -> ad.Node:
-    """Score every (text position, context position) pair, giving m x n.
+                 p: dict[str, ad.Node] | None = None, at: str = "",
+                 blocks: ad.Blocks | None = None) -> ad.Node:
+    """Score every (text position, context position) pair, giving m x n,
+    or with ``blocks`` the pairs inside each block, as a blocked value.
 
     ``Tx`` is ``project_text`` of the text under the same method and
     tensors. ``dot`` and ``bilinear`` then score Tx H_y, so bilinear scores
@@ -52,19 +66,23 @@ def match_scores(Tx: ad.Node, Hy: ad.Node, method: str,
     if d_x != Hy.value.shape[0]:
         raise DimensionError(f"match_scores: hidden sizes differ, {d_x} vs {Hy.value.shape[0]}")
     if method in ("dot", "bilinear"):
-        return ad.matmul(Tx, Hy)
+        return ad.matmul(Tx, Hy) if blocks is None else ad.block_scores(Tx, Hy, blocks)
     if method == "additive":
-        return ad.additive_scores(Tx, ad.matmul(p[at + "U_e"], Hy), p[at + "v_e"])
+        return ad.additive_scores(Tx, ad.matmul(p[at + "U_e"], Hy), p[at + "v_e"], blocks)
     raise ConfigError(f"unknown match method {method!r}")
 
 
-def attention_weights(scores: ad.Node, exclude_self: bool = False) -> ad.Node:
-    """Normalize each m x n score row; ``exclude_self`` gives the diagonal weight 0."""
-    return ad.masked_softmax_rows(scores, exclude_self)
+def attention_weights(scores: ad.Node, exclude_self: bool = False,
+                      blocks: ad.Blocks | None = None) -> ad.Node:
+    """Normalize each score row; ``exclude_self`` gives the diagonal weight 0."""
+    return ad.masked_softmax_rows(scores, exclude_self, blocks)
 
 
-def apply_attention(weights: ad.Node, Hy: ad.Node) -> ad.Node:
-    """Weighted average of context states: C_x = H_y A^T, shape d x m."""
+def apply_attention(weights: ad.Node, Hy: ad.Node, blocks: ad.Blocks | None = None) -> ad.Node:
+    """Weighted average of context states: C_x = H_y A^T, shape d x m, or
+    d x Q over the pair positions of all ``blocks``."""
+    if blocks is not None:
+        return ad.block_apply(weights, Hy, blocks)
     if weights.value.shape[1] != Hy.value.shape[1]:
         raise DimensionError("apply_attention: weight columns must match context positions")
     return ad.matmul(Hy, ad.transpose(weights))

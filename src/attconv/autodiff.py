@@ -8,11 +8,18 @@ closure runs exactly once per call.
 Values are numpy float64 arrays throughout: 0-d for scalars (losses),
 1-d for vectors (biases, probability vectors), 2-d for feature maps laid
 out with one column per sequence position.
+
+Several sequences can share one feature map, side by side on the position
+axis. The ops that cross positions then take the segment ``starts`` (the
+first column of each sequence, beginning at 0) or a ``Blocks`` layout of
+per-pair score blocks, and never mix two segments; without them they treat
+the whole axis as one sequence, with the arithmetic they always had.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +81,89 @@ def _accum(node: Node, g) -> None:
 def _require_2d(v: np.ndarray, what: str) -> None:
     if v.ndim != 2:
         raise DimensionError(f"{what}: expected a 2-d array, got shape {v.shape}")
+
+
+EXCLUDE_SELF_ALONE = "exclude-self with a single position leaves nothing to attend"
+
+
+def _check_starts(starts, width: int, what: str) -> np.ndarray:
+    """Segment starts as an int array: 0 first, strictly increasing, inside ``width``."""
+    s = np.asarray(starts, dtype=np.int64)
+    if s.ndim != 1 or s.size == 0 or s[0] != 0 or s[-1] >= width or np.any(np.diff(s) <= 0):
+        raise ContractError(f"{what}: segment starts {s.tolist()} do not split {width} positions")
+    return s
+
+
+class Blocks:
+    """Layout of the score blocks of several (text, context) pairs.
+
+    Block p pairs the text-side positions ``rows[p]:rows[p+1]`` with the
+    context positions ``cols[p]:cols[p+1]``; both offset arrays start at 0
+    and end at the position counts. A blocked score matrix is a 1-d value
+    holding each block's entries row-major, block after block, so no entry
+    outside the blocks is ever stored. ``row_starts`` and ``row_len`` give
+    the first entry and the length of every stored row.
+    """
+
+    def __init__(self, rows, cols):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        heights, widths = np.diff(self.rows), np.diff(self.cols)
+        if (self.rows.ndim != 1 or self.rows.shape != self.cols.shape or self.rows.size < 2
+                or self.rows[0] != 0 or self.cols[0] != 0 or np.any(heights < 1)
+                or np.any(widths < 1)):
+            raise ContractError("Blocks: offsets must start at 0 and give every block a row "
+                                "and a column")
+        self.flat = np.concatenate([[0], np.cumsum(heights * widths)])
+        self.row_len = np.repeat(widths, heights)
+        self.row_starts = self.flat[:-1].repeat(heights) + (
+            np.arange(self.rows[-1]) - self.rows[:-1].repeat(heights)) * self.row_len
+
+    @property
+    def size(self) -> int:
+        return int(self.flat[-1])
+
+    def spans(self):
+        """(row lo, row hi, column lo, column hi, entry lo, entry hi) of each block."""
+        return zip(self.rows[:-1].tolist(), self.rows[1:].tolist(), self.cols[:-1].tolist(),
+                   self.cols[1:].tolist(), self.flat[:-1].tolist(), self.flat[1:].tolist())
+
+    def block(self, value: np.ndarray, p: int) -> np.ndarray:
+        """Block ``p`` of a blocked value, as a rows x columns view."""
+        return value[self.flat[p]:self.flat[p + 1]].reshape(
+            self.rows[p + 1] - self.rows[p], self.cols[p + 1] - self.cols[p])
+
+    @cached_property
+    def T(self) -> "Blocks":
+        """The layout of the transposed blocks."""
+        return Blocks(self.cols, self.rows)
+
+    @cached_property
+    def transposer(self) -> np.ndarray:
+        """Entry indices that read a blocked value as its transposed blocks."""
+        return np.concatenate([
+            f0 + np.arange((r1 - r0) * (c1 - c0)).reshape(r1 - r0, c1 - c0).T.ravel()
+            for r0, r1, c0, c1, f0, _ in self.spans()])
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Entry indices of every block's diagonal; every block must be square."""
+        if not np.array_equal(self.rows, self.cols):
+            raise DimensionError("exclude-self needs square blocks")
+        return np.concatenate([f0 + np.arange(r1 - r0) * (r1 - r0 + 1)
+                               for r0, r1, _, _, f0, _ in self.spans()])
+
+    def pooling(self) -> tuple["Blocks", "Blocks"]:
+        """One-row blocks over each pair's text positions and over its context
+        positions: the layouts of per-pair weight vectors on either side."""
+        one_each = np.arange(self.rows.size)
+        return Blocks(one_each, self.rows), Blocks(one_each, self.cols)
+
+
+def _check_blocked(v: np.ndarray, blocks: Blocks, what: str) -> None:
+    if v.shape != (blocks.size,):
+        raise DimensionError(f"{what}: blocked value of shape {v.shape} does not fit "
+                             f"{blocks.size} block entries")
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +261,27 @@ def add_bias(mat: Node, bias: Node) -> Node:
     return out
 
 
-def additive_scores(p: Node, q: Node, v: Node) -> Node:
+def _additive_block(vp: np.ndarray, vq: np.ndarray, vv: np.ndarray):
+    """The m x n additive scores of p (d x m) against q (d x n), and their tanh block."""
+    t = np.tanh(np.add(vp.T[:, :, None], vq[None, :, :], order="C"))
+    return vv @ t, t
+
+
+def _additive_block_grads(vv: np.ndarray, t: np.ndarray, g: np.ndarray):
+    """Gradients of one additive score block for p, q and v."""
+    gt = vv[None, :, None] * g[:, None, :] * (1.0 - t * t)
+    return gt.sum(axis=2).T, gt.sum(axis=0), (t * g[:, None, :]).sum(axis=(0, 2))
+
+
+def additive_scores(p: Node, q: Node, v: Node, blocks: Blocks | None = None) -> Node:
     """Additive match scores v . tanh(p_i + q_j) for every column pair, m x n.
 
     ``p`` is d x m, ``q`` is d x n and ``v`` has length d. The tanh block is
     held C-ordered in m x d x n layout, so each output row is ``v @ t[i]`` on
     a contiguous d x n block: the same product, bit for bit, as a loop over
     the rows. Plain broadcasting picks a strided layout when n is small, and
-    numpy's matmul sums strided blocks in another order.
+    numpy's matmul sums strided blocks in another order. With ``blocks``
+    only the pairs inside each block are scored, into a blocked value.
     """
     vp, vq, vv = p.value, q.value, v.value
     _require_2d(vp, "additive_scores p")
@@ -187,14 +290,103 @@ def additive_scores(p: Node, q: Node, v: Node) -> Node:
         raise DimensionError(
             f"additive_scores: p {vp.shape}, q {vq.shape} and v {vv.shape} must share d"
         )
-    t = np.tanh(np.add(vp.T[:, :, None], vq[None, :, :], order="C"))
-    out = Node(vv @ t, "additive_scores", (p, q, v))
+    if blocks is None:
+        scores, t = _additive_block(vp, vq, vv)
+        out = Node(scores, "additive_scores", (p, q, v))
+
+        def _bw(g):
+            gp, gq, gv = _additive_block_grads(vv, t, g)
+            _accum(p, gp)
+            _accum(q, gq)
+            _accum(v, gv)
+
+        out._backward = _bw
+        return out
+
+    if blocks.rows[-1] != vp.shape[1] or blocks.cols[-1] != vq.shape[1]:
+        raise DimensionError("additive_scores: blocks do not fit p and q")
+    flat = np.empty(blocks.size)
+    tanhs = []
+    for r0, r1, c0, c1, f0, f1 in blocks.spans():
+        scores, t = _additive_block(vp[:, r0:r1], vq[:, c0:c1], vv)
+        flat[f0:f1] = scores.ravel()
+        tanhs.append(t)
+    out = Node(flat, "additive_scores", (p, q, v))
+
+    def _bw_blocks(g):
+        gp, gq, gv = np.zeros_like(vp), np.zeros_like(vq), np.zeros_like(vv)
+        for (r0, r1, c0, c1, f0, f1), t in zip(blocks.spans(), tanhs):
+            bp, bq, bv = _additive_block_grads(vv, t, g[f0:f1].reshape(r1 - r0, c1 - c0))
+            gp[:, r0:r1] += bp
+            gq[:, c0:c1] += bq
+            gv += bv
+        _accum(p, gp)
+        _accum(q, gq)
+        _accum(v, gv)
+
+    out._backward = _bw_blocks
+    return out
+
+
+def block_scores(a: Node, b: Node, blocks: Blocks) -> Node:
+    """The products ``a[rows] @ b[:, cols]`` of every block, as a blocked value.
+
+    ``a`` holds one row per text-side position (Q x d) and ``b`` one column
+    per context position (d x N). Each block is its own matmul, of the shape
+    a single pair would have; no product across two pairs is formed.
+    """
+    va, vb = a.value, b.value
+    _require_2d(va, "block_scores lhs")
+    _require_2d(vb, "block_scores rhs")
+    if va.shape[1] != vb.shape[0]:
+        raise DimensionError(f"block_scores: inner dims differ, {va.shape} @ {vb.shape}")
+    if blocks.rows[-1] != va.shape[0] or blocks.cols[-1] != vb.shape[1]:
+        raise DimensionError("block_scores: blocks do not fit the operands")
+    flat = np.empty(blocks.size)
+    for r0, r1, c0, c1, f0, f1 in blocks.spans():
+        flat[f0:f1] = (va[r0:r1] @ vb[:, c0:c1]).ravel()
+    out = Node(flat, "block_scores", (a, b))
 
     def _bw(g):
-        gt = vv[None, :, None] * g[:, None, :] * (1.0 - t * t)
-        _accum(p, gt.sum(axis=2).T)
-        _accum(q, gt.sum(axis=0))
-        _accum(v, (t * g[:, None, :]).sum(axis=(0, 2)))
+        ga, gb = np.zeros_like(va), np.zeros_like(vb)
+        for r0, r1, c0, c1, f0, f1 in blocks.spans():
+            gblock = g[f0:f1].reshape(r1 - r0, c1 - c0)
+            ga[r0:r1] += gblock @ vb[:, c0:c1].T
+            gb[:, c0:c1] += va[r0:r1].T @ gblock
+        _accum(a, ga)
+        _accum(b, gb)
+
+    out._backward = _bw
+    return out
+
+
+def block_apply(w: Node, b: Node, blocks: Blocks) -> Node:
+    """Weighted sums of context columns: ``b[:, cols] @ w_block^T`` per block.
+
+    ``w`` is a blocked value of weights (one row per text-side position) and
+    ``b`` is d x N; the result is d x Q, block p filling columns
+    ``rows[p]:rows[p+1]``. It is the blocked form of ``b @ w^T``.
+    """
+    vw, vb = w.value, b.value
+    _check_blocked(vw, blocks, "block_apply")
+    _require_2d(vb, "block_apply context")
+    if blocks.cols[-1] != vb.shape[1]:
+        raise DimensionError("block_apply: block columns do not fit the context positions")
+    # built transposed, so that every block product reads and writes
+    # contiguous rows; the node holds the d x Q transpose view
+    vbT = np.ascontiguousarray(vb.T)
+    valueT = np.empty((int(blocks.rows[-1]), vb.shape[0]))
+    for r0, r1, c0, c1, f0, f1 in blocks.spans():
+        np.matmul(vw[f0:f1].reshape(r1 - r0, c1 - c0), vbT[c0:c1], out=valueT[r0:r1])
+    out = Node(valueT.T, "block_apply", (w, b))
+
+    def _bw(g):
+        gw, gb = np.empty_like(vw), np.zeros_like(vb)
+        for p, (r0, r1, c0, c1, f0, f1) in enumerate(blocks.spans()):
+            gw[f0:f1] = (g[:, r0:r1].T @ vb[:, c0:c1]).ravel()
+            gb[:, c0:c1] += g[:, r0:r1] @ blocks.block(vw, p)
+        _accum(w, gw)
+        _accum(b, gb)
 
     out._backward = _bw
     return out
@@ -204,25 +396,67 @@ def additive_scores(p: Node, q: Node, v: Node) -> Node:
 # structural ops
 
 
-def transpose(a: Node) -> Node:
-    _require_2d(a.value, "transpose")
-    out = Node(np.ascontiguousarray(a.value.T), "transpose", (a,))
-    out._backward = lambda g: _accum(a, g.T)
+def transpose(a: Node, blocks: Blocks | None = None) -> Node:
+    """Transpose a 2-d node, or each block of a blocked value (``blocks.T``
+    is the layout of the result)."""
+    if blocks is None:
+        _require_2d(a.value, "transpose")
+        out = Node(np.ascontiguousarray(a.value.T), "transpose", (a,))
+        out._backward = lambda g: _accum(a, g.T)
+        return out
+    _check_blocked(a.value, blocks, "transpose")
+    perm = blocks.transposer
+    out = Node(a.value[perm], "transpose", (a,))
+
+    def _bw(g):
+        back = np.empty_like(g)
+        back[perm] = g
+        _accum(a, back)
+
+    out._backward = _bw
     return out
 
 
-def window3(h: Node) -> Node:
+def gather(a: Node, idx, axis: int = 1) -> Node:
+    """Copy the positions ``idx`` of a 2-d node along ``axis``, repeats allowed.
+
+    The backward adds each copy's gradient back onto its source position.
+    """
+    va = a.value
+    _require_2d(va, "gather")
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= va.shape[axis])):
+        raise ContractError(f"gather: indices out of range for {va.shape[axis]} positions")
+    out = Node(np.take(va, idx, axis=axis), "gather", (a,))
+
+    def _bw(g):
+        back = np.zeros_like(va)
+        np.add.at(back, (slice(None), idx) if axis == 1 else idx, g)
+        _accum(a, back)
+
+    out._backward = _bw
+    return out
+
+
+def window3(h: Node, starts=None) -> Node:
     """Stack each position's [previous; current; next] columns as 3d x m.
 
-    Sequence boundaries see zero vectors, matching zero padding.
+    Sequence boundaries see zero vectors, matching zero padding; with
+    segment ``starts`` every segment is padded at both of its ends.
     """
     vh = h.value
     _require_2d(vh, "window3")
     d, m = vh.shape
+    # the first column of every segment but the first: no previous, and the
+    # column before it has no next
+    cut = None if starts is None else _check_starts(starts, m, "window3")[1:]
     win = np.zeros((3 * d, m))
     win[:d, 1:] = vh[:, :-1]
     win[d:2 * d] = vh
     win[2 * d:, :-1] = vh[:, 1:]
+    if cut is not None:
+        win[:d, cut] = 0.0
+        win[2 * d:, cut - 1] = 0.0
     out = Node(win, "window3", (h,))
 
     def _bw(g):
@@ -230,9 +464,14 @@ def window3(h: Node) -> Node:
         # order of a pad, slice and concat composition, so gradients and
         # trained checkpoints keep the bits that composition gave them.
         _accum(h, g[d:2 * d])
+        to_next, to_prev = g[2 * d:, :-1], g[:d, 1:]
+        if cut is not None:
+            to_next, to_prev = to_next.copy(), to_prev.copy()
+            to_next[:, cut - 1] = 0.0
+            to_prev[:, cut - 1] = 0.0
         shifted = np.zeros((d, m))
-        shifted[:, 1:] += g[2 * d:, :-1]
-        shifted[:, :-1] += g[:d, 1:]
+        shifted[:, 1:] += to_next
+        shifted[:, :-1] += to_prev
         _accum(h, shifted)
 
     out._backward = _bw
@@ -295,11 +534,17 @@ def stack_cols(nodes: list[Node]) -> Node:
     return out
 
 
-def row_sums(a: Node) -> Node:
-    """Sum a 2-d node along its columns, returning one value per row."""
-    _require_2d(a.value, "row_sums")
-    out = Node(a.value.sum(axis=1), "row_sums", (a,))
-    out._backward = lambda g: _accum(a, np.broadcast_to(g[:, None], a.value.shape))
+def row_sums(a: Node, blocks: Blocks | None = None) -> Node:
+    """Sum a 2-d node along its columns, returning one value per row; with
+    ``blocks``, sum every row of every block of a blocked value."""
+    if blocks is None:
+        _require_2d(a.value, "row_sums")
+        out = Node(a.value.sum(axis=1), "row_sums", (a,))
+        out._backward = lambda g: _accum(a, np.broadcast_to(g[:, None], a.value.shape))
+        return out
+    _check_blocked(a.value, blocks, "row_sums")
+    out = Node(np.add.reduceat(a.value, blocks.row_starts), "row_sums", (a,))
+    out._backward = lambda g: _accum(a, np.repeat(g, blocks.row_len))
     return out
 
 
@@ -325,14 +570,19 @@ def mean_of(nodes: list[Node]) -> Node:
     return out
 
 
-def nll(probs: Node, label: int) -> Node:
+def nll(probs: Node, label) -> Node:
     """Negative log of one entry of a 1-d probability vector, floored at 1e-12.
 
-    The gradient reaches the entry only where it lies above the floor.
+    The gradient reaches the entry only where it lies above the floor. For
+    a K x B matrix of probability columns ``label`` holds one label per
+    column, and the loss is the mean of the columns' losses, summed in
+    column order.
     """
     v = probs.value
+    if v.ndim == 2:
+        return _nll_columns(probs, label)
     if v.ndim != 1:
-        raise DimensionError("nll: probabilities must be 1-d")
+        raise DimensionError("nll: probabilities must be 1-d or 2-d")
     if not (0 <= label < v.shape[0]):
         raise ContractError(f"nll: label {label} out of range for length {v.shape[0]}")
     p = v[label]
@@ -343,6 +593,29 @@ def nll(probs: Node, label: int) -> Node:
         if probs.grad is None:
             probs.grad = np.zeros_like(v)
         probs.grad[label] += ((-g) / floored) * (p > 1e-12)
+
+    out._backward = _bw
+    return out
+
+
+def _nll_columns(probs: Node, labels) -> Node:
+    v = probs.value
+    k, b = v.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (b,) or (b and (labels.min() < 0 or labels.max() >= k)):
+        raise ContractError(f"nll: need one label in [0, {k}) for each of {b} columns")
+    cols = np.arange(b)
+    p = v[labels, cols]
+    floored = np.maximum(p, 1e-12)
+    total = 0.0
+    for loss in (-np.log(floored)).tolist():
+        total += loss
+    out = Node(np.asarray(total / b), "nll", (probs,))
+
+    def _bw(g):
+        back = np.zeros_like(v)
+        back[labels, cols] = ((-g / b) / floored) * (p > 1e-12)
+        _accum(probs, back)
 
     out._backward = _bw
     return out
@@ -377,15 +650,18 @@ def embed(table: Node, ids) -> Node:
     return out
 
 
-def max_over_positions(h: Node) -> Node:
+def max_over_positions(h: Node, starts=None) -> Node:
     """Row-wise max over the position axis of a d x m feature map.
 
-    Returns the pooled vector. The gradient is routed only to the winning
-    column of each row; ties go to the lowest column index.
+    Returns the pooled vector, or with segment ``starts`` one pooled column
+    per segment (d x S). The gradient is routed only to the winning column
+    of each row; ties go to the lowest column index of the segment.
     """
     _require_2d(h.value, "max_over_positions")
     if h.value.shape[1] == 0:
         raise EmptyInputError("max_over_positions: empty position axis")
+    if starts is not None:
+        return _segment_max(h, _check_starts(starts, h.value.shape[1], "max_over_positions"))
     idx = h.value.argmax(axis=1)
     out = Node(h.value.max(axis=1), "max_over_positions", (h,))
     rows = np.arange(h.value.shape[0])
@@ -399,35 +675,65 @@ def max_over_positions(h: Node) -> Node:
     return out
 
 
+def _segment_max(h: Node, starts: np.ndarray) -> Node:
+    vh = h.value
+    out = Node(np.maximum.reduceat(vh, starts, axis=1), "max_over_positions", (h,))
+
+    def _bw(g):
+        # the winners are found here, so a forward-only pass never looks for them
+        ends = np.append(starts[1:], vh.shape[1])
+        rows = np.arange(vh.shape[0])[:, None]
+        wins = np.stack([lo + vh[:, lo:hi].argmax(axis=1)
+                         for lo, hi in zip(starts.tolist(), ends.tolist())], axis=1)
+        back = np.zeros_like(vh)
+        back[rows, wins] = g
+        _accum(h, back)
+
+    out._backward = _bw
+    return out
+
+
 # ---------------------------------------------------------------------------
 # softmax
 
 
 def softmax(scores: Node) -> Node:
-    """Softmax of a 1-d score vector, shifted by its max for stability."""
+    """Softmax of a 1-d score vector, or of every column of a 2-d one,
+    shifted by its max for stability."""
     v = scores.value
-    if v.ndim != 1:
-        raise DimensionError("softmax: scores must be 1-d")
-    e = np.exp(v - v.max())
-    p = e / e.sum()
+    if v.ndim == 1:
+        e = np.exp(v - v.max())
+        p = e / e.sum()
+        out = Node(p, "softmax", (scores,))
+        out._backward = lambda g: _accum(scores, p * (g - np.dot(g, p)))
+        return out
+    if v.ndim != 2:
+        raise DimensionError("softmax: scores must be 1-d or 2-d")
+    e = np.exp(v - v.max(axis=0))
+    p = e / e.sum(axis=0)
     out = Node(p, "softmax", (scores,))
-    out._backward = lambda g: _accum(scores, p * (g - np.dot(g, p)))
+    out._backward = lambda g: _accum(scores, p * (g - (g * p).sum(axis=0)))
     return out
 
 
-def masked_softmax_rows(scores: Node, exclude_self: bool = False) -> Node:
-    """Row-wise softmax over an m x n score matrix.
+def masked_softmax_rows(scores: Node, exclude_self: bool = False,
+                        blocks: Blocks | None = None) -> Node:
+    """Row-wise softmax over an m x n score matrix, or over every row of
+    every block of a blocked score value.
 
     ``exclude_self`` gives each diagonal entry weight exactly 0; it needs a
-    square matrix (DimensionError) of at least two rows (EmptyContextError).
+    square matrix or square blocks (DimensionError) of at least two rows
+    each (EmptyContextError).
     """
     v = scores.value
+    if blocks is not None:
+        return _block_softmax_rows(scores, exclude_self, blocks)
     _require_2d(v, "masked_softmax_rows")
     if exclude_self:
         if v.shape[0] != v.shape[1]:
             raise DimensionError(f"masked_softmax_rows: exclude-self needs m == n, got {v.shape}")
         if v.shape[0] < 2:
-            raise EmptyContextError("exclude-self with a single position leaves nothing to attend")
+            raise EmptyContextError(EXCLUDE_SELF_ALONE)
         v = v.copy()
         np.fill_diagonal(v, -np.inf)
     e = np.exp(v - v.max(axis=1, keepdims=True))
@@ -436,6 +742,27 @@ def masked_softmax_rows(scores: Node, exclude_self: bool = False) -> Node:
 
     def _bw(g):
         _accum(scores, p * (g - (g * p).sum(axis=1, keepdims=True)))
+
+    out._backward = _bw
+    return out
+
+
+def _block_softmax_rows(scores: Node, exclude_self: bool, blocks: Blocks) -> Node:
+    v = scores.value
+    _check_blocked(v, blocks, "masked_softmax_rows")
+    if exclude_self:
+        diagonal = blocks.diagonal
+        if np.any(np.diff(blocks.rows) < 2):
+            raise EmptyContextError(EXCLUDE_SELF_ALONE)
+        v = v.copy()
+        v[diagonal] = -np.inf
+    starts, lens = blocks.row_starts, blocks.row_len
+    e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts), lens))
+    p = e / np.repeat(np.add.reduceat(e, starts), lens)
+    out = Node(p, "masked_softmax_rows", (scores,))
+
+    def _bw(g):
+        _accum(scores, p * (g - np.repeat(np.add.reduceat(g * p, starts), lens)))
 
     out._backward = _bw
     return out

@@ -95,7 +95,9 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg, extras = _read_config(args.config)
     model_cfg.seed = _resolve_seed(args.seed, model_cfg.seed)
     train_ds = _load_dataset(args.train, "--train")
-    dev_ds = _load_dataset(args.dev, "--dev") if args.dev else None
+    dev_ds = None
+    if args.dev:
+        dev_ds = _remap_labels(_load_dataset(args.dev, "--dev"), train_ds.label_names, args.dev)
 
     if model_cfg.num_classes != len(train_ds.label_names):
         raise ConfigError(
@@ -119,25 +121,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _remap_labels(ds: Dataset, model: Model, path: str) -> Dataset:
-    """Express a dataset's labels in the checkpoint's class order."""
+def _remap_labels(ds: Dataset, label_names: list[str], path: str) -> Dataset:
+    """Express a dataset's labels in the model's class order, ``label_names``:
+    the checkpoint's for ``eval``, the training data's for ``train --dev``."""
     mapping = {}
     for name in ds.label_names:
-        if name not in model.label_names:
+        if name not in label_names:
             raise ConfigError(
-                f"{path}: label {name!r} is not among the model's classes {model.label_names}"
+                f"{path}: label {name!r} is not among the model's classes {label_names}"
             )
-        mapping[ds.label_names.index(name)] = model.label_names.index(name)
+        mapping[ds.label_names.index(name)] = label_names.index(name)
     remapped = [
         type(ex)(text=ex.text, contexts=ex.contexts, label=mapping[ex.label])
         for ex in ds.examples
     ]
-    return Dataset(examples=remapped, label_names=list(model.label_names))
+    return Dataset(examples=remapped, label_names=list(label_names))
 
 
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.model)
-    ds = _remap_labels(_load_dataset(args.data, "--data"), model, args.data)
+    ds = _remap_labels(_load_dataset(args.data, "--data"), model.label_names, args.data)
     result = evaluate(ds, model)
     print(json.dumps({
         "accuracy": result.accuracy,

@@ -7,13 +7,18 @@ length always equals input length.
 
 Layer functions take the model's flat parameter dict ``p`` and a name prefix
 ``at`` and look their tensors up as ``p[at + name]``; ``model.param_shapes``
-lists every name and shape. The attentive layers take the text and a list
-of context maps and return one result per map, building the text's
-context-free work once. Their ``exclude_self`` is the intra-mode
-``self-mode`` exclude-self: no position attends to itself.
+lists every name and shape. The attentive layers take a packed text map, a
+packed context map and their ``Packing``, and return one feature map over
+the pair positions, building each text's context-free work once. Their
+``exclude_self`` is the intra-mode ``self-mode`` exclude-self: no position
+attends to itself.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import autodiff as ad
 from .attention import apply_attention, attention_weights, match_scores, project_text
@@ -25,9 +30,79 @@ NO_CONV_LAYERS = 4
 Params = dict[str, ad.Node]
 
 
-def vanilla_conv(H: ad.Node, p: Params, at: str) -> ad.Node:
-    """Width-3 convolution with tanh, the attention-free baseline: W1 (d x 3d), b (d)."""
-    return ad.tanh(ad.add_bias(ad.matmul(p[at + "W1"], ad.window3(H)), p[at + "b"]))
+@dataclass(frozen=True)
+class Packing:
+    """Where the examples and their (example, context map) pairs sit on the
+    position axis of packed feature maps.
+
+    The text map holds every example's text side by side (segment starts
+    ``text``). The context map holds every pair's context map, the pairs of
+    one example next to each other (``contexts``); in intra mode it is the
+    text map. Pair positions repeat each example's text positions once per
+    pair (``pairs``); ``spread`` is the text position behind each pair
+    position, or None when every example has one pair. ``blocks`` pairs
+    each pair's positions with its context positions, and ``examples``
+    starts each example's run of pairs. A segment field left None stands
+    for one segment, pooled to a vector: ``Packing()`` is one example with
+    one context map, which runs the per-example ops.
+    """
+
+    text: np.ndarray | None = None
+    contexts: np.ndarray | None = None
+    pairs: np.ndarray | None = None
+    spread: np.ndarray | None = None
+    blocks: ad.Blocks | None = None
+    examples: np.ndarray | None = None
+
+    @property
+    def pool_maps(self) -> bool:
+        """Whether some example has more than one context map to pool over."""
+        return self.spread is not None
+
+    def per_pair(self, H: ad.Node) -> ad.Node:
+        """A text-side d x M map copied out once per pair, d x Q."""
+        return H if self.spread is None else ad.gather(H, self.spread)
+
+
+ONE_PAIR = Packing()
+
+
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+
+
+def pack(text_lengths: list[int], map_lengths: list[list[int]], batched: bool) -> Packing:
+    """The packing of examples with these text lengths and context map lengths.
+
+    ``batched`` keeps a segment axis even for one example, so that pooled
+    results stay one column per example; otherwise one example with at
+    most one map gets ``ONE_PAIR``.
+    """
+    n_maps = [len(lengths) for lengths in map_lengths]
+    n_pairs = sum(n_maps)
+    if not batched and n_pairs <= 1:
+        return ONE_PAIR
+    text = _offsets(text_lengths)
+    if n_pairs == 0:
+        return Packing(text=text[:-1])
+    pair_len = np.repeat(np.asarray(text_lengths, dtype=np.int64), n_maps)
+    pairs = _offsets(pair_len)
+    contexts = _offsets([n for lengths in map_lengths for n in lengths])
+    spread = None
+    if n_pairs > len(text_lengths):
+        spread = (np.repeat(text[:-1], n_maps) - pairs[:-1]).repeat(pair_len) \
+            + np.arange(pairs[-1])
+    return Packing(text=text[:-1] if batched else None, contexts=contexts[:-1],
+                   pairs=pairs[:-1], spread=spread, blocks=ad.Blocks(pairs, contexts),
+                   examples=_offsets(n_maps)[:-1] if batched else None)
+
+
+def vanilla_conv(H: ad.Node, p: Params, at: str, starts=None) -> ad.Node:
+    """Width-3 convolution with tanh, the attention-free baseline: W1 (d x 3d), b (d).
+
+    ``starts`` are the segment starts of a packed map (see ``ad.window3``).
+    """
+    return ad.tanh(ad.add_bias(ad.matmul(p[at + "W1"], ad.window3(H, starts)), p[at + "b"]))
 
 
 def light_attconv(local: ad.Node, Cx: ad.Node, p: Params, at: str) -> ad.Node:
@@ -48,7 +123,7 @@ def light_attconv(local: ad.Node, Cx: ad.Node, p: Params, at: str) -> ad.Node:
     return ad.tanh(ad.add_bias(ad.add(local, contextual), p[at + "b"]))
 
 
-def gated_conv(H: ad.Node, p: Params, at: str) -> ad.Node:
+def gated_conv(H: ad.Node, p: Params, at: str, starts=None) -> ad.Node:
     """Gated convolution: out = g * h_cur + (1 - g) * tanh(W_h window + b_h).
 
     The gate g = sigmoid(W_g window + b_g) decides per component whether to
@@ -57,95 +132,98 @@ def gated_conv(H: ad.Node, p: Params, at: str) -> ad.Node:
     (d x 3d).
     """
     W_h = p[at + "W_h"]
-    win = H if W_h.value.shape[0] == W_h.value.shape[1] else ad.window3(H)
+    win = H if W_h.value.shape[0] == W_h.value.shape[1] else ad.window3(H, starts)
     cand = ad.tanh(ad.add_bias(ad.matmul(W_h, win), p[at + "b_h"]))
     gate = ad.sigmoid(ad.add_bias(ad.matmul(p[at + "W_g"], win), p[at + "b_g"]))
     return ad.gate_mix(gate, H, cand)
 
 
-def mgran(H: ad.Node, p: Params, at: str) -> ad.Node:
+def mgran(H: ad.Node, p: Params, at: str, starts=None) -> ad.Node:
     """Concatenate unigram- and trigram-granularity gated states, 2d x m."""
-    return ad.concat_rows([gated_conv(H, p, at + "uni."), gated_conv(H, p, at + "tri.")])
+    return ad.concat_rows([gated_conv(H, p, at + "uni.", starts),
+                           gated_conv(H, p, at + "tri.", starts)])
 
 
-def attend_and_convolve(Hx: ad.Node, maps: list[ad.Node], p: Params, at: str, method: str,
-                        exclude_self: bool = False,
-                        trace: list[list[ad.Node]] | None = None) -> list[ad.Node]:
-    """Run the light or advanced attentive convolution of Hx against each map.
+def attend_and_convolve(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
+                        pk: Packing = ONE_PAIR, exclude_self: bool = False,
+                        trace: list[ad.Node] | None = None) -> ad.Node:
+    """Run the light or advanced attentive convolution of Hx against Hy.
 
-    Returns one d x m feature map per context map. The text side (the W1
-    term, the text half of the match and, in the advanced form, the source
-    and beneficiary gated states) is built once for all maps. The advanced
-    form, chosen when ``p`` holds a beneficiary gate, gives the source and
-    focus sides their own multi-granular gated convolutions, matches over
-    the resulting 2d states, refines the raw text states with the width-1
-    beneficiary gate, and convolves those against the 2d attentive context.
-    ``exclude_self`` keeps each position of a text that is its own context
-    from attending to itself. ``trace``, when given, gets one list per map
-    of the m x n weights nodes of its attention passes.
+    Returns the d x Q feature map over the pair positions of ``pk``. The
+    text side (the W1 term, the text half of the match and, in the advanced
+    form, the source and beneficiary gated states) is built once per text
+    and copied out per pair. The advanced form, chosen when ``p`` holds a
+    beneficiary gate, gives the source and focus sides their own
+    multi-granular gated convolutions, matches over the resulting 2d
+    states, refines the raw text states with the width-1 beneficiary gate,
+    and convolves those against the 2d attentive context. ``exclude_self``
+    keeps each position of a text that is its own context from attending to
+    itself. ``trace``, when given, gets the weights node of the attention pass.
     """
     advanced = at + "beneficiary.W_h" in p
-    src = mgran(Hx, p, at + "source.") if advanced else Hx
-    text = project_text(src, method, p, at + "match.")
-    bene = gated_conv(Hx, p, at + "beneficiary.") if advanced else Hx
-    local = ad.matmul(p[at + "conv.W1"], ad.window3(bene))
-    fmaps = []
-    for Hy in maps:
-        foc = mgran(Hy, p, at + "focus.") if advanced else Hy
-        weights = attention_weights(match_scores(text, foc, method, p, at + "match."),
-                                    exclude_self)
-        if trace is not None:
-            trace.append([weights])
-        fmaps.append(light_attconv(local, apply_attention(weights, foc), p, at + "conv."))
-    return fmaps
+    src = mgran(Hx, p, at + "source.", pk.text) if advanced else Hx
+    text = project_text(src, method, p, at + "match.", pk.spread)
+    bene = gated_conv(Hx, p, at + "beneficiary.", pk.text) if advanced else Hx
+    local = pk.per_pair(ad.matmul(p[at + "conv.W1"], ad.window3(bene, pk.text)))
+    foc = mgran(Hy, p, at + "focus.", pk.contexts) if advanced else Hy
+    weights = attention_weights(match_scores(text, foc, method, p, at + "match.", pk.blocks),
+                                exclude_self, pk.blocks)
+    if trace is not None:
+        trace.append(weights)
+    return light_attconv(local, apply_attention(weights, foc, pk.blocks), p, at + "conv.")
 
 
-def attentive_pooling(Hx: ad.Node, maps: list[ad.Node], p: Params, at: str) -> list[ad.Node]:
-    """Post-convolution attentive mean pooling of Hx against each context map.
+def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str,
+                      pk: Packing = ONE_PAIR) -> ad.Node:
+    """Post-convolution attentive mean pooling of Hx against Hy.
 
-    Both sentences go through the same width-3 convolution; Hx's is built
-    once for all maps. Each resulting state is scored against all states of
-    the other sentence by dot product; row sums (for x) and column sums (for
-    y) are softmax normalized and used as weighted-mean pooling weights.
-    Attention acts only on pooling here, never on the convolution itself.
-    Returns one 2d vector per map: the pooled x state over the pooled y state.
+    Both sentences go through the same width-3 convolution, each text once.
+    Each resulting state is scored against all states of the other sentence
+    by dot product; row sums (for x) and column sums (for y) are softmax
+    normalized and used as weighted-mean pooling weights. Attention acts
+    only on pooling here, never on the convolution itself. Returns the
+    pooled x state over the pooled y state: a 2d vector, or with
+    ``pk.blocks`` one 2d column per pair.
     """
-    Hx2 = vanilla_conv(Hx, p, at)
-    reps = []
-    for Hy in maps:
-        Hy2 = vanilla_conv(Hy, p, at)
-        E = ad.matmul(ad.transpose(Hx2), Hy2)
+    Hx2 = pk.per_pair(vanilla_conv(Hx, p, at, pk.text))
+    Hy2 = vanilla_conv(Hy, p, at, pk.contexts)
+    E = match_scores(project_text(Hx2, "dot"), Hy2, "dot", blocks=pk.blocks)
+    if pk.blocks is None:
         wx = ad.softmax(ad.row_sums(E))
         wy = ad.softmax(ad.row_sums(ad.transpose(E)))
-        reps.append(ad.concat_vec([ad.matmul(Hx2, wx), ad.matmul(Hy2, wy)]))
-    return reps
+        return ad.concat_vec([ad.matmul(Hx2, wx), ad.matmul(Hy2, wy)])
+    blocks = pk.blocks
+    over_x, over_y = blocks.pooling()
+    wx = ad.masked_softmax_rows(ad.row_sums(E, blocks), blocks=over_x)
+    wy = ad.masked_softmax_rows(ad.row_sums(ad.transpose(E, blocks), blocks.T), blocks=over_y)
+    return ad.concat_rows([ad.block_apply(wx, Hx2, over_x), ad.block_apply(wy, Hy2, over_y)])
 
 
-def no_conv_stack(Hx: ad.Node, maps: list[ad.Node], p: Params, at: str, method: str,
-                  exclude_self: bool = False,
-                  trace: list[list[ad.Node]] | None = None) -> list[ad.Node]:
+def no_conv_stack(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
+                  pk: Packing = ONE_PAIR, exclude_self: bool = False,
+                  trace: list[ad.Node] | None = None) -> ad.Node:
     """Four layers of attend, add, fully-connected transform; no windows.
 
     Each layer ``layer<i>.`` matches the current text states against the
     fixed context states, adds the attentive context to the text state, and
-    applies its own d x d transform W with bias b and tanh. Every layer past
-    the first matches text states that depend on the context, so the stack
-    runs once per map. Returns one d x m feature map per map; ``exclude_self``
-    and ``trace`` are as in ``attend_and_convolve``.
+    applies its own d x d transform W with bias b and tanh. The first
+    layer's text side is built once per text; every later layer matches
+    states that depend on the context, so from there on each pair has its
+    own. Returns the d x Q feature map over the pair positions;
+    ``exclude_self`` is as in ``attend_and_convolve``, and ``trace`` gets
+    the weights node of each layer's pass.
     """
-    fmaps = []
-    for Hy in maps:
-        H = Hx
-        passes = []
-        for i in range(NO_CONV_LAYERS):
-            match = f"{at}layer{i}.match."
-            scores = match_scores(project_text(H, method, p, match), Hy, method, p, match)
-            weights = attention_weights(scores, exclude_self)
-            passes.append(weights)
-            C = apply_attention(weights, Hy)
-            H = ad.tanh(ad.add_bias(ad.matmul(p[f"{at}layer{i}.W"], ad.add(H, C)),
-                                    p[f"{at}layer{i}.b"]))
+    H = Hx
+    for i in range(NO_CONV_LAYERS):
+        match = f"{at}layer{i}.match."
+        spread = pk.spread if i == 0 else None
+        scores = match_scores(project_text(H, method, p, match, spread), Hy, method, p, match,
+                              pk.blocks)
+        weights = attention_weights(scores, exclude_self, pk.blocks)
         if trace is not None:
-            trace.append(passes)
-        fmaps.append(H)
-    return fmaps
+            trace.append(weights)
+        C = apply_attention(weights, Hy, pk.blocks)
+        X = pk.per_pair(H) if i == 0 else H
+        H = ad.tanh(ad.add_bias(ad.matmul(p[f"{at}layer{i}.W"], ad.add(X, C)),
+                                p[f"{at}layer{i}.b"]))
+    return H

@@ -6,8 +6,10 @@ vector, and a logistic regression head produces class probabilities.
 ``param_shapes`` is the one list of a variant's tensors: ``build_model``
 initializes along it, checkpoints store and load along it, and a model
 holds its tensors in one flat dict under those dotted names.
-Training is plain AdaGrad on the averaged cross-entropy of each batch;
-batching itself is a loop over examples, one graph per batch.
+Training is plain AdaGrad on the averaged cross-entropy of each batch,
+built as one graph from one ``forward_ids`` per example. ``forward_batch``
+packs a chunk of examples side by side on the position axis and runs them
+as one graph; ``evaluate`` scores a dataset in such chunks.
 """
 
 from __future__ import annotations
@@ -34,12 +36,16 @@ from .errors import (
     ContractError,
     DivergenceError,
     EmptyContextError,
+    EmptyInputError,
 )
 
 VARIANTS = ("light", "advanced", "vanilla-cnn", "attentive-pooling", "no-conv")
 CONTEXT_MODES = ("intra", "single", "multi-wise", "multi-conc")
 
 _PARAM_STREAM = 1
+# examples per packed forward in ``evaluate``: wide enough for BLAS to pay
+# off, small enough that a chunk's graph stays in cache (see CHANGES.md)
+EVAL_CHUNK = 8
 EMBEDDINGS_KEY = "embeddings"
 
 
@@ -289,67 +295,143 @@ def join_context_ids(ctx_ids: list[list], sep_id) -> list:
     return joined
 
 
+def _distinct(ctx_ids: list[list[int]]) -> list[tuple[int, ...]]:
+    """Each distinct context once, in sorted order: a multi-wise example's maps."""
+    return sorted({tuple(ids) for ids in ctx_ids})
+
+
+def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -> list:
+    """Check one encoded example and list the id sequences of its context maps.
+
+    The maps are the text itself in intra mode, the joined contexts in
+    multi-conc mode and one per context otherwise; multi-wise takes each
+    distinct context once, in sorted order, so that its max over the maps
+    is exactly invariant to context order and repetition. Vanilla-cnn
+    ignores contexts and has no maps. Every malformed example raises here,
+    before any op is built, so a packed chunk fails on its first malformed
+    example just as one forward per example would.
+    """
+    cfg = model.config
+    mode = cfg.context_mode
+    if not text_ids:
+        raise ContractError("forward: empty text")
+    if cfg.variant == "vanilla-cnn":
+        return []
+    if mode == "intra":
+        if ctx_ids:
+            raise ConfigError("intra-context model was given contexts")
+        if (cfg.self_mode == "exclude-self" and cfg.variant != "attentive-pooling"
+                and len(text_ids) < 2):
+            raise EmptyContextError(ad.EXCLUDE_SELF_ALONE)
+        return [text_ids]
+    if mode == "single" and len(ctx_ids) != 1:
+        raise ConfigError(f"single-context model expects exactly 1 context, got {len(ctx_ids)}")
+    if not ctx_ids:
+        raise EmptyContextError(f"{mode} forward needs at least one context")
+    if mode == "multi-conc":
+        sep = model.vocab.index.get(SEP_TOKEN)
+        if sep is None:
+            raise ConfigError(f"multi-conc needs {SEP_TOKEN!r} in the vocabulary")
+        maps = [join_context_ids(ctx_ids, sep)]
+    elif mode == "multi-wise":
+        maps = _distinct(ctx_ids)
+    else:
+        maps = ctx_ids
+    if not all(maps):
+        raise EmptyInputError("forward: empty context")
+    return maps
+
+
+def _packed_forward(model: Model, texts: list[list[int]], maps: list[list[list[int]]],
+                    batched: bool, trace: list[AttentionRecord] | None = None,
+                    ctx_ids: list[list[int]] | None = None) -> ad.Node:
+    """Class probabilities of checked examples (texts and their context maps,
+    from ``_example_maps``) packed side by side: K, or K x B when ``batched``.
+    ``trace`` is for one example, whose contexts are ``ctx_ids``."""
+    cfg, p = model.config, model.params
+    pk = ly.pack([len(t) for t in texts], [[len(ids) for ids in m] for m in maps], batched)
+    Hx = ad.embed(model.embeddings, [i for t in texts for i in t])
+
+    if cfg.variant == "vanilla-cnn":
+        rep = ad.max_over_positions(ly.vanilla_conv(Hx, p, "net.", pk.text), pk.text)
+    else:
+        Hy = Hx if cfg.context_mode == "intra" else ad.embed(
+            model.embeddings, [i for m in maps for ids in m for i in ids])
+        rep = _forward_contextual(model, Hx, Hy, pk, trace, ctx_ids)
+
+    logits = ad.matmul(p["classifier.W"], rep)
+    logits = ad.add(logits, p["classifier.b"]) if logits.value.ndim == 1 \
+        else ad.add_bias(logits, p["classifier.b"])
+    return ad.softmax(logits)
+
+
 def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]],
                 trace: list[AttentionRecord] | None = None) -> ad.Node:
     """Class probabilities for one encoded example; graph stays attached.
 
+    The one-example case of ``forward_batch``: with one context map (intra,
+    single, multi-conc) it runs the per-example ops on unsegmented maps.
     ``trace`` collects every attention pass (light/advanced have one per
     context, the no-conv stack has one per layer per context).
     """
+    maps = _example_maps(model, text_ids, ctx_ids)
+    return _packed_forward(model, [text_ids], [maps], False, trace, ctx_ids)
+
+
+def forward_batch(model: Model, encoded) -> ad.Node:
+    """Class probabilities (K x B) of B encoded examples, one column each.
+
+    ``encoded`` holds (text ids, context ids, ...) tuples, such as the
+    batches of ``make_batches``; labels are ignored. The examples and their
+    context maps are packed side by side on the position axis and run as
+    one graph, so every matmul serves the whole chunk. Each column equals
+    ``forward_ids`` of its example within rounding (wider matmuls sum in
+    another order), and the first malformed example raises what its own
+    forward would.
+    """
+    if not encoded:
+        raise ContractError("forward_batch: no examples")
+    texts = [ex[0] for ex in encoded]
+    maps = [_example_maps(model, ex[0], ex[1]) for ex in encoded]
+    return _packed_forward(model, texts, maps, True)
+
+
+def _forward_contextual(model: Model, Hx: ad.Node, Hy: ad.Node, pk: ly.Packing,
+                        trace: list[AttentionRecord] | None, ctx_ids) -> ad.Node:
+    """Max-pool one sentence vector per pair, then, where an example has
+    several context maps, max-pool its pairs. ``trace`` gets the attention
+    passes of each of the one example's contexts, tagged with its index."""
     cfg = model.config
-    if not text_ids:
-        raise ContractError("forward: empty text")
-    Hx = ad.embed(model.embeddings, text_ids)
-
-    if cfg.variant == "vanilla-cnn":
-        rep = ad.max_over_positions(ly.vanilla_conv(Hx, model.params, "net."))
-    else:
-        rep = _forward_contextual(model, Hx, ctx_ids, trace)
-
-    p = model.params
-    logits = ad.add(ad.matmul(p["classifier.W"], rep), p["classifier.b"])
-    return ad.softmax(logits)
-
-
-def _forward_contextual(model: Model, Hx: ad.Node, ctx_ids: list[list[int]],
-                        trace: list[AttentionRecord] | None) -> ad.Node:
-    """Max-pool one sentence vector per context map: Hx itself in intra mode,
-    the joined contexts in multi-conc mode, one embedded context otherwise.
-    The layer gets every map at once and builds its text side once.
-    ``trace`` gets the attention passes of each map, tagged with its index."""
-    cfg = model.config
-    mode = cfg.context_mode
-    if mode == "intra":
-        if ctx_ids:
-            raise ConfigError("intra-context model was given contexts")
-        maps = [Hx]
-    elif mode == "single" and len(ctx_ids) != 1:
-        raise ConfigError(f"single-context model expects exactly 1 context, got {len(ctx_ids)}")
-    elif not ctx_ids:
-        raise EmptyContextError(f"{mode} forward needs at least one context")
-    elif mode == "multi-conc":
-        sep = model.vocab.index.get(SEP_TOKEN)
-        if sep is None:
-            raise ConfigError(f"multi-conc needs {SEP_TOKEN!r} in the vocabulary")
-        maps = [ad.embed(model.embeddings, join_context_ids(ctx_ids, sep))]
-    else:
-        maps = [ad.embed(model.embeddings, ids) for ids in ctx_ids]
-
-    exclude_self = mode == "intra" and cfg.self_mode == "exclude-self"
-    passes: list[list[ad.Node]] | None = None if trace is None else []
+    exclude_self = cfg.context_mode == "intra" and cfg.self_mode == "exclude-self"
+    passes: list[ad.Node] | None = None if trace is None else []
     if cfg.variant == "attentive-pooling":
-        reps = ly.attentive_pooling(Hx, maps, model.params, "net.")
+        reps = ly.attentive_pooling(Hx, Hy, model.params, "net.", pk)
     else:
         layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
-        fmaps = layer(Hx, maps, model.params, "net.", cfg.match_method, exclude_self, passes)
-        reps = [ad.max_over_positions(fmap) for fmap in fmaps]
+        fmap = layer(Hx, Hy, model.params, "net.", cfg.match_method, pk, exclude_self, passes)
+        reps = ad.max_over_positions(fmap, pk.pairs)
     if trace is not None:
-        trace.extend(AttentionRecord(j, li, weights)
-                     for j, map_passes in enumerate(passes)
-                     for li, weights in enumerate(map_passes))
-    if len(reps) == 1:
-        return reps[0]
-    return ad.max_over_positions(ad.stack_cols(reps))
+        trace.extend(_attention_records(cfg.context_mode, pk, passes, ctx_ids))
+    if pk.pool_maps:
+        reps = ad.max_over_positions(reps, pk.examples)
+    return reps
+
+
+def _attention_records(mode: str, pk: ly.Packing, passes: list[ad.Node],
+                       ctx_ids: list[list[int]]) -> list[AttentionRecord]:
+    """One record per context and attention pass of a one-example forward.
+    A multi-wise context gets the weights block of its map, which repeats
+    of it share; a packed block is copied out as a detached node."""
+    maps = [0]
+    if mode == "multi-wise":
+        order = _distinct(ctx_ids)
+        maps = [order.index(tuple(ids)) for ids in ctx_ids]
+
+    def weights_of(weights: ad.Node, k: int) -> ad.Node:
+        return weights if pk.blocks is None else ad.Node(pk.blocks.block(weights.value, k))
+
+    return [AttentionRecord(j, li, weights_of(weights, k))
+            for j, k in enumerate(maps) for li, weights in enumerate(passes)]
 
 
 def forward(model: Model, example: Example,
@@ -360,8 +442,10 @@ def forward(model: Model, example: Example,
     return forward_ids(model, text_ids, ctx_ids, trace=trace)
 
 
-def cross_entropy(probs: ad.Node, label: int) -> ad.Node:
-    """Negative log probability of the gold class, floored at 1e-12."""
+def cross_entropy(probs: ad.Node, label) -> ad.Node:
+    """Negative log probability of the gold class, floored at 1e-12; for
+    the K x B probabilities of ``forward_batch``, the mean over the columns
+    with one label each."""
     return ad.nll(probs, label)
 
 
@@ -412,18 +496,29 @@ class EvalResult:
 def evaluate(dataset: Dataset, model: Model) -> EvalResult:
     """Accuracy, a gold-by-predicted confusion matrix and the mean loss.
 
-    One forward per example. The loss is the mean of ``cross_entropy`` over
-    the examples, summed in dataset order.
+    The examples run through ``forward_batch`` in consecutive chunks of
+    ``EVAL_CHUNK``, so each probability vector equals the one ``forward``
+    gives within rounding, and the first malformed example raises what its
+    own ``forward`` would. The loss is the mean of ``cross_entropy`` over
+    the examples, summed in dataset order. A label outside the model's
+    classes is a ContractError.
     """
     if len(dataset) == 0:
         raise ContractError("evaluate: empty dataset")
     k = model.config.num_classes
+    for ex in dataset.examples:
+        if not 0 <= ex.label < k:
+            raise ContractError(f"evaluate: label {ex.label} outside the model's {k} classes")
     confusion = np.zeros((k, k), dtype=np.int64)
     total = 0.0
-    for ex in dataset.examples:
-        probs = forward(model, ex)
-        confusion[ex.label, predict(probs.value)] += 1
-        total += cross_entropy(probs, ex.label).value.item()
+    encode = model.vocab.encode
+    for lo in range(0, len(dataset), EVAL_CHUNK):
+        chunk = dataset.examples[lo:lo + EVAL_CHUNK]
+        probs = forward_batch(model, [(encode(ex.text), [encode(c) for c in ex.contexts])
+                                      for ex in chunk])
+        for ex, column in zip(chunk, probs.value.T):
+            confusion[ex.label, predict(column)] += 1
+            total += cross_entropy(ad.Node(column), ex.label).value.item()
     accuracy = float(np.trace(confusion)) / len(dataset)
     return EvalResult(accuracy=accuracy, n=len(dataset), confusion=confusion,
                       loss=total / len(dataset))

@@ -264,7 +264,13 @@ def test_nll_and_mean_of_values():
     with pytest.raises(ContractError):
         ad.nll(v, -1)
     with pytest.raises(DimensionError):
-        ad.nll(ad.Node(np.full((1, 3), 0.5)), 0)
+        ad.nll(ad.Node(np.full((1, 3, 1), 0.5)), 0)
+    columns = ad.Node(np.array([[0.1, 0.6], [0.9, 0.4]]))
+    assert ad.nll(columns, [1, 0]).value.item() == pytest.approx(
+        (-math.log(0.9) - math.log(0.6)) / 2, rel=1e-15)
+    for labels in (0, [1], [1, 2], [-1, 0]):
+        with pytest.raises(ContractError):
+            ad.nll(columns, labels)
     scalars = [ad.Node(np.asarray(x)) for x in (1.0, 2.0, 6.0)]
     assert ad.mean_of(scalars).value.item() == 3.0
 
@@ -302,6 +308,78 @@ def test_nll_matches_the_stepwise_reference_bitwise(seed):
         ad.backward(ad.mean_of([loss, ad.Node(0.0), ad.Node(0.0)]))
         assert loss.value.tobytes() == want_value.tobytes()
         assert probs.grad.tobytes() == want_grad.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# segments and blocks: each segment or block as if it stood alone
+
+
+def test_segmented_window_and_max_equal_each_segment_alone():
+    # comparison: bitwise; a segment's window and max read only its own columns
+    rng = np.random.default_rng(31)
+    h = rng.standard_normal((3, 7))
+    starts = [0, 1, 4]
+    pieces = np.split(h, starts[1:], axis=1)
+    want_win = np.hstack([ad.window3(ad.Node(x)).value for x in pieces])
+    assert np.array_equal(ad.window3(ad.Node(h), starts).value, want_win)
+    want_max = np.stack([ad.max_over_positions(ad.Node(x)).value for x in pieces], axis=1)
+    assert np.array_equal(ad.max_over_positions(ad.Node(h), starts).value, want_max)
+
+
+def test_blocked_ops_equal_each_block_alone():
+    # comparison: bitwise for the per-block products, which run block by
+    # block; 1e-15 for the row softmax, whose row sums run in another order
+    rng = np.random.default_rng(32)
+    blocks = ad.Blocks([0, 2, 5], [0, 3, 4])
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+    scores = ad.block_scores(ad.Node(a), ad.Node(b), blocks).value
+    weights = ad.masked_softmax_rows(ad.Node(scores), blocks=blocks).value
+    applied = ad.block_apply(ad.Node(weights), ad.Node(b), blocks).value
+    p, q, v = rng.standard_normal((3, 5)), rng.standard_normal((3, 4)), rng.standard_normal(3)
+    additive = ad.additive_scores(ad.Node(p), ad.Node(q), ad.Node(v), blocks).value
+    for k, (r0, r1, c0, c1, _, _) in enumerate(blocks.spans()):
+        want = ad.matmul(ad.Node(a[r0:r1]), ad.Node(b[:, c0:c1])).value
+        assert np.array_equal(blocks.block(scores, k), want)
+        want_w = ad.masked_softmax_rows(ad.Node(want)).value
+        assert np.max(np.abs(blocks.block(weights, k) - want_w)) <= 1e-15
+        assert np.array_equal(applied[:, r0:r1], b[:, c0:c1] @ blocks.block(weights, k).T)
+        want_a = ad.additive_scores(ad.Node(p[:, r0:r1]), ad.Node(q[:, c0:c1]), ad.Node(v))
+        assert np.array_equal(blocks.block(additive, k), want_a.value)
+        assert np.array_equal(blocks.T.block(ad.transpose(ad.Node(scores), blocks).value, k),
+                              want.T)
+
+
+def test_block_softmax_exclude_self_zeroes_each_block_diagonal():
+    square = ad.Blocks([0, 3, 5], [0, 3, 5])
+    w = ad.masked_softmax_rows(ad.Node(np.zeros(square.size)), True, square).value
+    for k, half in enumerate((0.5, 1.0)):
+        block = square.block(w, k)
+        assert np.all(np.diag(block) == 0.0)
+        assert np.all(block[~np.eye(len(block), dtype=bool)] == half)
+    with pytest.raises(DimensionError):
+        ad.masked_softmax_rows(ad.Node(np.zeros(BLOCKS.size)), True, BLOCKS)
+    alone = ad.Blocks([0, 3, 4], [0, 3, 4])
+    with pytest.raises(EmptyContextError, match="nothing to attend"):
+        ad.masked_softmax_rows(ad.Node(np.zeros(alone.size)), True, alone)
+
+
+def test_segment_and_block_preconditions():
+    h = ad.Node(np.zeros((2, 4)))
+    for starts in ([], [1], [0, 0], [0, 3, 2], [0, 4]):
+        for op in (ad.window3, ad.max_over_positions):
+            with pytest.raises(ContractError):
+                op(h, starts)
+    for rows, cols in (([0], [0]), ([1, 2], [0, 1]), ([0, 1, 1], [0, 1, 2]), ([0, 1], [0, 1, 2])):
+        with pytest.raises(ContractError):
+            ad.Blocks(rows, cols)
+    with pytest.raises(ContractError):
+        ad.gather(h, [0, 4])
+    with pytest.raises(DimensionError):
+        ad.block_scores(ad.Node(np.zeros((4, 3))), ad.Node(np.zeros((3, 4))), BLOCKS)
+    with pytest.raises(DimensionError):
+        ad.block_apply(ad.Node(np.zeros(BLOCKS.size + 1)), ad.Node(np.zeros((3, 4))), BLOCKS)
+    with pytest.raises(DimensionError):
+        ad.masked_softmax_rows(ad.Node(np.zeros((2, 5))), blocks=BLOCKS)
 
 
 def test_structural_op_preconditions():
@@ -496,6 +574,79 @@ def _case_masked_softmax_rows(rng):
     return [s], lambda: project(ad.masked_softmax_rows(s, exclude_self=True), c)
 
 
+# two pairs: 2 text positions against 3 context positions, then 3 against 1
+BLOCKS = ad.Blocks([0, 2, 5], [0, 3, 4])
+SQUARE = ad.Blocks([0, 2, 5], [0, 2, 5])
+
+
+def _case_window3_segments(rng):
+    a = ad.param(rng.standard_normal((3, 6)))
+    c = rng.standard_normal((9, 6))
+    return [a], lambda: project(ad.window3(a, [0, 2, 3]), c)
+
+
+def _case_max_over_segments(rng):
+    base = rng.permutation(15).reshape(3, 5).astype(float) * 0.4
+    h = ad.param(base + rng.uniform(-0.01, 0.01, (3, 5)))
+    c = rng.standard_normal((3, 2))
+    return [h], lambda: project(ad.max_over_positions(h, [0, 2]), c)
+
+
+def _case_gather(rng):
+    a = ad.param(rng.standard_normal((3, 4)))
+    b = ad.param(rng.standard_normal((4, 3)))
+    c, e = rng.standard_normal((3, 6)), rng.standard_normal((5, 3))
+    return [a, b], lambda: ad.mean_of([project(ad.gather(a, [0, 1, 3, 0, 1, 3]), c),
+                                       project(ad.gather(b, [2, 2, 0, 1, 3], axis=0), e)])
+
+
+def _case_block_scores(rng):
+    a = ad.param(rng.standard_normal((5, 3)))
+    b = ad.param(rng.standard_normal((3, 4)))
+    c = rng.standard_normal(BLOCKS.size)
+    return [a, b], lambda: project(ad.block_scores(a, b, BLOCKS), c)
+
+
+def _case_block_apply(rng):
+    w = ad.param(rng.standard_normal(BLOCKS.size))
+    b = ad.param(rng.standard_normal((3, 4)))
+    c = rng.standard_normal((3, 5))
+    return [w, b], lambda: project(ad.block_apply(w, b, BLOCKS), c)
+
+
+def _case_additive_blocks(rng):
+    p = ad.param(rng.standard_normal((3, 5)))
+    q = ad.param(rng.standard_normal((3, 4)))
+    v = ad.param(rng.standard_normal(3))
+    c = rng.standard_normal(BLOCKS.size)
+    return [p, q, v], lambda: project(ad.additive_scores(p, q, v, BLOCKS), c)
+
+
+def _case_block_softmax_rows(rng):
+    s = ad.param(rng.standard_normal(SQUARE.size))
+    c = rng.standard_normal(SQUARE.size)
+    return [s], lambda: project(ad.masked_softmax_rows(s, exclude_self=True, blocks=SQUARE), c)
+
+
+def _case_block_sums_and_transpose(rng):
+    s = ad.param(rng.standard_normal(BLOCKS.size))
+    c, e = rng.standard_normal(5), rng.standard_normal(4)
+    return [s], lambda: ad.mean_of([
+        project(ad.row_sums(s, BLOCKS), c),
+        project(ad.row_sums(ad.transpose(s, BLOCKS), BLOCKS.T), e)])
+
+
+def _case_softmax_columns(rng):
+    s = ad.param(rng.standard_normal((3, 4)))
+    c = rng.standard_normal((3, 4))
+    return [s], lambda: project(ad.softmax(s), c)
+
+
+def _case_nll_columns(rng):
+    a = ad.param(rng.uniform(0.1, 0.9, (3, 4)))
+    return [a], lambda: ad.nll(a, [2, 0, 2, 1])
+
+
 GRAD_CASES = {
     "matmul": _case_matmul,
     "matmul_vector": _case_matmul_vector,
@@ -518,6 +669,16 @@ GRAD_CASES = {
     "max_over_positions": _case_max_over_positions,
     "softmax": _case_softmax,
     "masked_softmax_rows": _case_masked_softmax_rows,
+    "window3_segments": _case_window3_segments,
+    "max_over_segments": _case_max_over_segments,
+    "gather": _case_gather,
+    "block_scores": _case_block_scores,
+    "block_apply": _case_block_apply,
+    "additive_blocks": _case_additive_blocks,
+    "block_softmax_rows": _case_block_softmax_rows,
+    "block_sums_and_transpose": _case_block_sums_and_transpose,
+    "softmax_columns": _case_softmax_columns,
+    "nll_columns": _case_nll_columns,
 }
 
 

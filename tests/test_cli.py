@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import pytest
 from attconv import cli, errors
 from attconv.checkpoint import MAGIC, save_checkpoint
 from attconv.cli import SEED_ENV, main
-from attconv.data import Vocabulary, gen_context_match, save_jsonl
+from attconv.data import Dataset, Vocabulary, gen_context_match, save_jsonl
 from attconv.model import ModelConfig, TrainConfig, build_model
 
 BASE_CONFIG = {
@@ -156,6 +160,31 @@ def test_train_reruns_are_byte_identical(tmp_path, capsys):
         logs.append(stdout)
     assert outs[0] == outs[1]
     assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("numpy_first", [False, True], ids=["cli", "numpy-imported-first"])
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, numpy_first):
+    # at d=200 a two-thread OpenBLAS splits the W1 gemm differently and
+    # changes its last bits; the package pins one thread whichever of it and
+    # numpy is imported first
+    config = write_config(tmp_path, d=200, epochs=1, **{"batch-size": 50})
+    data = tmp_path / "data.jsonl"
+    save_jsonl(gen_context_match(100, 20, 30, 500, seed=1), str(data))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys\n" + ("import numpy\n" if numpy_first else "")
+            + "from attconv.cli import main\nsys.exit(main(sys.argv[1:]))")
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.ckpt"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", code, "train", "--config", config, "--train", str(data),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):
@@ -403,6 +432,46 @@ def test_train_divergence_exits_4(tmp_path, capsys):
         ])
     assert code == 4
     assert "numeric error" in err
+
+
+def _labelled_files(tmp_path):
+    """A training file whose first label is ``pos`` and a dev file, the same
+    records in another order, whose first label is ``neg``."""
+    ds = gen_context_match(40, 5, 4, 15, seed=9)
+    first_pos = sorted(ds.examples, key=lambda ex: ex.label)
+    paths = []
+    for name, examples in (("train.jsonl", first_pos), ("dev.jsonl", first_pos[::-1])):
+        save_jsonl(Dataset(examples=examples, label_names=["pos", "neg"]), str(tmp_path / name))
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+def test_train_dev_records_score_labels_in_the_training_order(tmp_path, capsys):
+    train_path, dev_path = _labelled_files(tmp_path)
+    config = write_config(tmp_path, epochs=8)
+    out = str(tmp_path / "model.ckpt")
+    code, stdout, _ = run(capsys, ["train", "--config", config, "--train", train_path,
+                                   "--dev", dev_path, "--out", out])
+    assert code == 0
+    dev = [json.loads(line) for line in stdout.splitlines()][-1]
+    assert dev["split"] == "dev"
+    code, stdout, _ = run(capsys, ["eval", "--model", out, "--data", dev_path])
+    assert code == 0
+    evaluated = json.loads(stdout)
+    assert evaluated["accuracy"] > 0.5
+    assert (dev["accuracy"], dev["loss"]) == (evaluated["accuracy"], evaluated["loss"])
+
+
+def test_train_dev_label_unseen_in_training_exits_2(tmp_path, capsys):
+    train_path, dev_path = _labelled_files(tmp_path)
+    with open(dev_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"label": "maybe", "text": "q0", "contexts": ["c0"]}) + "\n")
+    out = tmp_path / "model.ckpt"
+    code, _, err = run(capsys, ["train", "--config", write_config(tmp_path), "--train",
+                                train_path, "--dev", dev_path, "--out", str(out)])
+    assert code == 2
+    assert "maybe" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -222,13 +222,13 @@ def test_attend_and_convolve_light_equals_manual_composition():
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 6)))
     trace = []
-    [got] = ly.attend_and_convolve(Hx, [Hy], params, "net.", "dot", trace=trace)
+    got = ly.attend_and_convolve(Hx, Hy, params, "net.", "dot", trace=trace)
 
     Cx = apply_attention(attention_weights(match_scores(project_text(Hx, "dot"), Hy, "dot")), Hy)
     want = light(Hx, Cx, params, "net.conv.").value
     assert np.array_equal(got.value, want)
-    assert len(trace) == 1 and len(trace[0]) == 1
-    assert trace[0][0].value.shape == (5, 6)
+    assert len(trace) == 1
+    assert trace[0].value.shape == (5, 6)
 
 
 def test_attend_and_convolve_advanced_shapes_and_trace():
@@ -236,10 +236,10 @@ def test_attend_and_convolve_advanced_shapes_and_trace():
     params = _net_params("advanced", 3, "dot", rng)
     Hx = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    [out] = ly.attend_and_convolve(Hx, [Hx], params, "net.", "dot", trace=trace)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", trace=trace)
     assert out.value.shape == (3, 5)
     # matching runs over the multi-granular states, one row/column per position
-    assert trace[0][0].value.shape == (5, 5)
+    assert trace[0].value.shape == (5, 5)
 
 
 def test_attend_and_convolve_rejects_unknown_bundles():
@@ -248,7 +248,7 @@ def test_attend_and_convolve_rejects_unknown_bundles():
     params = _net_params("vanilla-cnn", 2, "dot", rng)
     H = ad.Node(np.zeros((2, 2)))
     with pytest.raises(KeyError, match="net.conv.W1"):
-        ly.attend_and_convolve(H, [H], params, "net.", "dot")
+        ly.attend_and_convolve(H, H, params, "net.", "dot")
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +261,8 @@ def test_intra_attconv_single_position_attends_to_itself():
     h = rng.standard_normal((3, 1))
     trace = []
     Hx = ad.Node(h)
-    [out] = ly.attend_and_convolve(Hx, [Hx], params, "net.", "dot", trace=trace)
-    assert np.array_equal(trace[0][0].value, np.array([[1.0]]))
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", trace=trace)
+    assert np.array_equal(trace[0].value, np.array([[1.0]]))
     # with weight 1.0 the attentive context is the position's own state
     want = light(ad.Node(h), ad.Node(h), params, "net.conv.").value
     assert np.array_equal(out.value, want)
@@ -273,8 +273,8 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     params = _net_params("light", 3, "dot", rng)
     H = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    ly.attend_and_convolve(H, [H], params, "net.", "dot", exclude_self=True, trace=trace)
-    w = trace[0][0].value
+    ly.attend_and_convolve(H, H, params, "net.", "dot", exclude_self=True, trace=trace)
+    w = trace[0].value
     assert np.all(np.diag(w) == 0.0)
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -285,7 +285,7 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
 
 def pool_pair(Hx, Hy, params):
     """The pooled x and y states of ``attentive_pooling`` on one context map."""
-    [rep] = ly.attentive_pooling(Hx, [Hy], params, "")
+    rep = ly.attentive_pooling(Hx, Hy, params, "")
     d = Hx.value.shape[0]
     return rep.value[:d], rep.value[d:]
 
@@ -343,14 +343,14 @@ def test_no_conv_stack_zero_context_reduces_to_mlp():
     Hx = ad.Node(rng.standard_normal((3, 4)))
     Hy = ad.Node(np.zeros((3, 2)))
     trace = []
-    [out] = ly.no_conv_stack(Hx, [Hy], params, "net.", "dot", trace=trace)
+    out = ly.no_conv_stack(Hx, Hy, params, "net.", "dot", trace=trace)
     got = out.value
     want = Hx.value
     for i in range(ly.NO_CONV_LAYERS):
         want = np.tanh(params[f"net.layer{i}.W"].value @ want
                        + params[f"net.layer{i}.b"].value[:, None])
     assert np.allclose(got, want, atol=1e-15)
-    assert len(trace) == 1 and len(trace[0]) == 4
+    assert len(trace) == 4
     assert got.shape == (3, 4)
 
 
@@ -387,5 +387,5 @@ def test_advanced_bilinear_matching_runs_at_doubled_width():
     assert params["net.match.W_e"].value.shape == (2 * d, 2 * d)
     Hx = ad.Node(rng.standard_normal((d, 4)))
     trace = []
-    [out] = ly.attend_and_convolve(Hx, [Hx], params, "net.", "bilinear", trace=trace)
-    assert out.value.shape == (d, 4) and trace[0][0].value.shape == (4, 4)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "bilinear", trace=trace)
+    assert out.value.shape == (d, 4) and trace[0].value.shape == (4, 4)

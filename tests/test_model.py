@@ -16,6 +16,7 @@ from attconv.errors import (
     EmptyInputError,
 )
 from attconv.model import (
+    EVAL_CHUNK,
     AdaGradState,
     ModelConfig,
     TrainConfig,
@@ -25,6 +26,7 @@ from attconv.model import (
     cross_entropy,
     evaluate,
     forward,
+    forward_batch,
     forward_ids,
     join_context_ids,
     param_shapes,
@@ -521,21 +523,62 @@ def test_train_aborts_on_non_finite_loss():
             train(model, data, TrainConfig(epochs=1, batch_size=8))
 
 
-@pytest.mark.parametrize("mode, contexts, error", [
-    ("multi-wise", [["t1"], []], EmptyInputError),
-    ("intra", [[]], ConfigError),
-])
-def test_train_and_evaluate_encode_contexts_alike(mode, contexts, error):
-    # an empty context is an error in training exactly when it is one in evaluation
-    model = build_model(small_config(context_mode=mode), VOCAB, LABELS)
-    data = Dataset(examples=[Example(text=["t2", "t3"], contexts=contexts, label=0)],
-                   label_names=LABELS)
+def _valid_example(mode):
+    contexts = {"intra": [], "single": [["t4", "t5"]]}.get(mode, [["t4"], ["t5", "t6"]])
+    return Example(text=["t2", "t3"], contexts=contexts, label=1)
+
+
+NO_SEPARATOR = make_vocab([f"t{i}" for i in range(10)])
+
+
+@pytest.mark.parametrize("overrides, vocab, bad, error", [
+    ({"context_mode": "multi-wise"}, VOCAB, Example(["t2", "t3"], [["t1"], []], 0),
+     EmptyInputError),
+    ({"context_mode": "intra"}, VOCAB, Example(["t2", "t3"], [[]], 0), ConfigError),
+    ({"context_mode": "intra"}, VOCAB, Example([], [], 0), ContractError),
+    ({"context_mode": "single"}, VOCAB, Example(["t2"], [["t1"], ["t3"]], 0), ConfigError),
+    ({"context_mode": "multi-wise"}, VOCAB, Example(["t2"], [], 0), EmptyContextError),
+    ({"context_mode": "multi-conc"}, NO_SEPARATOR, Example(["t2"], [["t1"]], 0), ConfigError),
+    ({"context_mode": "single"}, VOCAB, Example(["t2"], [[]], 0), EmptyInputError),
+] + [({"context_mode": "intra", "self_mode": "exclude-self", "variant": variant}, VOCAB,
+      Example(["t2"], [], 0), EmptyContextError) for variant in ("light", "advanced", "no-conv")])
+@pytest.mark.parametrize("where", [0, EVAL_CHUNK // 2, EVAL_CHUNK - 1],
+                         ids=["first", "middle", "last"])
+def test_train_and_evaluate_encode_contexts_alike(overrides, vocab, bad, error, where):
+    # a malformed example raises the same error in training, in evaluation
+    # (wherever it sits in a chunk) and in its own forward
+    model = build_model(small_config(**overrides), vocab, LABELS)
+    examples = [_valid_example(model.config.context_mode) for _ in range(EVAL_CHUNK + 2)]
+    examples[where] = bad
+    data = Dataset(examples=examples, label_names=LABELS)
     raised = []
-    for run in (lambda: evaluate(data, model), lambda: train(model, data, TrainConfig(epochs=1))):
+    for run in (lambda: forward(model, bad), lambda: evaluate(data, model),
+                lambda: train(model, data, TrainConfig(epochs=1))):
         with pytest.raises(AttconvError) as err:
             run()
-        raised.append(type(err.value))
-    assert raised == [error, error]
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0][0] is error
+    assert raised == [raised[0]] * 3
+
+
+def test_evaluate_raises_for_the_first_malformed_example_of_a_chunk():
+    # the one-token text fails only at the attention softmax when run alone,
+    # the empty text before any op; evaluate reports the one that comes first
+    model = build_model(small_config(context_mode="intra", self_mode="exclude-self"),
+                        VOCAB, LABELS)
+    one_token = Example(text=["t2"], contexts=[], label=0)
+    examples = [_valid_example("intra"), one_token, Example(text=[], contexts=[], label=0)]
+    with pytest.raises(EmptyContextError, match="nothing to attend"):
+        evaluate(Dataset(examples=examples, label_names=LABELS), model)
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_evaluate_rejects_a_label_outside_the_classes(label):
+    model = build_model(small_config(context_mode="intra"), VOCAB, LABELS)
+    data = Dataset(examples=[_valid_example("intra"), Example(["t2", "t3"], [], label)],
+                   label_names=LABELS)
+    with pytest.raises(ContractError, match="label"):
+        evaluate(data, model)
 
 
 def test_train_rejects_empty_dataset():
@@ -576,13 +619,31 @@ def test_evaluate_accuracy_matches_confusion_recomputation():
     assert conf.sum() == result.n == 60
 
 
-def test_evaluate_loss_is_the_mean_cross_entropy_bitwise():
-    data = gen_context_match(30, 5, 5, 15, seed=6)
+def test_evaluate_loss_is_the_mean_cross_entropy():
+    # comparison: within 1e-12 of the per-example forward's mean loss, with
+    # identical predictions, since packed matmuls sum in another order; and
+    # bitwise the mean of the packed columns' losses, summed in dataset order
+    data = gen_context_match(3 * EVAL_CHUNK + 2, 5, 5, 15, seed=6)
     model = build_model(small_config(d=4), make_vocab(
         sorted({t for ex in data for t in ex.text + ex.contexts[0]})), LABELS)
-    want = sum(cross_entropy(forward(model, ex), ex.label).value.item()
-               for ex in data.examples) / len(data)
-    assert evaluate(data, model).loss == want
+    result = evaluate(data, model)
+    per_example = [forward(model, ex).value for ex in data.examples]
+    want = sum(cross_entropy(ad.Node(p), ex.label).value.item()
+               for ex, p in zip(data.examples, per_example)) / len(data)
+    assert abs(result.loss - want) <= 1e-12
+    confusion = np.zeros((2, 2), dtype=np.int64)
+    for ex, p in zip(data.examples, per_example):
+        confusion[ex.label, predict(p)] += 1
+    assert np.array_equal(result.confusion, confusion)
+    encode = model.vocab.encode
+    total = 0.0
+    for lo in range(0, len(data), EVAL_CHUNK):
+        chunk = data.examples[lo:lo + EVAL_CHUNK]
+        probs = forward_batch(model, [(encode(ex.text), [encode(c) for c in ex.contexts])
+                                      for ex in chunk]).value
+        for ex, column in zip(chunk, probs.T):
+            total += cross_entropy(ad.Node(column), ex.label).value.item()
+    assert result.loss == total / len(data)
 
 
 def test_evaluate_preconditions():
