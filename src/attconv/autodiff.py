@@ -548,28 +548,6 @@ def row_sums(a: Node, blocks: Blocks | None = None) -> Node:
     return out
 
 
-def mean_of(nodes: list[Node]) -> Node:
-    """Average a list of scalar nodes."""
-    if not nodes:
-        raise ContractError("mean_of: need at least one input")
-    for n in nodes:
-        if n.value.size != 1:
-            raise ContractError("mean_of: inputs must be scalars")
-    k = len(nodes)
-    total = 0.0
-    for n in nodes:
-        total += n.value.item()
-    out = Node(np.asarray(total / k), "mean_of", tuple(nodes))
-
-    def _bw(g):
-        share = g / k
-        for n in nodes:
-            _accum(n, np.broadcast_to(share, n.value.shape))
-
-    out._backward = _bw
-    return out
-
-
 def nll(probs: Node, label) -> Node:
     """Negative log of one entry of a 1-d probability vector, floored at 1e-12.
 

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from .data import Vocabulary
+from .data import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from .errors import ConfigError, FormatError
 from .model import Model, ModelConfig, TrainConfig, check_labels, param_shapes
 
@@ -71,6 +71,10 @@ def _check_layout(path: str, manifest: dict, blob_size: int) -> None:
         if not isinstance(manifest[key], list) or not all(
                 isinstance(t, str) for t in manifest[key]):
             raise FormatError(f"{path}: manifest {key} must be a list of strings")
+    vocab = manifest["vocab"]
+    if vocab[:2] != [PAD_TOKEN, UNK_TOKEN] or len(set(vocab)) != len(vocab):
+        raise FormatError(f"{path}: manifest vocab must begin with {PAD_TOKEN} and "
+                          f"{UNK_TOKEN} and hold each token once")
     for name, entry in manifest["tensors"].items():
         if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
                 and all(_is_count(n) for n in entry["shape"]) and _is_count(entry.get("offset"))):

@@ -62,14 +62,13 @@ class Vocabulary:
         return got
 
     def encode(self, tokens: list[str]) -> list[int]:
-        """Map tokens to ids; unknown tokens and reserved forms become UNK."""
-        out = []
-        for t in tokens:
-            if t in (PAD_TOKEN, UNK_TOKEN):
-                out.append(UNK_ID)
-            else:
-                out.append(self.index.get(t, UNK_ID))
-        return out
+        """Map tokens to ids; unknown tokens and reserved forms become UNK.
+
+        One lookup per token: ``<unk>`` is UNK already, and ``<pad>`` holds
+        the one falsy id, PAD's 0, which ``or`` turns into UNK.
+        """
+        get = self.index.get
+        return [get(t, UNK_ID) or UNK_ID for t in tokens]
 
     def copy(self) -> "Vocabulary":
         return Vocabulary(tokens=list(self.tokens), index=dict(self.index))

@@ -6,10 +6,10 @@ vector, and a logistic regression head produces class probabilities.
 ``param_shapes`` is the one list of a variant's tensors: ``build_model``
 initializes along it, checkpoints store and load along it, and a model
 holds its tensors in one flat dict under those dotted names.
-Training is plain AdaGrad on the averaged cross-entropy of each batch,
-built as one graph from one ``forward_ids`` per example. ``forward_batch``
-packs a chunk of examples side by side on the position axis and runs them
-as one graph; ``evaluate`` scores a dataset in such chunks.
+``forward_batch`` packs examples side by side on the position axis and
+runs them as one graph. Training is plain AdaGrad on the averaged
+cross-entropy of each batch, one packed graph per batch; ``evaluate``
+scores a dataset in packed chunks of ``EVAL_CHUNK``.
 """
 
 from __future__ import annotations
@@ -382,7 +382,8 @@ def forward_batch(model: Model, encoded) -> ad.Node:
     """Class probabilities (K x B) of B encoded examples, one column each.
 
     ``encoded`` holds (text ids, context ids, ...) tuples, such as the
-    batches of ``make_batches``; labels are ignored. The examples and their
+    batches of ``make_batches``; labels are ignored. ``train`` runs each
+    batch through it, ``evaluate`` each chunk. The examples and their
     context maps are packed side by side on the position axis and run as
     one graph, so every matmul serves the whole chunk. Each column equals
     ``forward_ids`` of its example within rounding (wider matmuls sum in
@@ -493,6 +494,16 @@ class EvalResult:
     loss: float  # mean cross-entropy
 
 
+def _check_dataset(dataset: Dataset, model: Model, caller: str) -> None:
+    """Reject an empty dataset or a label outside the model's classes."""
+    if len(dataset) == 0:
+        raise ContractError(f"{caller}: empty dataset")
+    k = model.config.num_classes
+    for ex in dataset.examples:
+        if not 0 <= ex.label < k:
+            raise ContractError(f"{caller}: label {ex.label} outside the model's {k} classes")
+
+
 def evaluate(dataset: Dataset, model: Model) -> EvalResult:
     """Accuracy, a gold-by-predicted confusion matrix and the mean loss.
 
@@ -503,12 +514,8 @@ def evaluate(dataset: Dataset, model: Model) -> EvalResult:
     the examples, summed in dataset order. A label outside the model's
     classes is a ContractError.
     """
-    if len(dataset) == 0:
-        raise ContractError("evaluate: empty dataset")
+    _check_dataset(dataset, model, "evaluate")
     k = model.config.num_classes
-    for ex in dataset.examples:
-        if not 0 <= ex.label < k:
-            raise ContractError(f"evaluate: label {ex.label} outside the model's {k} classes")
     confusion = np.zeros((k, k), dtype=np.int64)
     total = 0.0
     encode = model.vocab.encode
@@ -531,13 +538,18 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
 
     Each epoch reshuffles under a seed derived from the model seed and the
     epoch index, so reruns with equal configs produce identical loss
-    trajectories. Train accuracy is the running accuracy of the forward
-    passes made during the epoch; dev metrics come from a full evaluation
-    every ``eval_every`` epochs. A non-finite loss aborts with diagnostics.
+    trajectories. Each batch runs as one ``forward_batch`` graph, whose
+    columns equal the per-example forwards within rounding. Train accuracy
+    is the running accuracy of those columns during the epoch; dev metrics
+    come from a full evaluation every ``eval_every`` epochs. A label outside
+    the model's classes, in the training or the dev data, is a
+    ContractError before any update. A non-finite loss aborts with
+    diagnostics.
     """
     train_config.validate()
-    if len(train_data) == 0:
-        raise ContractError("train: empty dataset")
+    _check_dataset(train_data, model, "train")
+    if dev_data is not None:
+        _check_dataset(dev_data, model, "evaluate")
     state = AdaGradState.for_params(model.params)
     metrics: list[dict] = []
 
@@ -553,16 +565,12 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
         )
         loss_sum = 0.0
         correct = 0
-        seen = 0
         for bi, batch in enumerate(batches):
-            losses = []
-            for text_ids, ctx_ids, label in batch:
-                probs = forward_ids(model, text_ids, ctx_ids)
-                if predict(probs.value) == label:
-                    correct += 1
-                losses.append(cross_entropy(probs, label))
-            seen += len(batch)
-            loss = ad.mean_of(losses)
+            labels = [label for _, _, label in batch]
+            probs = forward_batch(model, batch)
+            correct += sum(predict(column) == label
+                           for column, label in zip(probs.value.T, labels))
+            loss = cross_entropy(probs, labels)
             if not np.isfinite(loss.value):
                 raise DivergenceError(
                     f"non-finite loss {loss.value!r} at epoch {epoch}, batch {bi}"
@@ -582,8 +590,8 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
         record({
             "epoch": epoch,
             "split": "train",
-            "loss": loss_sum / seen,
-            "accuracy": correct / seen,
+            "loss": loss_sum / len(train_data),
+            "accuracy": correct / len(train_data),
         })
         if dev_data is not None and epoch % train_config.eval_every == 0:
             dev = evaluate(dev_data, model)

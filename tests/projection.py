@@ -1,8 +1,8 @@
 """A scalar reduction for building test losses out of the engine's ops.
 
-The library's only losses are ``nll`` and ``mean_of``. Gradient tests of the
-other ops need a scalar of any-shaped output, so they project it onto fixed
-coefficients here.
+The library's only loss is ``nll``, over one probability vector or the mean
+over K x B columns. Gradient tests of the other ops need a scalar of
+any-shaped output, so they project it onto fixed coefficients here.
 """
 
 import numpy as np

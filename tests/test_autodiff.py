@@ -256,7 +256,7 @@ def test_masked_softmax_rows_exclude_self_matches_the_submatrix_softmax():
         assert np.array_equal(np.delete(w[i], i), ad.softmax(ad.Node(rest)).value)
 
 
-def test_nll_and_mean_of_values():
+def test_nll_values():
     v = ad.Node(np.array([0.1, 0.7, 0.2]))
     assert ad.nll(v, 1).value.item() == pytest.approx(-math.log(0.7), rel=1e-15)
     with pytest.raises(ContractError):
@@ -271,8 +271,13 @@ def test_nll_and_mean_of_values():
     for labels in (0, [1], [1, 2], [-1, 0]):
         with pytest.raises(ContractError):
             ad.nll(columns, labels)
-    scalars = [ad.Node(np.asarray(x)) for x in (1.0, 2.0, 6.0)]
-    assert ad.mean_of(scalars).value.item() == 3.0
+    # the K x B loss is the mean of the columns' 1-d losses, summed in column order
+    three = np.array([[0.1, 0.5, 0.25], [0.7, 0.5, 0.75], [0.2, 0.0, 0.0]])
+    labels = [1, 0, 2]
+    total = 0.0
+    for b, label in enumerate(labels):
+        total += ad.nll(ad.Node(three[:, b]), label).value.item()
+    assert ad.nll(ad.Node(three), labels).value.item() == total / 3
 
 
 def test_nll_at_the_floor_has_a_fixed_value_and_zero_gradient():
@@ -288,7 +293,7 @@ def test_nll_matches_the_stepwise_reference_bitwise(seed):
     # reference: the loss as four elementary steps (select the entry, floor
     # it at 1e-12, take the log, negate), each backward step accumulated into
     # a zero gradient as the engine does, under the upstream gradient 1/3
-    # that mean_of hands each of 3 losses
+    # that the mean of 3 losses hands each of them
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(5))
     p[3] = 1e-13  # one entry under the floor
@@ -305,7 +310,7 @@ def test_nll_matches_the_stepwise_reference_bitwise(seed):
 
         probs = ad.param(p.copy())
         loss = ad.nll(probs, label)
-        ad.backward(ad.mean_of([loss, ad.Node(0.0), ad.Node(0.0)]))
+        ad.backward(project(loss, 1 / 3))
         assert loss.value.tobytes() == want_value.tobytes()
         assert probs.grad.tobytes() == want_grad.tobytes()
 
@@ -541,8 +546,10 @@ def _case_nll(rng):
 
 
 def _case_nll_mean(rng):
+    # three columns of one vector, one label repeated: the K x B mean sums
+    # all three losses' gradients into it
     a = ad.param(rng.uniform(0.1, 0.9, 4))
-    return [a], lambda: ad.mean_of([ad.nll(a, 0), ad.nll(a, 2), ad.nll(a, 2)])
+    return [a], lambda: ad.nll(ad.stack_cols([a, a, a]), [0, 2, 2])
 
 
 def _case_embed(rng):
@@ -596,8 +603,8 @@ def _case_gather(rng):
     a = ad.param(rng.standard_normal((3, 4)))
     b = ad.param(rng.standard_normal((4, 3)))
     c, e = rng.standard_normal((3, 6)), rng.standard_normal((5, 3))
-    return [a, b], lambda: ad.mean_of([project(ad.gather(a, [0, 1, 3, 0, 1, 3]), c),
-                                       project(ad.gather(b, [2, 2, 0, 1, 3], axis=0), e)])
+    return [a, b], lambda: ad.add(project(ad.gather(a, [0, 1, 3, 0, 1, 3]), c),
+                                  project(ad.gather(b, [2, 2, 0, 1, 3], axis=0), e))
 
 
 def _case_block_scores(rng):
@@ -631,9 +638,9 @@ def _case_block_softmax_rows(rng):
 def _case_block_sums_and_transpose(rng):
     s = ad.param(rng.standard_normal(BLOCKS.size))
     c, e = rng.standard_normal(5), rng.standard_normal(4)
-    return [s], lambda: ad.mean_of([
+    return [s], lambda: ad.add(
         project(ad.row_sums(s, BLOCKS), c),
-        project(ad.row_sums(ad.transpose(s, BLOCKS), BLOCKS.T), e)])
+        project(ad.row_sums(ad.transpose(s, BLOCKS), BLOCKS.T), e))
 
 
 def _case_softmax_columns(rng):

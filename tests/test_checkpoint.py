@@ -157,6 +157,21 @@ def test_missing_tensor_entry_is_detected(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda vocab: vocab.reverse(),  # <pad> and <unk> no longer first
+    lambda vocab: vocab.pop(1),  # no <unk>
+    lambda vocab: vocab.append(vocab[2]),  # a token listed twice
+], ids=["reordered", "no-unk", "duplicate"])
+def test_vocab_must_begin_with_the_reserved_tokens_and_list_each_once(tmp_path, edit):
+    # encoding relies on <pad> holding id 0, <unk> id 1 and no other token either
+    model, tcfg, _ = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+    path.write_bytes(_rewrite_manifest(path.read_bytes(), lambda m: edit(m["vocab"])))
+    with pytest.raises(FormatError, match="vocab"):
+        load_checkpoint(str(path))
+
+
 def test_shape_mismatch_names_the_tensor(tmp_path):
     model, tcfg, _ = trained_model()
     path = tmp_path / "m.ckpt"

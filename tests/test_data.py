@@ -9,6 +9,7 @@ from attconv import autodiff as ad
 from attconv.data import (
     PAD_ID,
     PAD_TOKEN,
+    SEP_TOKEN,
     UNK_ID,
     UNK_TOKEN,
     Example,
@@ -56,6 +57,33 @@ def test_vocabulary_never_adds_reserved_surface_forms():
     assert v.add(UNK_TOKEN) == UNK_ID
     assert len(v) == 2
     assert v.encode([PAD_TOKEN, UNK_TOKEN, "zzz"]) == [UNK_ID, UNK_ID, UNK_ID]
+
+
+def _oracle_encode(vocab, tokens):
+    """The two-test encoding loop: reserved forms first, then the index."""
+    out = []
+    for t in tokens:
+        if t in (PAD_TOKEN, UNK_TOKEN):
+            out.append(UNK_ID)
+        else:
+            out.append(vocab.index.get(t, UNK_ID))
+    return out
+
+
+@pytest.mark.parametrize("with_separator", [True, False])
+def test_encode_equals_the_oracle_loop(with_separator):
+    # comparison: equal id lists, over known, unknown, reserved and separator forms
+    v = Vocabulary()
+    for t in ["a", "b", "c"] + ([SEP_TOKEN] if with_separator else []):
+        v.add(t)
+    forms = ["a", "b", "c", "zzz", "A", "", PAD_TOKEN, UNK_TOKEN, SEP_TOKEN]
+    rng = np.random.default_rng(5)
+    for vocab in (v, v.copy(), Vocabulary(tokens=list(v.tokens))):
+        assert vocab.encode([]) == []
+        for _ in range(50):
+            picks = rng.integers(len(forms), size=int(rng.integers(1, 9)))
+            tokens = [forms[int(i)] for i in picks]
+            assert vocab.encode(tokens) == _oracle_encode(vocab, tokens), tokens
 
 
 def test_vocabulary_copy_is_independent():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from attconv import autodiff as ad
-from attconv.data import Dataset, Example, Vocabulary, gen_context_match
+from attconv.data import Dataset, Example, Vocabulary, gen_context_match, make_batches
 from attconv.errors import (
     AttconvError,
     ConfigError,
@@ -579,6 +579,27 @@ def test_evaluate_rejects_a_label_outside_the_classes(label):
                    label_names=LABELS)
     with pytest.raises(ContractError, match="label"):
         evaluate(data, model)
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+@pytest.mark.parametrize("label", [-1, 2])
+def test_train_rejects_a_bad_label_before_any_update(split, label):
+    # the bad label sits in the last batch of the first epoch, or in the dev
+    # data that is scored after it; either way no parameter moves
+    data = separable_dataset(12)
+    model = _toy_model(data)
+    tcfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=5)
+    last = make_batches(data.examples, tcfg.batch_size, [model.config.seed, 2, 1],
+                        model.vocab)[-1][-1]
+    bad = Dataset(examples=list(data.examples), label_names=data.label_names)
+    at = next(i for i, ex in enumerate(bad.examples) if model.vocab.encode(ex.text) == last[0])
+    bad.examples[at] = Example(bad.examples[at].text, [], label)
+    before = {name: node.value.copy() for name, node in model.params.items()}
+    train_data, dev_data = (bad, data) if split == "train" else (data, bad)
+    with pytest.raises(ContractError, match="label"):
+        train(model, train_data, tcfg, dev_data=dev_data)
+    for name, node in model.params.items():
+        assert node.value.tobytes() == before[name].tobytes(), name
 
 
 def test_train_rejects_empty_dataset():

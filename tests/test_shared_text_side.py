@@ -7,8 +7,10 @@ runs that very arithmetic and must give bitwise-equal probabilities and
 attention traces. A multi-wise forward packs its context maps side by side,
 so its wider matmuls sum in another order: it is compared within
 FORWARD_TOLERANCE, with identical predictions. Training is compared with a
-tolerance too: a node shared by several contexts also sums their gradients
-before its one backward, where the oracle sums them at the parameter.
+tolerance too: ``train`` packs each batch into one graph, and a node shared
+by several contexts also sums their gradients before its one backward,
+where the oracle, the per-example loop of ``oracle_train`` on the
+per-context forward, sums them at the parameter.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ import pytest
 
 from attconv import autodiff as ad
 from attconv import layers as ly
-from attconv import model as model_module
 from attconv.attention import MATCH_METHODS
 from attconv.data import SEP_TOKEN, Dataset, Example, Vocabulary
 from attconv.model import (
@@ -30,6 +31,7 @@ from attconv.model import (
     predict,
     train,
 )
+from oracle_train import oracle_train
 
 VOCAB = Vocabulary()
 for _tok in [f"t{i}" for i in range(12)] + [SEP_TOKEN]:
@@ -146,7 +148,7 @@ def _multiwise_data(seed, n=20):
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
 @pytest.mark.parametrize("variant", CONTEXTUAL)
-def test_multiwise_training_stays_within_tolerance_of_the_oracle(variant, method, monkeypatch):
+def test_multiwise_training_stays_within_tolerance_of_the_oracle(variant, method):
     # comparison: parameters within TRAIN_TOLERANCE of each tensor's largest
     # entry, and identical predictions (equal confusion matrices)
     data = _multiwise_data(5)
@@ -156,9 +158,7 @@ def test_multiwise_training_stays_within_tolerance_of_the_oracle(variant, method
     shared = build_model(cfg, VOCAB, LABELS)
     train(shared, data, tcfg)
     oracle = build_model(cfg, VOCAB, LABELS)
-    with monkeypatch.context() as patch:
-        patch.setattr(model_module, "forward_ids", oracle_forward_ids)
-        train(oracle, data, tcfg)
+    oracle_train(oracle, data, tcfg, forward=oracle_forward_ids)
     for name, node in shared.params.items():
         want = oracle.params[name].value
         scale = max(float(np.max(np.abs(want))), 1e-300)
