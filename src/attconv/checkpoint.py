@@ -2,17 +2,20 @@
 
 Layout: the 8-byte magic ``ATTCONV1``, an 8-byte little-endian manifest
 length, the UTF-8 JSON manifest, then one little-endian float64 blob per
-tensor in manifest order. The manifest records the format version, both
-configs, the vocabulary token list, the label order, and a tensor
-directory of shapes and byte offsets. Save, load, save again reproduces
-the file byte for byte.
+tensor in manifest order, each starting where the one before it ends. The
+manifest records the format version, both configs, the vocabulary token
+list, the label order, and a tensor directory of shapes and byte offsets.
+Loading reads the tensor blobs once into one buffer and hands out views of
+it. Save, load, save again reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from itertools import repeat
 
 import numpy as np
 
@@ -51,16 +54,16 @@ def save_checkpoint(path: str, model: Model, train_config: TrainConfig) -> None:
         fh.write(struct.pack("<Q", len(manifest)))
         fh.write(manifest)
         for node in model.params.values():
-            fh.write(np.ascontiguousarray(node.value, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(node.value, dtype="<f8").data)
 
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _check_layout(path: str, manifest: dict, blob_size: int) -> None:
+def _check_layout(path: str, manifest: dict, blob_size: int) -> Vocabulary:
     """Reject missing or wrongly typed manifest fields, and tensor entries
-    that reach past the end of the blob."""
+    that reach past the end of the blob; returns the manifest's vocabulary."""
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise FormatError(f"{path}: manifest lacks {missing}")
@@ -69,10 +72,10 @@ def _check_layout(path: str, manifest: dict, blob_size: int) -> None:
             raise FormatError(f"{path}: manifest {key} must be an object")
     for key in ("vocab", "labels"):
         if not isinstance(manifest[key], list) or not all(
-                isinstance(t, str) for t in manifest[key]):
+                map(isinstance, manifest[key], repeat(str))):
             raise FormatError(f"{path}: manifest {key} must be a list of strings")
-    vocab = manifest["vocab"]
-    if vocab[:2] != [PAD_TOKEN, UNK_TOKEN] or len(set(vocab)) != len(vocab):
+    vocab = Vocabulary(tokens=manifest["vocab"])
+    if vocab.tokens[:2] != [PAD_TOKEN, UNK_TOKEN] or len(vocab.index) != len(vocab):
         raise FormatError(f"{path}: manifest vocab must begin with {PAD_TOKEN} and "
                           f"{UNK_TOKEN} and hold each token once")
     for name, entry in manifest["tensors"].items():
@@ -81,6 +84,7 @@ def _check_layout(path: str, manifest: dict, blob_size: int) -> None:
             raise FormatError(f"{path}: tensor {name} has a malformed directory entry")
         if entry["offset"] + 8 * math.prod(entry["shape"]) > blob_size:
             raise FormatError(f"{path}: tensor {name} lies outside the {blob_size}-byte blob")
+    return vocab
 
 
 def _upgrade_configs(model_json: dict, train_json: dict) -> tuple[dict, dict]:
@@ -102,41 +106,45 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     """Rebuild a model from a checkpoint file.
 
     The layout is checked before any tensor is read: a malformed file raises
-    FormatError. The tensor directory must name exactly the tensors of
-    ``param_shapes`` for the stored config, with the same shapes; each tensor
-    is then copied out of the blob, so nothing is initialized or drawn.
+    FormatError. The tensor blobs are then read once into one buffer, and each
+    tensor is a writable view of its own bytes there, so nothing is
+    initialized, drawn or copied again. The directory must name exactly the
+    tensors of ``param_shapes`` for the stored config, with the same shapes,
+    each starting where the tensors before it end, so that no views overlap.
     Version mismatches name both versions in the error. Checkpoints written
     with the ``no-context`` variant or a ``filter-width`` of 3 load as
     ``vanilla-cnn`` without the width.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: not an attconv checkpoint (bad magic)")
-    if len(raw) < _HEADER_BYTES:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    (mlen,) = struct.unpack("<Q", raw[len(MAGIC):_HEADER_BYTES])
-    if mlen > len(raw) - _HEADER_BYTES:
-        raise FormatError(f"{path}: manifest length {mlen} exceeds the {len(raw)}-byte file")
-    try:
-        manifest = json.loads(raw[_HEADER_BYTES : _HEADER_BYTES + mlen].decode("utf-8"))
-    # ValueError covers bad UTF-8, bad JSON and an integer past Python's digit limit
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: corrupt manifest ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: manifest must be a JSON object")
-    version = manifest.get("format-version")
-    if version != FORMAT_VERSION or isinstance(version, bool):
-        raise ConfigError(
-            f"{path}: checkpoint format version {version} is not the supported {FORMAT_VERSION}"
-        )
-    blob = raw[_HEADER_BYTES + mlen :]
-    _check_layout(path, manifest, len(blob))
+        header = fh.read(_HEADER_BYTES)
+        if header[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"{path}: not an attconv checkpoint (bad magic)")
+        if len(header) < _HEADER_BYTES:
+            raise FormatError(f"{path}: truncated header ({len(header)} bytes)")
+        (mlen,) = struct.unpack("<Q", header[len(MAGIC):])
+        size = os.fstat(fh.fileno()).st_size
+        if mlen > size - _HEADER_BYTES:
+            raise FormatError(f"{path}: manifest length {mlen} exceeds the {size}-byte file")
+        try:
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        # ValueError covers bad UTF-8, bad JSON and an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: corrupt manifest ({exc})") from None
+        if not isinstance(manifest, dict):
+            raise FormatError(f"{path}: manifest must be a JSON object")
+        version = manifest.get("format-version")
+        if version != FORMAT_VERSION or isinstance(version, bool):
+            raise ConfigError(
+                f"{path}: checkpoint format version {version} is not the supported {FORMAT_VERSION}"
+            )
+        blob = np.empty(size - _HEADER_BYTES - mlen, dtype=np.uint8)
+        vocab = _check_layout(path, manifest, blob.size)
+        if fh.readinto(blob) != blob.size:
+            raise FormatError(f"{path}: file ended before its {blob.size}-byte tensor blob")
     model_json, train_json = _upgrade_configs(manifest["model-config"],
                                               manifest["train-config"])
     config = ModelConfig.from_json(model_json)
     train_config = TrainConfig.from_json(train_json)
-    vocab = Vocabulary(tokens=list(manifest["vocab"]))
     labels = list(manifest["labels"])
     check_labels(config, labels)
     directory = manifest["tensors"]
@@ -144,11 +152,16 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     if set(directory) != set(shapes):
         raise FormatError(f"{path}: tensor directory does not match the architecture")
     params = {}
+    offset = 0
     for name, shape in shapes.items():
         entry = directory[name]
         stored = tuple(entry["shape"])
         if stored != shape:
             raise FormatError(f"{path}: tensor {name} has shape {stored}, expected {shape}")
-        arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=entry["offset"])
-        params[name] = ad.param(arr.reshape(shape).astype(np.float64), name)
+        if entry["offset"] != offset:
+            raise FormatError(f"{path}: tensor {name} starts at byte {entry['offset']}, "
+                              f"not at {offset} where the tensors before it end")
+        end = offset + 8 * math.prod(shape)
+        params[name] = ad.param(blob[offset:end].view("<f8").reshape(shape), name)
+        offset = end
     return Model(config=config, vocab=vocab, label_names=labels, params=params), train_config

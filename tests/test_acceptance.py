@@ -232,7 +232,9 @@ def test_nonlocal_separation(nonlocal_run):
 
 def test_probe_row_attends_to_the_marker(nonlocal_run):
     """On correctly classified positives the last position's attention row
-    peaks on position 0, where the token it has to match sits."""
+    peaks on the marker's token, the token it has to match. It sits at
+    position 0 and at the planted echo, whose weights tie to the last bits,
+    so a peak on either counts."""
     model = nonlocal_run["light"]
     hits = seen = 0
     for ex in nonlocal_run["test"]:
@@ -244,10 +246,10 @@ def test_probe_row_attends_to_the_marker(nonlocal_run):
             continue
         seen += 1
         row = trace[0].weights.value[-1]
-        hits += int(np.argmax(row) == 0)
+        hits += int(ex.text[np.argmax(row)] == ex.text[0])
     rate = hits / seen
     check("probe-row attention", rate >= 0.80 and seen > 100,
-          f"argmax on the marker for {rate:.3f} of {seen} correct positives")
+          f"argmax on the marker's token for {rate:.3f} of {seen} correct positives")
 
 
 def test_attention_export_carries_the_alignment(nonlocal_run, tmp_path):
@@ -258,7 +260,8 @@ def test_attention_export_carries_the_alignment(nonlocal_run, tmp_path):
             continue
         trace = []
         probs = forward(model, ex, trace=trace)
-        if predict(probs.value) == 1 and np.argmax(trace[0].weights.value[-1]) == 0:
+        peak = np.argmax(trace[0].weights.value[-1])
+        if predict(probs.value) == 1 and ex.text[peak] == ex.text[0]:
             chosen = ex
             break
     assert chosen is not None
@@ -270,9 +273,10 @@ def test_attention_export_carries_the_alignment(nonlocal_run, tmp_path):
     lines = open(paths[0], encoding="utf-8").read().splitlines()
     probe_cells = lines[-1].split("\t")
     weights = [float(v) for v in probe_cells[1:]]
-    ok = int(np.argmax(weights)) == 0 and abs(sum(weights) - 1.0) <= 1e-9
+    ok = (chosen.text[int(np.argmax(weights))] == chosen.text[0]
+          and abs(sum(weights) - 1.0) <= 1e-9)
     check("attention export", ok,
-          f"held-out probe row peaks on column 0 with weight {max(weights):.3f}")
+          f"held-out probe row peaks on the marker's token with weight {max(weights):.3f}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import re
 import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -61,7 +65,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_loaded_model_trains_like_the_model_it_was_saved_from(tmp_path):
-    # loaded tensors are writable copies, so AdaGrad updates them in place
+    # loaded tensors are writable views, so AdaGrad updates them in place
     model, tcfg, data = trained_model()
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), model, tcfg)
@@ -92,6 +96,57 @@ def test_load_builds_and_draws_nothing(tmp_path, monkeypatch):
     assert list(loaded.params) == list(model.params)
     for name in model.params:
         assert np.array_equal(loaded.params[name].value, model.params[name].value), name
+
+
+def test_loaded_tensors_are_separate_writable_float64_arrays(tmp_path):
+    # the tensors are views of one buffer: each must own its bytes alone
+    model, tcfg, _ = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+    loaded, _ = load_checkpoint(str(path))
+    values = {name: node.value for name, node in loaded.params.items()}
+    for name, arr in values.items():
+        assert arr.dtype == np.float64, name
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous, name
+    for name, arr in values.items():
+        arr.fill(np.nan)
+        for other, node in model.params.items():
+            if other != name:
+                assert values[other].tobytes() == node.value.tobytes(), (name, other)
+        arr[...] = model.params[name].value
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_io_holds_no_second_copy_of_the_tensors(tmp_path):
+    vocab = Vocabulary()
+    for i in range(2000):
+        vocab.add(f"w{i}")
+    model = build_model(ModelConfig(variant="light", context_mode="single", d=64, seed=3),
+                        vocab, ["0", "1"])
+    tensor_bytes = sum(node.value.nbytes for node in model.params.values())
+    path = str(tmp_path / "m.ckpt")
+    # save writes each tensor from its own memory; load keeps one buffer
+    assert _traced_peak(save_checkpoint, path, model, TrainConfig()) < 0.5 * tensor_bytes
+    assert _traced_peak(load_checkpoint, path) < 1.5 * tensor_bytes
+
+
+def test_file_that_ends_before_its_blob_is_a_format_error(tmp_path, monkeypatch):
+    # the file shrank after its size was taken: one read cannot fill the buffer
+    model, tcfg, _ = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+    size = path.stat().st_size
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=size + 8))
+    with pytest.raises(FormatError, match="ended before"):
+        load_checkpoint(str(path))
 
 
 def test_file_starts_with_magic(tmp_path):
@@ -229,6 +284,31 @@ def test_truncation_at_every_byte_is_a_data_error(tiny_checkpoint):
     for n in range(len(raw)):
         bad.write_bytes(raw[:n])
         assert _params_exit_code(bad) == 3, n
+
+
+@pytest.mark.parametrize("moves, name", [
+    (lambda at: {"classifier.W": at["net.conv.W2"]}, "classifier.W"),
+    (lambda at: {"net.conv.W2": at["net.conv.W2"] + 4}, "net.conv.W2"),
+    # the two 2 x 2 tensors of the d=2 model trade places
+    (lambda at: {"net.conv.W2": at["classifier.W"], "classifier.W": at["net.conv.W2"]},
+     "net.conv.W2"),
+], ids=["shared", "shifted", "swapped"])
+def test_offset_off_the_saved_layout_names_the_tensor(tiny_checkpoint, moves, name):
+    # views of one buffer may not overlap, so only the saved layout loads
+    raw, bad = tiny_checkpoint
+
+    def move(manifest):
+        tensors = manifest["tensors"]
+        for moved, offset in moves({n: e["offset"] for n, e in tensors.items()}).items():
+            tensors[moved]["offset"] = offset
+
+    bad.write_bytes(_rewrite_manifest(raw, move))
+    with pytest.raises(FormatError, match=re.escape(f"tensor {name} starts at byte")):
+        load_checkpoint(str(bad))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["params", "--model", str(bad)]) == 3
+    assert len(err.getvalue().splitlines()) == 1
 
 
 def _manifest_of(raw):
