@@ -9,10 +9,10 @@ that is its own context, keeps each position from attending to itself.
 The match is split at its context-free part: ``project_text`` is built once
 per text and ``match_scores`` once per context.
 
-Several (text, context) pairs can be packed side by side; ``blocks``
-(``autodiff.Blocks``) then says which text positions each pair's context
+The (text, context) pairs of a batch sit side by side; ``blocks``
+(``autodiff.Blocks``) says which text positions each pair's context
 positions are scored against, and the scores, weights and summaries of all
-pairs are each one node. Without ``blocks`` there is one pair.
+pairs are each one node. One pair is one block.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ def project_text(Hx: ad.Node, method: str,
     return ad.gather(Tx, spread, axis=1 if method == "additive" else 0)
 
 
-def match_scores(Tx: ad.Node, Hy: ad.Node, method: str,
-                 p: dict[str, ad.Node] | None = None, at: str = "",
-                 blocks: ad.Blocks | None = None) -> ad.Node:
-    """Score every (text position, context position) pair, giving m x n,
-    or with ``blocks`` the pairs inside each block, as a blocked value.
+def match_scores(Tx: ad.Node, Hy: ad.Node, method: str, blocks: ad.Blocks,
+                 p: dict[str, ad.Node] | None = None, at: str = "") -> ad.Node:
+    """Score the (text position, context position) pairs inside each block,
+    as a blocked value.
 
     ``Tx`` is ``project_text`` of the text under the same method and
     tensors. ``dot`` and ``bilinear`` then score Tx H_y, so bilinear scores
@@ -66,23 +65,18 @@ def match_scores(Tx: ad.Node, Hy: ad.Node, method: str,
     if d_x != Hy.value.shape[0]:
         raise DimensionError(f"match_scores: hidden sizes differ, {d_x} vs {Hy.value.shape[0]}")
     if method in ("dot", "bilinear"):
-        return ad.matmul(Tx, Hy) if blocks is None else ad.block_scores(Tx, Hy, blocks)
+        return ad.block_scores(Tx, Hy, blocks)
     if method == "additive":
         return ad.additive_scores(Tx, ad.matmul(p[at + "U_e"], Hy), p[at + "v_e"], blocks)
     raise ConfigError(f"unknown match method {method!r}")
 
 
-def attention_weights(scores: ad.Node, exclude_self: bool = False,
-                      blocks: ad.Blocks | None = None) -> ad.Node:
+def attention_weights(scores: ad.Node, blocks: ad.Blocks, exclude_self: bool = False) -> ad.Node:
     """Normalize each score row; ``exclude_self`` gives the diagonal weight 0."""
-    return ad.masked_softmax_rows(scores, exclude_self, blocks)
+    return ad.masked_softmax_rows(scores, blocks, exclude_self)
 
 
-def apply_attention(weights: ad.Node, Hy: ad.Node, blocks: ad.Blocks | None = None) -> ad.Node:
-    """Weighted average of context states: C_x = H_y A^T, shape d x m, or
-    d x Q over the pair positions of all ``blocks``."""
-    if blocks is not None:
-        return ad.block_apply(weights, Hy, blocks)
-    if weights.value.shape[1] != Hy.value.shape[1]:
-        raise DimensionError("apply_attention: weight columns must match context positions")
-    return ad.matmul(Hy, ad.transpose(weights))
+def apply_attention(weights: ad.Node, Hy: ad.Node, blocks: ad.Blocks) -> ad.Node:
+    """Weighted averages of context states, C_x = H_y A^T per block: d x Q
+    over the pair positions of all ``blocks``."""
+    return ad.block_apply(weights, Hy, blocks)

@@ -6,14 +6,14 @@ registers a closure that pushes the output gradient back to its inputs.
 closure runs exactly once per call.
 
 Values are numpy float64 arrays throughout: 0-d for scalars (losses),
-1-d for vectors (biases, probability vectors), 2-d for feature maps laid
-out with one column per sequence position.
+1-d for vectors (biases) and blocked score values, 2-d for feature maps
+laid out with one column per sequence position, and for K x B probability
+columns.
 
-Several sequences can share one feature map, side by side on the position
-axis. The ops that cross positions then take the segment ``starts`` (the
-first column of each sequence, beginning at 0) or a ``Blocks`` layout of
-per-pair score blocks, and never mix two segments; without them they treat
-the whole axis as one sequence, with the arithmetic they always had.
+Sequences share one feature map, side by side on the position axis. Every
+op that crosses positions takes the segment ``starts`` (the first column of
+each sequence, beginning at 0) or a ``Blocks`` layout of per-pair score
+blocks, and never mixes two segments; one sequence is one segment, ``[0]``.
 """
 
 from __future__ import annotations
@@ -89,8 +89,10 @@ EXCLUDE_SELF_ALONE = "exclude-self with a single position leaves nothing to atte
 def _check_starts(starts, width: int, what: str) -> np.ndarray:
     """Segment starts as an int array: 0 first, strictly increasing, inside ``width``."""
     s = np.asarray(starts, dtype=np.int64)
-    if s.ndim != 1 or s.size == 0 or s[0] != 0 or s[-1] >= width or np.any(np.diff(s) <= 0):
-        raise ContractError(f"{what}: segment starts {s.tolist()} do not split {width} positions")
+    at = s.tolist()
+    if (s.ndim != 1 or not at or at[0] != 0 or at[-1] >= width
+            or any(b <= a for a, b in zip(at, at[1:]))):
+        raise ContractError(f"{what}: segment starts {at} do not split {width} positions")
     return s
 
 
@@ -101,37 +103,35 @@ class Blocks:
     context positions ``cols[p]:cols[p+1]``; both offset arrays start at 0
     and end at the position counts. A blocked score matrix is a 1-d value
     holding each block's entries row-major, block after block, so no entry
-    outside the blocks is ever stored. ``row_starts`` and ``row_len`` give
-    the first entry and the length of every stored row.
+    outside the blocks is ever stored. ``spans`` lists (row lo, row hi,
+    column lo, column hi, entry lo, entry hi) of each block, built once;
+    ``row_starts`` and ``row_len`` give the first entry and the length of
+    every stored row.
     """
 
     def __init__(self, rows, cols):
         self.rows = np.asarray(rows, dtype=np.int64)
         self.cols = np.asarray(cols, dtype=np.int64)
-        heights, widths = np.diff(self.rows), np.diff(self.cols)
-        if (self.rows.ndim != 1 or self.rows.shape != self.cols.shape or self.rows.size < 2
-                or self.rows[0] != 0 or self.cols[0] != 0 or np.any(heights < 1)
-                or np.any(widths < 1)):
+        r, c = self.rows.tolist(), self.cols.tolist()
+        if (self.rows.ndim != 1 or self.rows.shape != self.cols.shape or len(r) < 2
+                or r[0] != 0 or c[0] != 0 or any(b <= a for a, b in zip(r, r[1:]))
+                or any(b <= a for a, b in zip(c, c[1:]))):
             raise ContractError("Blocks: offsets must start at 0 and give every block a row "
                                 "and a column")
-        self.flat = np.concatenate([[0], np.cumsum(heights * widths)])
-        self.row_len = np.repeat(widths, heights)
-        self.row_starts = self.flat[:-1].repeat(heights) + (
-            np.arange(self.rows[-1]) - self.rows[:-1].repeat(heights)) * self.row_len
-
-    @property
-    def size(self) -> int:
-        return int(self.flat[-1])
-
-    def spans(self):
-        """(row lo, row hi, column lo, column hi, entry lo, entry hi) of each block."""
-        return zip(self.rows[:-1].tolist(), self.rows[1:].tolist(), self.cols[:-1].tolist(),
-                   self.cols[1:].tolist(), self.flat[:-1].tolist(), self.flat[1:].tolist())
+        self.spans, row_len, row_starts, f0 = [], [], [], 0
+        for r0, r1, c0, c1 in zip(r, r[1:], c, c[1:]):
+            f1 = f0 + (r1 - r0) * (c1 - c0)
+            self.spans.append((r0, r1, c0, c1, f0, f1))
+            row_len += [c1 - c0] * (r1 - r0)
+            row_starts += range(f0, f1, c1 - c0)
+            f0 = f1
+        self.size = f0
+        self.row_len, self.row_starts = np.array(row_len), np.array(row_starts)
 
     def block(self, value: np.ndarray, p: int) -> np.ndarray:
         """Block ``p`` of a blocked value, as a rows x columns view."""
-        return value[self.flat[p]:self.flat[p + 1]].reshape(
-            self.rows[p + 1] - self.rows[p], self.cols[p + 1] - self.cols[p])
+        r0, r1, c0, c1, f0, f1 = self.spans[p]
+        return value[f0:f1].reshape(r1 - r0, c1 - c0)
 
     @cached_property
     def T(self) -> "Blocks":
@@ -143,7 +143,7 @@ class Blocks:
         """Entry indices that read a blocked value as its transposed blocks."""
         return np.concatenate([
             f0 + np.arange((r1 - r0) * (c1 - c0)).reshape(r1 - r0, c1 - c0).T.ravel()
-            for r0, r1, c0, c1, f0, _ in self.spans()])
+            for r0, r1, c0, c1, f0, _ in self.spans])
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -151,7 +151,7 @@ class Blocks:
         if not np.array_equal(self.rows, self.cols):
             raise DimensionError("exclude-self needs square blocks")
         return np.concatenate([f0 + np.arange(r1 - r0) * (r1 - r0 + 1)
-                               for r0, r1, _, _, f0, _ in self.spans()])
+                               for r0, r1, _, _, f0, _ in self.spans])
 
     def pooling(self) -> tuple["Blocks", "Blocks"]:
         """One-row blocks over each pair's text positions and over its context
@@ -171,22 +171,17 @@ def _check_blocked(v: np.ndarray, blocks: Blocks, what: str) -> None:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """Matrix product. Accepts (m,k)@(k,n) -> (m,n) and (m,k)@(k,) -> (m,)."""
+    """Matrix product (m,k)@(k,n) -> (m,n)."""
     va, vb = a.value, b.value
     _require_2d(va, "matmul lhs")
-    if vb.ndim not in (1, 2):
-        raise DimensionError(f"matmul rhs: expected 1-d or 2-d, got shape {vb.shape}")
+    _require_2d(vb, "matmul rhs")
     if va.shape[1] != vb.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {va.shape} @ {vb.shape}")
     out = Node(va @ vb, "matmul", (a, b))
 
     def _bw(g):
-        if vb.ndim == 2:
-            _accum(a, g @ vb.T)
-            _accum(b, va.T @ g)
-        else:
-            _accum(a, np.outer(g, vb))
-            _accum(b, va.T @ g)
+        _accum(a, g @ vb.T)
+        _accum(b, va.T @ g)
 
     out._backward = _bw
     return out
@@ -261,27 +256,16 @@ def add_bias(mat: Node, bias: Node) -> Node:
     return out
 
 
-def _additive_block(vp: np.ndarray, vq: np.ndarray, vv: np.ndarray):
-    """The m x n additive scores of p (d x m) against q (d x n), and their tanh block."""
-    t = np.tanh(np.add(vp.T[:, :, None], vq[None, :, :], order="C"))
-    return vv @ t, t
+def additive_scores(p: Node, q: Node, v: Node, blocks: Blocks) -> Node:
+    """Additive match scores v . tanh(p_i + q_j) for the column pairs inside
+    each block, as a blocked value.
 
-
-def _additive_block_grads(vv: np.ndarray, t: np.ndarray, g: np.ndarray):
-    """Gradients of one additive score block for p, q and v."""
-    gt = vv[None, :, None] * g[:, None, :] * (1.0 - t * t)
-    return gt.sum(axis=2).T, gt.sum(axis=0), (t * g[:, None, :]).sum(axis=(0, 2))
-
-
-def additive_scores(p: Node, q: Node, v: Node, blocks: Blocks | None = None) -> Node:
-    """Additive match scores v . tanh(p_i + q_j) for every column pair, m x n.
-
-    ``p`` is d x m, ``q`` is d x n and ``v`` has length d. The tanh block is
-    held C-ordered in m x d x n layout, so each output row is ``v @ t[i]`` on
-    a contiguous d x n block: the same product, bit for bit, as a loop over
-    the rows. Plain broadcasting picks a strided layout when n is small, and
-    numpy's matmul sums strided blocks in another order. With ``blocks``
-    only the pairs inside each block are scored, into a blocked value.
+    ``p`` is d x M, ``q`` is d x N and ``v`` has length d. Each block's tanh
+    is held C-ordered in rows x d x columns layout, so each score row is
+    ``v @ t[i]`` on a contiguous d x columns block: the same product, bit for
+    bit, as a loop over the rows. Plain broadcasting picks a strided layout
+    when a block is narrow, and numpy's matmul sums strided blocks in
+    another order.
     """
     vp, vq, vv = p.value, q.value, v.value
     _require_2d(vp, "additive_scores p")
@@ -290,41 +274,29 @@ def additive_scores(p: Node, q: Node, v: Node, blocks: Blocks | None = None) -> 
         raise DimensionError(
             f"additive_scores: p {vp.shape}, q {vq.shape} and v {vv.shape} must share d"
         )
-    if blocks is None:
-        scores, t = _additive_block(vp, vq, vv)
-        out = Node(scores, "additive_scores", (p, q, v))
-
-        def _bw(g):
-            gp, gq, gv = _additive_block_grads(vv, t, g)
-            _accum(p, gp)
-            _accum(q, gq)
-            _accum(v, gv)
-
-        out._backward = _bw
-        return out
-
     if blocks.rows[-1] != vp.shape[1] or blocks.cols[-1] != vq.shape[1]:
         raise DimensionError("additive_scores: blocks do not fit p and q")
     flat = np.empty(blocks.size)
     tanhs = []
-    for r0, r1, c0, c1, f0, f1 in blocks.spans():
-        scores, t = _additive_block(vp[:, r0:r1], vq[:, c0:c1], vv)
-        flat[f0:f1] = scores.ravel()
+    for r0, r1, c0, c1, f0, f1 in blocks.spans:
+        t = np.tanh(np.add(vp[:, r0:r1].T[:, :, None], vq[None, :, c0:c1], order="C"))
+        np.matmul(vv, t, out=flat[f0:f1].reshape(r1 - r0, c1 - c0))
         tanhs.append(t)
     out = Node(flat, "additive_scores", (p, q, v))
 
-    def _bw_blocks(g):
+    def _bw(g):
         gp, gq, gv = np.zeros_like(vp), np.zeros_like(vq), np.zeros_like(vv)
-        for (r0, r1, c0, c1, f0, f1), t in zip(blocks.spans(), tanhs):
-            bp, bq, bv = _additive_block_grads(vv, t, g[f0:f1].reshape(r1 - r0, c1 - c0))
-            gp[:, r0:r1] += bp
-            gq[:, c0:c1] += bq
-            gv += bv
+        for (r0, r1, c0, c1, f0, f1), t in zip(blocks.spans, tanhs):
+            gb = g[f0:f1].reshape(r1 - r0, 1, c1 - c0)
+            gt = vv[None, :, None] * gb * (1.0 - t * t)
+            gp[:, r0:r1] += gt.sum(axis=2).T
+            gq[:, c0:c1] += gt.sum(axis=0)
+            gv += (t * gb).sum(axis=(0, 2))
         _accum(p, gp)
         _accum(q, gq)
         _accum(v, gv)
 
-    out._backward = _bw_blocks
+    out._backward = _bw
     return out
 
 
@@ -343,13 +315,13 @@ def block_scores(a: Node, b: Node, blocks: Blocks) -> Node:
     if blocks.rows[-1] != va.shape[0] or blocks.cols[-1] != vb.shape[1]:
         raise DimensionError("block_scores: blocks do not fit the operands")
     flat = np.empty(blocks.size)
-    for r0, r1, c0, c1, f0, f1 in blocks.spans():
+    for r0, r1, c0, c1, f0, f1 in blocks.spans:
         flat[f0:f1] = (va[r0:r1] @ vb[:, c0:c1]).ravel()
     out = Node(flat, "block_scores", (a, b))
 
     def _bw(g):
         ga, gb = np.zeros_like(va), np.zeros_like(vb)
-        for r0, r1, c0, c1, f0, f1 in blocks.spans():
+        for r0, r1, c0, c1, f0, f1 in blocks.spans:
             gblock = g[f0:f1].reshape(r1 - r0, c1 - c0)
             ga[r0:r1] += gblock @ vb[:, c0:c1].T
             gb[:, c0:c1] += va[r0:r1].T @ gblock
@@ -376,13 +348,13 @@ def block_apply(w: Node, b: Node, blocks: Blocks) -> Node:
     # contiguous rows; the node holds the d x Q transpose view
     vbT = np.ascontiguousarray(vb.T)
     valueT = np.empty((int(blocks.rows[-1]), vb.shape[0]))
-    for r0, r1, c0, c1, f0, f1 in blocks.spans():
+    for r0, r1, c0, c1, f0, f1 in blocks.spans:
         np.matmul(vw[f0:f1].reshape(r1 - r0, c1 - c0), vbT[c0:c1], out=valueT[r0:r1])
     out = Node(valueT.T, "block_apply", (w, b))
 
     def _bw(g):
         gw, gb = np.empty_like(vw), np.zeros_like(vb)
-        for p, (r0, r1, c0, c1, f0, f1) in enumerate(blocks.spans()):
+        for p, (r0, r1, c0, c1, f0, f1) in enumerate(blocks.spans):
             gw[f0:f1] = (g[:, r0:r1].T @ vb[:, c0:c1]).ravel()
             gb[:, c0:c1] += g[:, r0:r1] @ blocks.block(vw, p)
         _accum(w, gw)
@@ -397,23 +369,23 @@ def block_apply(w: Node, b: Node, blocks: Blocks) -> Node:
 
 
 def transpose(a: Node, blocks: Blocks | None = None) -> Node:
-    """Transpose a 2-d node, or each block of a blocked value (``blocks.T``
-    is the layout of the result)."""
-    if blocks is None:
-        _require_2d(a.value, "transpose")
-        out = Node(np.ascontiguousarray(a.value.T), "transpose", (a,))
-        out._backward = lambda g: _accum(a, g.T)
+    """Transpose each block of a blocked value (``blocks.T`` is the layout of
+    the result), or without ``blocks`` a 2-d node, such as a packed text map."""
+    if blocks is not None:
+        _check_blocked(a.value, blocks, "transpose")
+        perm = blocks.transposer
+        out = Node(a.value[perm], "transpose", (a,))
+
+        def _bw(g):
+            back = np.empty_like(g)
+            back[perm] = g
+            _accum(a, back)
+
+        out._backward = _bw
         return out
-    _check_blocked(a.value, blocks, "transpose")
-    perm = blocks.transposer
-    out = Node(a.value[perm], "transpose", (a,))
-
-    def _bw(g):
-        back = np.empty_like(g)
-        back[perm] = g
-        _accum(a, back)
-
-    out._backward = _bw
+    _require_2d(a.value, "transpose")
+    out = Node(np.ascontiguousarray(a.value.T), "transpose", (a,))
+    out._backward = lambda g: _accum(a, g.T)
     return out
 
 
@@ -438,23 +410,22 @@ def gather(a: Node, idx, axis: int = 1) -> Node:
     return out
 
 
-def window3(h: Node, starts=None) -> Node:
+def window3(h: Node, starts) -> Node:
     """Stack each position's [previous; current; next] columns as 3d x m.
 
-    Sequence boundaries see zero vectors, matching zero padding; with
-    segment ``starts`` every segment is padded at both of its ends.
+    Every segment of ``starts`` is zero-padded at both of its ends.
     """
     vh = h.value
     _require_2d(vh, "window3")
     d, m = vh.shape
     # the first column of every segment but the first: no previous, and the
     # column before it has no next
-    cut = None if starts is None else _check_starts(starts, m, "window3")[1:]
+    cut = _check_starts(starts, m, "window3")[1:]
     win = np.zeros((3 * d, m))
     win[:d, 1:] = vh[:, :-1]
     win[d:2 * d] = vh
     win[2 * d:, :-1] = vh[:, 1:]
-    if cut is not None:
+    if cut.size:
         win[:d, cut] = 0.0
         win[2 * d:, cut - 1] = 0.0
     out = Node(win, "window3", (h,))
@@ -465,7 +436,7 @@ def window3(h: Node, starts=None) -> Node:
         # trained checkpoints keep the bits that composition gave them.
         _accum(h, g[d:2 * d])
         to_next, to_prev = g[2 * d:, :-1], g[:d, 1:]
-        if cut is not None:
+        if cut.size:
             to_next, to_prev = to_next.copy(), to_prev.copy()
             to_next[:, cut - 1] = 0.0
             to_prev[:, cut - 1] = 0.0
@@ -498,86 +469,23 @@ def concat_rows(nodes: list[Node]) -> Node:
     return out
 
 
-def concat_vec(nodes: list[Node]) -> Node:
-    """Concatenate 1-d nodes into one longer vector."""
-    if not nodes:
-        raise ContractError("concat_vec: need at least one input")
-    for n in nodes:
-        if n.value.ndim != 1:
-            raise DimensionError("concat_vec: inputs must be 1-d")
-    out = Node(np.concatenate([n.value for n in nodes]), "concat_vec", tuple(nodes))
-    offsets = np.cumsum([0] + [n.value.shape[0] for n in nodes])
-
-    def _bw(g):
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            _accum(n, g[lo:hi])
-
-    out._backward = _bw
-    return out
-
-
-def stack_cols(nodes: list[Node]) -> Node:
-    """Stack equal-length 1-d nodes as the columns of a matrix."""
-    if not nodes:
-        raise ContractError("stack_cols: need at least one input")
-    length = nodes[0].value.shape[0] if nodes[0].value.ndim == 1 else None
-    for n in nodes:
-        if n.value.ndim != 1 or n.value.shape[0] != length:
-            raise DimensionError("stack_cols: inputs must be equal-length 1-d vectors")
-    out = Node(np.stack([n.value for n in nodes], axis=1), "stack_cols", tuple(nodes))
-
-    def _bw(g):
-        for i, n in enumerate(nodes):
-            _accum(n, g[:, i])
-
-    out._backward = _bw
-    return out
-
-
-def row_sums(a: Node, blocks: Blocks | None = None) -> Node:
-    """Sum a 2-d node along its columns, returning one value per row; with
-    ``blocks``, sum every row of every block of a blocked value."""
-    if blocks is None:
-        _require_2d(a.value, "row_sums")
-        out = Node(a.value.sum(axis=1), "row_sums", (a,))
-        out._backward = lambda g: _accum(a, np.broadcast_to(g[:, None], a.value.shape))
-        return out
+def row_sums(a: Node, blocks: Blocks) -> Node:
+    """Sum every row of every block of a blocked value."""
     _check_blocked(a.value, blocks, "row_sums")
     out = Node(np.add.reduceat(a.value, blocks.row_starts), "row_sums", (a,))
-    out._backward = lambda g: _accum(a, np.repeat(g, blocks.row_len))
+    out._backward = lambda g: _accum(a, g.repeat(blocks.row_len))
     return out
 
 
-def nll(probs: Node, label) -> Node:
-    """Negative log of one entry of a 1-d probability vector, floored at 1e-12.
-
-    The gradient reaches the entry only where it lies above the floor. For
-    a K x B matrix of probability columns ``label`` holds one label per
-    column, and the loss is the mean of the columns' losses, summed in
+def nll(probs: Node, labels) -> Node:
+    """Mean negative log probability of the gold entries of K x B probability
+    columns, one label per column, each floored at 1e-12 and summed in
     column order.
+
+    The gradient reaches an entry only where it lies above the floor.
     """
     v = probs.value
-    if v.ndim == 2:
-        return _nll_columns(probs, label)
-    if v.ndim != 1:
-        raise DimensionError("nll: probabilities must be 1-d or 2-d")
-    if not (0 <= label < v.shape[0]):
-        raise ContractError(f"nll: label {label} out of range for length {v.shape[0]}")
-    p = v[label]
-    floored = np.maximum(p, 1e-12)
-    out = Node(-np.log(floored), "nll", (probs,))
-
-    def _bw(g):
-        if probs.grad is None:
-            probs.grad = np.zeros_like(v)
-        probs.grad[label] += ((-g) / floored) * (p > 1e-12)
-
-    out._backward = _bw
-    return out
-
-
-def _nll_columns(probs: Node, labels) -> Node:
-    v = probs.value
+    _require_2d(v, "nll")
     k, b = v.shape
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (b,) or (b and (labels.min() < 0 or labels.max() >= k)):
@@ -628,33 +536,18 @@ def embed(table: Node, ids) -> Node:
     return out
 
 
-def max_over_positions(h: Node, starts=None) -> Node:
-    """Row-wise max over the position axis of a d x m feature map.
+def max_over_positions(h: Node, starts) -> Node:
+    """Row-wise max over each segment of a d x m feature map: one pooled
+    column per segment of ``starts`` (d x S).
 
-    Returns the pooled vector, or with segment ``starts`` one pooled column
-    per segment (d x S). The gradient is routed only to the winning column
-    of each row; ties go to the lowest column index of the segment.
+    The gradient is routed only to the winning column of each row; ties go
+    to the lowest column index of the segment.
     """
-    _require_2d(h.value, "max_over_positions")
-    if h.value.shape[1] == 0:
-        raise EmptyInputError("max_over_positions: empty position axis")
-    if starts is not None:
-        return _segment_max(h, _check_starts(starts, h.value.shape[1], "max_over_positions"))
-    idx = h.value.argmax(axis=1)
-    out = Node(h.value.max(axis=1), "max_over_positions", (h,))
-    rows = np.arange(h.value.shape[0])
-
-    def _bw(g):
-        if h.grad is None:
-            h.grad = np.zeros_like(h.value)
-        np.add.at(h.grad, (rows, idx), g)
-
-    out._backward = _bw
-    return out
-
-
-def _segment_max(h: Node, starts: np.ndarray) -> Node:
     vh = h.value
+    _require_2d(vh, "max_over_positions")
+    if vh.shape[1] == 0:
+        raise EmptyInputError("max_over_positions: empty position axis")
+    starts = _check_starts(starts, vh.shape[1], "max_over_positions")
     out = Node(np.maximum.reduceat(vh, starts, axis=1), "max_over_positions", (h,))
 
     def _bw(g):
@@ -676,17 +569,10 @@ def _segment_max(h: Node, starts: np.ndarray) -> Node:
 
 
 def softmax(scores: Node) -> Node:
-    """Softmax of a 1-d score vector, or of every column of a 2-d one,
-    shifted by its max for stability."""
+    """Softmax of every column of a 2-d score node, shifted by its max for
+    stability."""
     v = scores.value
-    if v.ndim == 1:
-        e = np.exp(v - v.max())
-        p = e / e.sum()
-        out = Node(p, "softmax", (scores,))
-        out._backward = lambda g: _accum(scores, p * (g - np.dot(g, p)))
-        return out
-    if v.ndim != 2:
-        raise DimensionError("softmax: scores must be 1-d or 2-d")
+    _require_2d(v, "softmax")
     e = np.exp(v - v.max(axis=0))
     p = e / e.sum(axis=0)
     out = Node(p, "softmax", (scores,))
@@ -694,53 +580,28 @@ def softmax(scores: Node) -> Node:
     return out
 
 
-def masked_softmax_rows(scores: Node, exclude_self: bool = False,
-                        blocks: Blocks | None = None) -> Node:
-    """Row-wise softmax over an m x n score matrix, or over every row of
-    every block of a blocked score value.
+def masked_softmax_rows(scores: Node, blocks: Blocks, exclude_self: bool = False) -> Node:
+    """Softmax over every row of every block of a blocked score value.
 
-    ``exclude_self`` gives each diagonal entry weight exactly 0; it needs a
-    square matrix or square blocks (DimensionError) of at least two rows
-    each (EmptyContextError).
+    ``exclude_self`` gives each diagonal entry weight exactly 0; it needs
+    square blocks (DimensionError) of at least two rows each
+    (EmptyContextError).
     """
-    v = scores.value
-    if blocks is not None:
-        return _block_softmax_rows(scores, exclude_self, blocks)
-    _require_2d(v, "masked_softmax_rows")
-    if exclude_self:
-        if v.shape[0] != v.shape[1]:
-            raise DimensionError(f"masked_softmax_rows: exclude-self needs m == n, got {v.shape}")
-        if v.shape[0] < 2:
-            raise EmptyContextError(EXCLUDE_SELF_ALONE)
-        v = v.copy()
-        np.fill_diagonal(v, -np.inf)
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    out = Node(p, "masked_softmax_rows", (scores,))
-
-    def _bw(g):
-        _accum(scores, p * (g - (g * p).sum(axis=1, keepdims=True)))
-
-    out._backward = _bw
-    return out
-
-
-def _block_softmax_rows(scores: Node, exclude_self: bool, blocks: Blocks) -> Node:
     v = scores.value
     _check_blocked(v, blocks, "masked_softmax_rows")
     if exclude_self:
         diagonal = blocks.diagonal
-        if np.any(np.diff(blocks.rows) < 2):
+        if any(r1 - r0 < 2 for r0, r1, *_ in blocks.spans):
             raise EmptyContextError(EXCLUDE_SELF_ALONE)
         v = v.copy()
         v[diagonal] = -np.inf
     starts, lens = blocks.row_starts, blocks.row_len
-    e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts), lens))
-    p = e / np.repeat(np.add.reduceat(e, starts), lens)
+    e = np.exp(v - np.maximum.reduceat(v, starts).repeat(lens))
+    p = e / np.add.reduceat(e, starts).repeat(lens)
     out = Node(p, "masked_softmax_rows", (scores,))
 
     def _bw(g):
-        _accum(scores, p * (g - np.repeat(np.add.reduceat(g * p, starts), lens)))
+        _accum(scores, p * (g - np.add.reduceat(g * p, starts).repeat(lens)))
 
     out._backward = _bw
     return out

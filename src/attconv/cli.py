@@ -27,7 +27,7 @@ from .model import (
     count_params,
     cross_entropy,
     evaluate,
-    forward_ids,
+    forward_batch,
     train,
 )
 
@@ -186,7 +186,7 @@ def cmd_gradcheck(args) -> int:
     label = model.config.num_classes - 1
 
     def build_loss():
-        return cross_entropy(forward_ids(model, text_ids, ctx_ids), label)
+        return cross_entropy(forward_batch(model, [(text_ids, ctx_ids)]), [label])
 
     report = ad.grad_check(build_loss, model.params, step=1e-5, tolerance=args.tolerance)
     print(json.dumps({

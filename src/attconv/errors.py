@@ -22,7 +22,8 @@ class DataError(AttconvError):
 
 
 class FormatError(DataError):
-    """Malformed input file. The message carries the offending line number."""
+    """Malformed or oversized input. A message about a file carries the
+    offending line number; one about an example, its size."""
 
 
 class EmptyContextError(AttconvError):

@@ -1,9 +1,11 @@
 """Attention-augmented convolution layers and the baseline layers they
 are compared against.
 
-All layers consume and produce feature maps with one column per sequence
-position. Width-3 windows are zero-padded at both sequence ends, so output
-length always equals input length.
+All layers consume and produce packed feature maps with one column per
+sequence position, the sequences side by side; ``starts`` are their segment
+starts, and one sequence is the one segment ``[0]``. Width-3 windows are
+zero-padded at both ends of every sequence, so output length always equals
+input length.
 
 Layer functions take the model's flat parameter dict ``p`` and a name prefix
 ``at`` and look their tensors up as ``p[at + name]``; ``model.param_shapes``
@@ -16,7 +18,8 @@ attends to itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +33,7 @@ NO_CONV_LAYERS = 4
 Params = dict[str, ad.Node]
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(NamedTuple):
     """Where the examples and their (example, context map) pairs sit on the
     position axis of packed feature maps.
 
@@ -42,17 +44,16 @@ class Packing:
     pair (``pairs``); ``spread`` is the text position behind each pair
     position, or None when every example has one pair. ``blocks`` pairs
     each pair's positions with its context positions, and ``examples``
-    starts each example's run of pairs. A segment field left None stands
-    for one segment, pooled to a vector: ``Packing()`` is one example with
-    one context map, which runs the per-example ops.
+    starts each example's run of pairs. One example with one context map
+    has one segment in every field.
     """
 
-    text: np.ndarray | None = None
-    contexts: np.ndarray | None = None
-    pairs: np.ndarray | None = None
-    spread: np.ndarray | None = None
-    blocks: ad.Blocks | None = None
-    examples: np.ndarray | None = None
+    text: list[int]
+    contexts: list[int]
+    pairs: list[int]
+    spread: np.ndarray | None
+    blocks: ad.Blocks
+    examples: list[int]
 
     @property
     def pool_maps(self) -> bool:
@@ -64,44 +65,32 @@ class Packing:
         return H if self.spread is None else ad.gather(H, self.spread)
 
 
-ONE_PAIR = Packing()
+def segment_starts(lengths: list[int]) -> list[int]:
+    """The first position of each of these sequences, packed side by side."""
+    return _offsets(lengths)[:-1]
 
 
-def _offsets(lengths) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+def _offsets(lengths) -> list[int]:
+    return list(accumulate(lengths, initial=0))
 
 
-def pack(text_lengths: list[int], map_lengths: list[list[int]], batched: bool) -> Packing:
-    """The packing of examples with these text lengths and context map lengths.
-
-    ``batched`` keeps a segment axis even for one example, so that pooled
-    results stay one column per example; otherwise one example with at
-    most one map gets ``ONE_PAIR``.
-    """
+def pack(text_lengths: list[int], map_lengths: list[list[int]]) -> Packing:
+    """The packing of examples with these text lengths and, for each example,
+    the lengths of its context maps (at least one each)."""
     n_maps = [len(lengths) for lengths in map_lengths]
-    n_pairs = sum(n_maps)
-    if not batched and n_pairs <= 1:
-        return ONE_PAIR
-    text = _offsets(text_lengths)
-    if n_pairs == 0:
-        return Packing(text=text[:-1])
-    pair_len = np.repeat(np.asarray(text_lengths, dtype=np.int64), n_maps)
+    pair_len = [m for m, k in zip(text_lengths, n_maps) for _ in range(k)]
     pairs = _offsets(pair_len)
     contexts = _offsets([n for lengths in map_lengths for n in lengths])
+    text = segment_starts(text_lengths)
     spread = None
-    if n_pairs > len(text_lengths):
-        spread = (np.repeat(text[:-1], n_maps) - pairs[:-1]).repeat(pair_len) \
-            + np.arange(pairs[-1])
-    return Packing(text=text[:-1] if batched else None, contexts=contexts[:-1],
-                   pairs=pairs[:-1], spread=spread, blocks=ad.Blocks(pairs, contexts),
-                   examples=_offsets(n_maps)[:-1] if batched else None)
+    if len(pair_len) > len(text_lengths):
+        spread = (np.repeat(text, n_maps) - pairs[:-1]).repeat(pair_len) + np.arange(pairs[-1])
+    return Packing(text=text, contexts=contexts[:-1], pairs=pairs[:-1], spread=spread,
+                   blocks=ad.Blocks(pairs, contexts), examples=segment_starts(n_maps))
 
 
-def vanilla_conv(H: ad.Node, p: Params, at: str, starts=None) -> ad.Node:
-    """Width-3 convolution with tanh, the attention-free baseline: W1 (d x 3d), b (d).
-
-    ``starts`` are the segment starts of a packed map (see ``ad.window3``).
-    """
+def vanilla_conv(H: ad.Node, p: Params, at: str, starts) -> ad.Node:
+    """Width-3 convolution with tanh, the attention-free baseline: W1 (d x 3d), b (d)."""
     return ad.tanh(ad.add_bias(ad.matmul(p[at + "W1"], ad.window3(H, starts)), p[at + "b"]))
 
 
@@ -123,7 +112,7 @@ def light_attconv(local: ad.Node, Cx: ad.Node, p: Params, at: str) -> ad.Node:
     return ad.tanh(ad.add_bias(ad.add(local, contextual), p[at + "b"]))
 
 
-def gated_conv(H: ad.Node, p: Params, at: str, starts=None) -> ad.Node:
+def gated_conv(H: ad.Node, p: Params, at: str, starts) -> ad.Node:
     """Gated convolution: out = g * h_cur + (1 - g) * tanh(W_h window + b_h).
 
     The gate g = sigmoid(W_g window + b_g) decides per component whether to
@@ -138,14 +127,14 @@ def gated_conv(H: ad.Node, p: Params, at: str, starts=None) -> ad.Node:
     return ad.gate_mix(gate, H, cand)
 
 
-def mgran(H: ad.Node, p: Params, at: str, starts=None) -> ad.Node:
+def mgran(H: ad.Node, p: Params, at: str, starts) -> ad.Node:
     """Concatenate unigram- and trigram-granularity gated states, 2d x m."""
     return ad.concat_rows([gated_conv(H, p, at + "uni.", starts),
                            gated_conv(H, p, at + "tri.", starts)])
 
 
 def attend_and_convolve(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
-                        pk: Packing = ONE_PAIR, exclude_self: bool = False,
+                        pk: Packing, exclude_self: bool = False,
                         trace: list[ad.Node] | None = None) -> ad.Node:
     """Run the light or advanced attentive convolution of Hx against Hy.
 
@@ -166,15 +155,14 @@ def attend_and_convolve(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: st
     bene = gated_conv(Hx, p, at + "beneficiary.", pk.text) if advanced else Hx
     local = pk.per_pair(ad.matmul(p[at + "conv.W1"], ad.window3(bene, pk.text)))
     foc = mgran(Hy, p, at + "focus.", pk.contexts) if advanced else Hy
-    weights = attention_weights(match_scores(text, foc, method, p, at + "match.", pk.blocks),
-                                exclude_self, pk.blocks)
+    weights = attention_weights(match_scores(text, foc, method, pk.blocks, p, at + "match."),
+                                pk.blocks, exclude_self)
     if trace is not None:
         trace.append(weights)
     return light_attconv(local, apply_attention(weights, foc, pk.blocks), p, at + "conv.")
 
 
-def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str,
-                      pk: Packing = ONE_PAIR) -> ad.Node:
+def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, pk: Packing) -> ad.Node:
     """Post-convolution attentive mean pooling of Hx against Hy.
 
     Both sentences go through the same width-3 convolution, each text once.
@@ -182,25 +170,20 @@ def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str,
     by dot product; row sums (for x) and column sums (for y) are softmax
     normalized and used as weighted-mean pooling weights. Attention acts
     only on pooling here, never on the convolution itself. Returns the
-    pooled x state over the pooled y state: a 2d vector, or with
-    ``pk.blocks`` one 2d column per pair.
+    pooled x state over the pooled y state, one 2d column per pair.
     """
     Hx2 = pk.per_pair(vanilla_conv(Hx, p, at, pk.text))
     Hy2 = vanilla_conv(Hy, p, at, pk.contexts)
-    E = match_scores(project_text(Hx2, "dot"), Hy2, "dot", blocks=pk.blocks)
-    if pk.blocks is None:
-        wx = ad.softmax(ad.row_sums(E))
-        wy = ad.softmax(ad.row_sums(ad.transpose(E)))
-        return ad.concat_vec([ad.matmul(Hx2, wx), ad.matmul(Hy2, wy)])
     blocks = pk.blocks
+    E = match_scores(project_text(Hx2, "dot"), Hy2, "dot", blocks)
     over_x, over_y = blocks.pooling()
-    wx = ad.masked_softmax_rows(ad.row_sums(E, blocks), blocks=over_x)
-    wy = ad.masked_softmax_rows(ad.row_sums(ad.transpose(E, blocks), blocks.T), blocks=over_y)
+    wx = ad.masked_softmax_rows(ad.row_sums(E, blocks), over_x)
+    wy = ad.masked_softmax_rows(ad.row_sums(ad.transpose(E, blocks), blocks.T), over_y)
     return ad.concat_rows([ad.block_apply(wx, Hx2, over_x), ad.block_apply(wy, Hy2, over_y)])
 
 
 def no_conv_stack(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
-                  pk: Packing = ONE_PAIR, exclude_self: bool = False,
+                  pk: Packing, exclude_self: bool = False,
                   trace: list[ad.Node] | None = None) -> ad.Node:
     """Four layers of attend, add, fully-connected transform; no windows.
 
@@ -217,9 +200,9 @@ def no_conv_stack(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
     for i in range(NO_CONV_LAYERS):
         match = f"{at}layer{i}.match."
         spread = pk.spread if i == 0 else None
-        scores = match_scores(project_text(H, method, p, match, spread), Hy, method, p, match,
-                              pk.blocks)
-        weights = attention_weights(scores, exclude_self, pk.blocks)
+        scores = match_scores(project_text(H, method, p, match, spread), Hy, method, pk.blocks,
+                              p, match)
+        weights = attention_weights(scores, pk.blocks, exclude_self)
         if trace is not None:
             trace.append(weights)
         C = apply_attention(weights, Hy, pk.blocks)

@@ -7,9 +7,9 @@ vector, and a logistic regression head produces class probabilities.
 initializes along it, checkpoints store and load along it, and a model
 holds its tensors in one flat dict under those dotted names.
 ``forward_batch`` packs examples side by side on the position axis and
-runs them as one graph. Training is plain AdaGrad on the averaged
-cross-entropy of each batch, one packed graph per batch; ``evaluate``
-scores a dataset in packed chunks of ``EVAL_CHUNK``.
+runs them as one graph; ``forward`` is its batch of one. Training is plain
+AdaGrad on the averaged cross-entropy of each batch, one packed graph per
+batch; ``evaluate`` scores a dataset in packed chunks of ``EVAL_CHUNK``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .errors import (
     DivergenceError,
     EmptyContextError,
     EmptyInputError,
+    FormatError,
 )
 
 VARIANTS = ("light", "advanced", "vanilla-cnn", "attentive-pooling", "no-conv")
@@ -46,6 +47,11 @@ _PARAM_STREAM = 1
 # examples per packed forward in ``evaluate``: wide enough for BLAS to pay
 # off, small enough that a chunk's graph stays in cache (see CHANGES.md)
 EVAL_CHUNK = 8
+# attention scores of one example, its text length times the summed lengths
+# of its context maps: a 1000-token text in intra mode. Each score costs a
+# few float64 copies in the graph (and d of them in the additive match), so
+# a larger example is refused before anything is built.
+MAX_SCORE_ENTRIES = 10**6
 EMBEDDINGS_KEY = "embeddings"
 
 
@@ -309,7 +315,8 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
     is exactly invariant to context order and repetition. Vanilla-cnn
     ignores contexts and has no maps. Every malformed example raises here,
     before any op is built, so a packed chunk fails on its first malformed
-    example just as one forward per example would.
+    example just as one forward per example would. So does an example with
+    more than ``MAX_SCORE_ENTRIES`` attention scores, a FormatError.
     """
     cfg = model.config
     mode = cfg.context_mode
@@ -323,7 +330,7 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
         if (cfg.self_mode == "exclude-self" and cfg.variant != "attentive-pooling"
                 and len(text_ids) < 2):
             raise EmptyContextError(ad.EXCLUDE_SELF_ALONE)
-        return [text_ids]
+        return _bounded([text_ids], len(text_ids))
     if mode == "single" and len(ctx_ids) != 1:
         raise ConfigError(f"single-context model expects exactly 1 context, got {len(ctx_ids)}")
     if not ctx_ids:
@@ -339,43 +346,53 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
         maps = ctx_ids
     if not all(maps):
         raise EmptyInputError("forward: empty context")
+    return _bounded(maps, len(text_ids))
+
+
+def _bounded(maps: list, text_len: int) -> list:
+    """The maps, unless scoring a text of ``text_len`` against them takes more
+    than ``MAX_SCORE_ENTRIES`` entries."""
+    map_len = sum(len(ids) for ids in maps)
+    if text_len * map_len > MAX_SCORE_ENTRIES:
+        raise FormatError(f"example too large: a text of {text_len} tokens against context "
+                          f"maps of {map_len} tokens needs {text_len * map_len} attention "
+                          f"scores, over the bound of {MAX_SCORE_ENTRIES}")
     return maps
 
 
 def _packed_forward(model: Model, texts: list[list[int]], maps: list[list[list[int]]],
-                    batched: bool, trace: list[AttentionRecord] | None = None,
+                    trace: list[AttentionRecord] | None = None,
                     ctx_ids: list[list[int]] | None = None) -> ad.Node:
-    """Class probabilities of checked examples (texts and their context maps,
-    from ``_example_maps``) packed side by side: K, or K x B when ``batched``.
-    ``trace`` is for one example, whose contexts are ``ctx_ids``."""
+    """Class probabilities (K x B) of checked examples (texts and their
+    context maps, from ``_example_maps``) packed side by side. ``trace`` is
+    for one example, whose contexts are ``ctx_ids``."""
     cfg, p = model.config, model.params
-    pk = ly.pack([len(t) for t in texts], [[len(ids) for ids in m] for m in maps], batched)
     Hx = ad.embed(model.embeddings, [i for t in texts for i in t])
 
     if cfg.variant == "vanilla-cnn":
-        rep = ad.max_over_positions(ly.vanilla_conv(Hx, p, "net.", pk.text), pk.text)
+        starts = ly.segment_starts([len(t) for t in texts])
+        rep = ad.max_over_positions(ly.vanilla_conv(Hx, p, "net.", starts), starts)
     else:
+        pk = ly.pack([len(t) for t in texts], [[len(ids) for ids in m] for m in maps])
         Hy = Hx if cfg.context_mode == "intra" else ad.embed(
             model.embeddings, [i for m in maps for ids in m for i in ids])
         rep = _forward_contextual(model, Hx, Hy, pk, trace, ctx_ids)
 
-    logits = ad.matmul(p["classifier.W"], rep)
-    logits = ad.add(logits, p["classifier.b"]) if logits.value.ndim == 1 \
-        else ad.add_bias(logits, p["classifier.b"])
+    logits = ad.add_bias(ad.matmul(p["classifier.W"], rep), p["classifier.b"])
     return ad.softmax(logits)
 
 
 def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]],
                 trace: list[AttentionRecord] | None = None) -> ad.Node:
-    """Class probabilities for one encoded example; graph stays attached.
+    """Class probabilities (K) for one encoded example, as a detached node.
 
-    The one-example case of ``forward_batch``: with one context map (intra,
-    single, multi-conc) it runs the per-example ops on unsegmented maps.
-    ``trace`` collects every attention pass (light/advanced have one per
-    context, the no-conv stack has one per layer per context).
+    The batch of one: column 0 of ``forward_batch``, bit for bit, with no
+    graph behind it; train through ``forward_batch``. ``trace`` collects
+    every attention pass (light/advanced have one per context, the no-conv
+    stack has one per layer per context).
     """
     maps = _example_maps(model, text_ids, ctx_ids)
-    return _packed_forward(model, [text_ids], [maps], False, trace, ctx_ids)
+    return ad.Node(_packed_forward(model, [text_ids], [maps], trace, ctx_ids).value[:, 0])
 
 
 def forward_batch(model: Model, encoded) -> ad.Node:
@@ -387,14 +404,14 @@ def forward_batch(model: Model, encoded) -> ad.Node:
     context maps are packed side by side on the position axis and run as
     one graph, so every matmul serves the whole chunk. Each column equals
     ``forward_ids`` of its example within rounding (wider matmuls sum in
-    another order), and the first malformed example raises what its own
-    forward would.
+    another order), bit for bit in a batch of one, and the first malformed
+    example raises what its own forward would.
     """
     if not encoded:
         raise ContractError("forward_batch: no examples")
     texts = [ex[0] for ex in encoded]
     maps = [_example_maps(model, ex[0], ex[1]) for ex in encoded]
-    return _packed_forward(model, texts, maps, True)
+    return _packed_forward(model, texts, maps)
 
 
 def _forward_contextual(model: Model, Hx: ad.Node, Hy: ad.Node, pk: ly.Packing,
@@ -421,17 +438,13 @@ def _forward_contextual(model: Model, Hx: ad.Node, Hy: ad.Node, pk: ly.Packing,
 def _attention_records(mode: str, pk: ly.Packing, passes: list[ad.Node],
                        ctx_ids: list[list[int]]) -> list[AttentionRecord]:
     """One record per context and attention pass of a one-example forward.
-    A multi-wise context gets the weights block of its map, which repeats
-    of it share; a packed block is copied out as a detached node."""
+    Each record holds, as a detached m x n node, the weights block of its
+    context's map; the repeats of a multi-wise context share one map."""
     maps = [0]
     if mode == "multi-wise":
         order = _distinct(ctx_ids)
         maps = [order.index(tuple(ids)) for ids in ctx_ids]
-
-    def weights_of(weights: ad.Node, k: int) -> ad.Node:
-        return weights if pk.blocks is None else ad.Node(pk.blocks.block(weights.value, k))
-
-    return [AttentionRecord(j, li, weights_of(weights, k))
+    return [AttentionRecord(j, li, ad.Node(pk.blocks.block(weights.value, k)))
             for j, k in enumerate(maps) for li, weights in enumerate(passes)]
 
 
@@ -443,11 +456,11 @@ def forward(model: Model, example: Example,
     return forward_ids(model, text_ids, ctx_ids, trace=trace)
 
 
-def cross_entropy(probs: ad.Node, label) -> ad.Node:
-    """Negative log probability of the gold class, floored at 1e-12; for
-    the K x B probabilities of ``forward_batch``, the mean over the columns
-    with one label each."""
-    return ad.nll(probs, label)
+def cross_entropy(probs: ad.Node, labels) -> ad.Node:
+    """Mean negative log probability of the gold classes, each floored at
+    1e-12, over the K x B probabilities of ``forward_batch``, with one
+    label per column."""
+    return ad.nll(probs, labels)
 
 
 def predict(probs: np.ndarray) -> int:
@@ -523,9 +536,9 @@ def evaluate(dataset: Dataset, model: Model) -> EvalResult:
         chunk = dataset.examples[lo:lo + EVAL_CHUNK]
         probs = forward_batch(model, [(encode(ex.text), [encode(c) for c in ex.contexts])
                                       for ex in chunk])
-        for ex, column in zip(chunk, probs.value.T):
-            confusion[ex.label, predict(column)] += 1
-            total += cross_entropy(ad.Node(column), ex.label).value.item()
+        for b, ex in enumerate(chunk):
+            confusion[ex.label, predict(probs.value[:, b])] += 1
+            total += cross_entropy(ad.Node(probs.value[:, b:b + 1]), [ex.label]).value.item()
     accuracy = float(np.trace(confusion)) / len(dataset)
     return EvalResult(accuracy=accuracy, n=len(dataset), confusion=confusion,
                       loss=total / len(dataset))

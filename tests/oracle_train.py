@@ -1,9 +1,9 @@
 """The per-example training loop, kept as the oracle of batched training.
 
 ``train`` runs each batch as one ``forward_batch`` graph. This loop runs one
-``forward`` per example instead (``forward_ids`` unless a test passes
-another), stacks the probability columns and scores them with the K x B
-``nll``, which is the arithmetic of the mean of per-example losses. The
+forward per example instead (the unsegmented ``reference_forward`` unless a
+test passes another), stacks the probability columns and scores them with
+the K x B ``nll``, which is the arithmetic of the mean of per-example losses. The
 shuffles, the AdaGrad step and the frozen PAD row are ``train``'s. It
 emits the train records ``train`` emits; it runs no dev passes.
 """
@@ -14,10 +14,11 @@ import numpy as np
 
 from attconv import autodiff as ad
 from attconv.data import make_batches
-from attconv.model import EMBEDDINGS_KEY, AdaGradState, adagrad_step, forward_ids, predict
+from attconv.model import EMBEDDINGS_KEY, AdaGradState, adagrad_step, predict
+from reference import reference_forward, stack_cols
 
 
-def oracle_train(model, data, train_config, forward=forward_ids, emit=None) -> list[dict]:
+def oracle_train(model, data, train_config, forward=reference_forward, emit=None) -> list[dict]:
     state = AdaGradState.for_params(model.params)
     metrics = []
     for epoch in range(1, train_config.epochs + 1):
@@ -31,7 +32,7 @@ def oracle_train(model, data, train_config, forward=forward_ids, emit=None) -> l
                 probs = forward(model, text_ids, ctx_ids)
                 correct += predict(probs.value) == label
                 columns.append(probs)
-            loss = ad.nll(ad.stack_cols(columns), [label for _, _, label in batch])
+            loss = ad.nll(stack_cols(columns), [label for _, _, label in batch])
             assert np.isfinite(loss.value)
             loss_sum += loss.value.item() * len(batch)
             ad.zero_grads(model.params.values())

@@ -53,9 +53,20 @@ def check(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def pair(Hx, Hy):
+    """The one block of Hx's positions against Hy's."""
+    return ad.Blocks([0, Hx.value.shape[1]], [0, Hy.value.shape[1]])
+
+
 def match(Hx, Hy, method, p=None):
-    """Both halves of the match: the text-side projection, then the scores."""
-    return match_scores(project_text(Hx, method, p), Hy, method, p)
+    """Both halves of the match on one pair: the projection, then the blocked scores."""
+    return match_scores(project_text(Hx, method, p), Hy, method, pair(Hx, Hy), p)
+
+
+def attend(Hx, Hy):
+    """The attentive context of Hx over Hy under dot matching, d x m."""
+    blocks = pair(Hx, Hy)
+    return apply_attention(attention_weights(match(Hx, Hy, "dot"), blocks), Hy, blocks)
 
 
 def np_window3(H):
@@ -80,7 +91,7 @@ def test_joint_filter_equivalence():
                   for name, shape in (("W1", (d, 3 * d)), ("W2", (d, d_c)), ("b", (d,)))}
         H = rng.standard_normal((d, m))
         C = rng.standard_normal((d_c, m))
-        local = ad.matmul(params["W1"], ad.window3(ad.Node(H)))
+        local = ad.matmul(params["W1"], ad.window3(ad.Node(H), [0]))
         got = ly.light_attconv(local, ad.Node(C), params, "").value
         joint = np.hstack([params["W1"].value, params["W2"].value])
         want = np.tanh(joint @ np.vstack([np_window3(H), C]) + params["b"].value[:, None])
@@ -141,7 +152,8 @@ def test_attention_invariants():
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
         # exclude-self: the context attends to itself, m = n
-        w = attention_weights(match(Hy, Hy, "dot"), exclude_self=True).value
+        w = pair(Hy, Hy).block(
+            attention_weights(match(Hy, Hy, "dot"), pair(Hy, Hy), exclude_self=True).value, 0)
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: rows not stochastic")
         if np.any(np.diag(w) != 0.0):
@@ -151,10 +163,10 @@ def test_attention_invariants():
         if not np.array_equal(bil.value, match(Hx, Hy, "dot").value):
             ok, _ = False, notes.append(f"trial {trial}: bilinear identity differs")
 
-        c = apply_attention(attention_weights(match(Hx, Hy, "dot")), Hy)
+        c = attend(Hx, Hy)
         perm = rng.permutation(n)
         Hyp = ad.Node(Hy.value[:, perm])
-        cp = apply_attention(attention_weights(match(Hx, Hyp, "dot")), Hyp)
+        cp = attend(Hx, Hyp)
         if np.max(np.abs(c.value - cp.value)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: permutation moved context")
 

@@ -1,4 +1,8 @@
-"""Matching functions, attention normalization, and attentive context vectors."""
+"""Matching functions, attention normalization, and attentive context vectors.
+
+Each test scores one text against one context: one block, whose blocked
+values are read back as m x n matrices.
+"""
 
 import math
 
@@ -21,9 +25,29 @@ def _hx_hy(rng, d=5, m=4, n=6):
     return ad.Node(rng.standard_normal((d, m))), ad.Node(rng.standard_normal((d, n)))
 
 
+def pair(Hx, Hy):
+    """The one block of Hx's positions against Hy's."""
+    return ad.Blocks([0, Hx.value.shape[1]], [0, Hy.value.shape[1]])
+
+
 def match(Hx, Hy, method, p=None):
-    """Both halves of the match: the text-side projection, then the scores."""
-    return match_scores(project_text(Hx, method, p), Hy, method, p)
+    """Both halves of the match: the text-side projection, then the blocked scores."""
+    return match_scores(project_text(Hx, method, p), Hy, method, pair(Hx, Hy), p)
+
+
+def weights_of(Hx, Hy, scores):
+    """The attention weights of one pair's blocked scores."""
+    return attention_weights(scores, pair(Hx, Hy))
+
+
+def matrix(Hx, Hy, node):
+    """A blocked value of one pair as its m x n matrix."""
+    return pair(Hx, Hy).block(node.value, 0)
+
+
+def attend(Hx, Hy, scores):
+    """The attentive context C_x (d x m) of one pair's blocked scores."""
+    return apply_attention(weights_of(Hx, Hy, scores), Hy, pair(Hx, Hy))
 
 
 def _params(method, d, rng):
@@ -37,14 +61,14 @@ def test_dot_scores_on_orthonormal_basis():
     hx = ad.Node(np.array([[1.0], [0.0]]))
     hy = ad.Node(np.eye(2))
     scores = match(hx, hy, "dot")
-    assert scores.value.tolist() == [[1.0, 0.0]]
+    assert matrix(hx, hy, scores).tolist() == [[1.0, 0.0]]
 
 
 def test_dot_scores_match_numpy_oracle():
     rng = np.random.default_rng(0)
     Hx, Hy = _hx_hy(rng)
     scores = match(Hx, Hy, "dot")
-    assert np.allclose(scores.value, Hx.value.T @ Hy.value, atol=1e-15)
+    assert np.allclose(matrix(Hx, Hy, scores), Hx.value.T @ Hy.value, atol=1e-15)
 
 
 def test_bilinear_with_identity_equals_dot():
@@ -61,14 +85,14 @@ def test_bilinear_scores_match_numpy_oracle():
     params = _params("bilinear", 5, rng)
     scores = match(Hx, Hy, "bilinear", params)
     want = Hx.value.T @ params["W_e"].value @ Hy.value
-    assert np.allclose(scores.value, want, atol=1e-12)
+    assert np.allclose(matrix(Hx, Hy, scores), want, atol=1e-12)
 
 
 def test_additive_scores_match_numpy_oracle():
     rng = np.random.default_rng(3)
     Hx, Hy = _hx_hy(rng, d=4, m=3, n=5)
     params = _params("additive", 4, rng)
-    scores = match(Hx, Hy, "additive", params).value
+    scores = matrix(Hx, Hy, match(Hx, Hy, "additive", params))
     We, Ue, ve = params["W_e"].value, params["U_e"].value, params["v_e"].value
     for i in range(3):
         for j in range(5):
@@ -81,8 +105,8 @@ def test_additive_with_zero_vector_gives_uniform_attention():
     Hx, Hy = _hx_hy(rng, d=3, m=2, n=4)
     params = _params("additive", 3, rng)
     params["v_e"].value[:] = 0.0
-    weights = attention_weights(match(Hx, Hy, "additive", params))
-    assert np.array_equal(weights.value, np.full((2, 4), 0.25))
+    weights = weights_of(Hx, Hy, match(Hx, Hy, "additive", params))
+    assert np.array_equal(weights.value, np.full(8, 0.25))
 
 
 def test_match_scores_input_validation():
@@ -96,13 +120,14 @@ def test_match_scores_input_validation():
         with pytest.raises(DimensionError, match="2-d feature maps"):
             project_text(ad.Node(np.ones(4)), method, params)
         with pytest.raises(DimensionError, match="2-d feature maps"):
-            match(Hx, ad.Node(np.ones(4)), method, params)
+            match_scores(project_text(Hx, method, params), ad.Node(np.ones(4)), method,
+                         pair(Hx, Hx), params)
         with pytest.raises(DimensionError, match="2-d feature maps"):
-            match_scores(ad.Node(np.ones(4)), Hy, method, params)
+            match_scores(ad.Node(np.ones(4)), Hy, method, pair(Hx, Hy), params)
     with pytest.raises(ConfigError, match="cosine"):
         project_text(Hx, "cosine")
     with pytest.raises(ConfigError, match="cosine"):
-        match_scores(ad.transpose(Hx), Hx, "cosine")
+        match_scores(ad.transpose(Hx), Hx, "cosine", pair(Hx, Hx))
 
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
@@ -113,10 +138,10 @@ def test_rows_are_stochastic_for_every_method(method):
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
         params = _params(method, int(d), rng)
-        weights = attention_weights(match(Hx, Hy, method, params))
-        sums = weights.value.sum(axis=1)
+        weights = matrix(Hx, Hy, weights_of(Hx, Hy, match(Hx, Hy, method, params)))
+        sums = weights.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
-        assert np.all(weights.value >= 0.0)
+        assert np.all(weights >= 0.0)
 
 
 def test_two_column_context_oracle():
@@ -124,7 +149,7 @@ def test_two_column_context_oracle():
     hx = ad.Node(np.array([[1.0], [0.0]]))
     hy = ad.Node(np.eye(2))
     scores = match(hx, hy, "dot")
-    c = apply_attention(attention_weights(scores), hy)
+    c = attend(hx, hy, scores)
     w1 = math.exp(1.0) / (math.exp(1.0) + 1.0)
     assert abs(c.value[0, 0] - w1) < 1e-12
     assert abs(c.value[1, 0] - (1.0 - w1)) < 1e-12
@@ -132,9 +157,9 @@ def test_two_column_context_oracle():
 
 def test_uniform_scores_give_column_means():
     rng = np.random.default_rng(9)
+    Hx = ad.Node(np.zeros((4, 3)))
     Hy = ad.Node(rng.standard_normal((4, 6)))
-    scores = ad.Node(np.zeros((3, 6)))
-    c = apply_attention(attention_weights(scores), Hy)
+    c = attend(Hx, Hy, ad.Node(np.zeros(18)))
     want = Hy.value.mean(axis=1)
     for i in range(3):
         assert np.allclose(c.value[:, i], want, atol=1e-15)
@@ -145,7 +170,7 @@ def test_single_context_column_passes_through():
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 1)))
     scores = match(Hx, Hy, "dot")
-    c = apply_attention(attention_weights(scores), Hy)
+    c = attend(Hx, Hy, scores)
     for i in range(5):
         assert np.array_equal(c.value[:, i], Hy.value[:, 0])
 
@@ -157,7 +182,7 @@ def test_context_vectors_lie_in_convex_hull():
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
         scores = match(Hx, Hy, "dot")
-        c = apply_attention(attention_weights(scores), Hy)
+        c = attend(Hx, Hy, scores)
         lo = Hy.value.min(axis=1, keepdims=True) - 1e-12
         hi = Hy.value.max(axis=1, keepdims=True) + 1e-12
         assert np.all(c.value >= lo) and np.all(c.value <= hi)
@@ -171,18 +196,18 @@ def test_permuting_context_columns_leaves_context_vectors_unchanged():
     Hyp = ad.Node(Hy.value[:, perm])
     sa = match(Hx, Hy, "dot")
     sb = match(Hx, Hyp, "dot")
-    a = apply_attention(attention_weights(sa), Hy)
-    b = apply_attention(attention_weights(sb), Hyp)
+    a = attend(Hx, Hy, sa)
+    b = attend(Hx, Hyp, sb)
     assert np.allclose(a.value, b.value, atol=1e-12)
     # and the weights themselves permute along for the ride
-    wa = attention_weights(match(Hx, Hy, "dot")).value
-    wb = attention_weights(match(Hx, Hyp, "dot")).value
+    wa = matrix(Hx, Hy, weights_of(Hx, Hy, sa))
+    wb = matrix(Hx, Hyp, weights_of(Hx, Hyp, sb))
     assert np.allclose(wa[:, perm], wb, atol=1e-12)
 
 
 def test_apply_attention_checks_column_agreement():
     rng = np.random.default_rng(13)
-    weights = ad.Node(np.full((2, 3), 1 / 3))
+    weights = ad.Node(np.full(6, 1 / 3))
     Hy = ad.Node(rng.standard_normal((4, 5)))
     with pytest.raises(DimensionError):
-        apply_attention(weights, Hy)
+        apply_attention(weights, Hy, ad.Blocks([0, 2], [0, 3]))

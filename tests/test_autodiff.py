@@ -1,5 +1,10 @@
-"""Engine tests: op values, gradients against central differences, graph rules."""
+"""Engine tests: op values, gradients against central differences, graph rules.
 
+One sequence is the segment ``[0]`` and one (text, context) pair is a one-block
+``Blocks``: the engine has no unsegmented op bodies.
+"""
+
+import inspect
 import math
 import tracemalloc
 
@@ -48,6 +53,11 @@ def assert_grads_match(build, leaves, tol=1e-7):
         assert err < tol, f"leaf {k}: max relative error {err:.3e}"
 
 
+def one_block(m, n):
+    """The layout of one m x n score block: one text against one context."""
+    return ad.Blocks([0, m], [0, n])
+
+
 # ---------------------------------------------------------------------------
 # value oracles
 
@@ -64,6 +74,8 @@ def test_matmul_shape_errors():
         ad.matmul(a, ad.Node(np.ones((2, 2))))
     with pytest.raises(DimensionError):
         ad.matmul(ad.Node(np.ones(3)), a)
+    with pytest.raises(DimensionError):
+        ad.matmul(a, ad.Node(np.ones(3)))
 
 
 def test_sigmoid_at_zero():
@@ -99,10 +111,10 @@ def test_tanh_derivative_against_finite_differences():
 def test_linear_loss_gradient_is_tiled_input():
     # loss = sum(W x) so dL/dW_ij = x_j for every row i
     W = ad.param(np.zeros((2, 3)))
-    x = ad.Node(np.array([1.0, -2.0, 3.0]))
+    x = ad.Node(np.array([[1.0], [-2.0], [3.0]]))
     loss = project(ad.matmul(W, x))
     ad.backward(loss)
-    assert np.array_equal(W.grad, np.tile(x.value, (2, 1)))
+    assert np.array_equal(W.grad, np.tile(x.value.T, (2, 1)))
 
 
 def test_add_shape_mismatch():
@@ -188,104 +200,107 @@ def test_embed_input_errors():
 
 def test_max_over_positions_values_and_argmax():
     h = ad.param(np.array([[1.0, 3.0, 2.0], [0.0, -1.0, -2.0]]))
-    out = ad.max_over_positions(h)
-    assert out.value.tolist() == [3.0, 0.0]
+    out = ad.max_over_positions(h, [0])
+    assert out.value.tolist() == [[3.0], [0.0]]
     # the winner of each row is where its gradient lands
-    ad.backward(project(out, np.array([1.0, 2.0])))
+    ad.backward(project(out, np.array([[1.0], [2.0]])))
     assert h.grad.tolist() == [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]
 
 
 def test_max_over_positions_tie_goes_to_lowest_index():
     h = ad.param(np.array([[7.0, 7.0, 7.0]]))
-    out = ad.max_over_positions(h)
-    assert out.value.tolist() == [7.0]
+    out = ad.max_over_positions(h, [0])
+    assert out.value.tolist() == [[7.0]]
     ad.backward(project(out))
     assert h.grad.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_max_over_positions_routes_gradient_to_winner():
     h = ad.param(np.array([[1.0, 5.0, 2.0]]))
-    out = ad.max_over_positions(h)
+    out = ad.max_over_positions(h, [0])
     ad.backward(project(out))
     assert np.array_equal(h.grad, np.array([[0.0, 1.0, 0.0]]))
 
 
+def test_max_over_a_single_position_is_that_position():
+    h = ad.param(np.array([[4.0], [-3.0]]))
+    out = ad.max_over_positions(h, [0])
+    assert np.array_equal(out.value, h.value)
+    ad.backward(project(out, np.array([[2.0], [5.0]])))
+    assert h.grad.tolist() == [[2.0], [5.0]]
+
+
 def test_max_over_positions_empty_axis():
     with pytest.raises(EmptyInputError):
-        ad.max_over_positions(ad.Node(np.zeros((2, 0))))
+        ad.max_over_positions(ad.Node(np.zeros((2, 0))), [0])
 
 
 def test_masked_softmax_symmetric_scores():
-    p = ad.softmax(ad.Node(np.zeros(2)))
-    assert np.array_equal(p.value, np.array([0.5, 0.5]))
-    rows = ad.masked_softmax_rows(ad.Node(np.zeros((1, 2))))
-    assert np.array_equal(rows.value, np.array([[0.5, 0.5]]))
+    p = ad.softmax(ad.Node(np.zeros((2, 1))))
+    assert np.array_equal(p.value, np.array([[0.5], [0.5]]))
+    rows = ad.masked_softmax_rows(ad.Node(np.zeros(2)), one_block(1, 2))
+    assert np.array_equal(rows.value, np.array([0.5, 0.5]))
 
 
 def test_masked_softmax_two_score_oracle():
     # independent evaluation of e^1 / (e^1 + e^0)
     want = math.exp(1.0) / (math.exp(1.0) + math.exp(0.0))
-    p = ad.softmax(ad.Node(np.array([1.0, 0.0])))
-    assert abs(p.value[0] - want) < 1e-15
-    assert abs(p.value[0] - 0.7310585786300049) < 1e-12
-    assert abs(p.value.sum() - 1.0) < 1e-15
-    # one row of the all-true row softmax is the same arithmetic
-    rows = ad.masked_softmax_rows(ad.Node(np.array([[1.0, 0.0]])))
-    assert np.array_equal(rows.value[0], p.value)
+    p = ad.softmax(ad.Node(np.array([[1.0], [0.0]]))).value[:, 0]
+    assert abs(p[0] - want) < 1e-15
+    assert abs(p[0] - 0.7310585786300049) < 1e-12
+    assert abs(p.sum() - 1.0) < 1e-15
+    # one row of the row softmax is the same arithmetic
+    rows = ad.masked_softmax_rows(ad.Node(np.array([1.0, 0.0])), one_block(1, 2))
+    assert np.array_equal(rows.value, p)
 
 
 def test_masked_softmax_rows_names_the_dead_row():
     # exclude-self on one position leaves its only row nothing to attend
     with pytest.raises(EmptyContextError, match="nothing to attend"):
-        ad.masked_softmax_rows(ad.Node(np.zeros((1, 1))), exclude_self=True)
+        ad.masked_softmax_rows(ad.Node(np.zeros(1)), one_block(1, 1), exclude_self=True)
 
 
 def test_masked_softmax_rows_mask_shape_errors():
-    # the diagonal is only a mask of a square matrix
-    with pytest.raises(DimensionError, match="m == n"):
-        ad.masked_softmax_rows(ad.Node(np.zeros((2, 3))), exclude_self=True)
+    # the diagonal is only a mask of a square block
+    with pytest.raises(DimensionError, match="square"):
+        ad.masked_softmax_rows(ad.Node(np.zeros(6)), one_block(2, 3), exclude_self=True)
 
 
 def test_masked_softmax_rows_exclude_self_matches_the_submatrix_softmax():
     # each row equals the softmax of that row with its diagonal entry removed
     scores = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0], [2.0, 2.0, 2.0]])
-    w = ad.masked_softmax_rows(ad.Node(scores), exclude_self=True).value
+    w = ad.masked_softmax_rows(ad.Node(scores.ravel()), one_block(3, 3), True).value.reshape(3, 3)
     for i in range(3):
         assert w[i, i] == 0.0
         rest = np.delete(scores[i], i)
-        assert np.array_equal(np.delete(w[i], i), ad.softmax(ad.Node(rest)).value)
+        assert np.array_equal(np.delete(w[i], i), ad.softmax(ad.Node(rest[:, None])).value[:, 0])
 
 
 def test_nll_values():
-    v = ad.Node(np.array([0.1, 0.7, 0.2]))
-    assert ad.nll(v, 1).value.item() == pytest.approx(-math.log(0.7), rel=1e-15)
-    with pytest.raises(ContractError):
-        ad.nll(v, 3)
-    with pytest.raises(ContractError):
-        ad.nll(v, -1)
-    with pytest.raises(DimensionError):
-        ad.nll(ad.Node(np.full((1, 3, 1), 0.5)), 0)
     columns = ad.Node(np.array([[0.1, 0.6], [0.9, 0.4]]))
     assert ad.nll(columns, [1, 0]).value.item() == pytest.approx(
         (-math.log(0.9) - math.log(0.6)) / 2, rel=1e-15)
     for labels in (0, [1], [1, 2], [-1, 0]):
         with pytest.raises(ContractError):
             ad.nll(columns, labels)
-    # the K x B loss is the mean of the columns' 1-d losses, summed in column order
+    for shape in ((3,), (1, 3, 1)):
+        with pytest.raises(DimensionError):
+            ad.nll(ad.Node(np.full(shape, 0.5)), [0])
+    # the K x B loss is the mean of the columns' own losses, summed in column order
     three = np.array([[0.1, 0.5, 0.25], [0.7, 0.5, 0.75], [0.2, 0.0, 0.0]])
     labels = [1, 0, 2]
     total = 0.0
     for b, label in enumerate(labels):
-        total += ad.nll(ad.Node(three[:, b]), label).value.item()
+        total += ad.nll(ad.Node(three[:, b:b + 1]), [label]).value.item()
     assert ad.nll(ad.Node(three), labels).value.item() == total / 3
 
 
 def test_nll_at_the_floor_has_a_fixed_value_and_zero_gradient():
-    probs = ad.param(np.array([1.0, 0.0, 0.0]))
-    loss = ad.nll(probs, 1)
+    probs = ad.param(np.array([[1.0], [0.0], [0.0]]))
+    loss = ad.nll(probs, [1])
     assert loss.value.item() == pytest.approx(-math.log(1e-12), rel=1e-15)
     ad.backward(loss)
-    assert np.array_equal(probs.grad, np.zeros(3))
+    assert np.array_equal(probs.grad, np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -305,11 +320,11 @@ def test_nll_matches_the_stepwise_reference_bitwise(seed):
         g_log = np.zeros(()) + g * -1.0
         g_clamp = np.zeros(()) + g_log / clamped
         g_pick = np.zeros(()) + g_clamp * (picked > 1e-12)
-        want_grad = np.zeros(5)
+        want_grad = np.zeros((5, 1))
         want_grad[label] += g_pick
 
-        probs = ad.param(p.copy())
-        loss = ad.nll(probs, label)
+        probs = ad.param(p[:, None].copy())
+        loss = ad.nll(probs, [label])
         ad.backward(project(loss, 1 / 3))
         assert loss.value.tobytes() == want_value.tobytes()
         assert probs.grad.tobytes() == want_grad.tobytes()
@@ -325,47 +340,47 @@ def test_segmented_window_and_max_equal_each_segment_alone():
     h = rng.standard_normal((3, 7))
     starts = [0, 1, 4]
     pieces = np.split(h, starts[1:], axis=1)
-    want_win = np.hstack([ad.window3(ad.Node(x)).value for x in pieces])
+    want_win = np.hstack([ad.window3(ad.Node(x), [0]).value for x in pieces])
     assert np.array_equal(ad.window3(ad.Node(h), starts).value, want_win)
-    want_max = np.stack([ad.max_over_positions(ad.Node(x)).value for x in pieces], axis=1)
+    want_max = np.hstack([ad.max_over_positions(ad.Node(x), [0]).value for x in pieces])
     assert np.array_equal(ad.max_over_positions(ad.Node(h), starts).value, want_max)
 
 
 def test_blocked_ops_equal_each_block_alone():
-    # comparison: bitwise for the per-block products, which run block by
-    # block; 1e-15 for the row softmax, whose row sums run in another order
+    # comparison: bitwise; every op runs each block or row on its own
     rng = np.random.default_rng(32)
     blocks = ad.Blocks([0, 2, 5], [0, 3, 4])
     a, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
     scores = ad.block_scores(ad.Node(a), ad.Node(b), blocks).value
-    weights = ad.masked_softmax_rows(ad.Node(scores), blocks=blocks).value
+    weights = ad.masked_softmax_rows(ad.Node(scores), blocks).value
     applied = ad.block_apply(ad.Node(weights), ad.Node(b), blocks).value
     p, q, v = rng.standard_normal((3, 5)), rng.standard_normal((3, 4)), rng.standard_normal(3)
     additive = ad.additive_scores(ad.Node(p), ad.Node(q), ad.Node(v), blocks).value
-    for k, (r0, r1, c0, c1, _, _) in enumerate(blocks.spans()):
+    for k, (r0, r1, c0, c1, _, _) in enumerate(blocks.spans):
+        alone = one_block(r1 - r0, c1 - c0)
         want = ad.matmul(ad.Node(a[r0:r1]), ad.Node(b[:, c0:c1])).value
         assert np.array_equal(blocks.block(scores, k), want)
-        want_w = ad.masked_softmax_rows(ad.Node(want)).value
-        assert np.max(np.abs(blocks.block(weights, k) - want_w)) <= 1e-15
+        want_w = ad.masked_softmax_rows(ad.Node(want.ravel()), alone).value
+        assert np.array_equal(blocks.block(weights, k).ravel(), want_w)
         assert np.array_equal(applied[:, r0:r1], b[:, c0:c1] @ blocks.block(weights, k).T)
-        want_a = ad.additive_scores(ad.Node(p[:, r0:r1]), ad.Node(q[:, c0:c1]), ad.Node(v))
-        assert np.array_equal(blocks.block(additive, k), want_a.value)
+        want_a = ad.additive_scores(ad.Node(p[:, r0:r1]), ad.Node(q[:, c0:c1]), ad.Node(v), alone)
+        assert np.array_equal(blocks.block(additive, k).ravel(), want_a.value)
         assert np.array_equal(blocks.T.block(ad.transpose(ad.Node(scores), blocks).value, k),
                               want.T)
 
 
 def test_block_softmax_exclude_self_zeroes_each_block_diagonal():
     square = ad.Blocks([0, 3, 5], [0, 3, 5])
-    w = ad.masked_softmax_rows(ad.Node(np.zeros(square.size)), True, square).value
+    w = ad.masked_softmax_rows(ad.Node(np.zeros(square.size)), square, True).value
     for k, half in enumerate((0.5, 1.0)):
         block = square.block(w, k)
         assert np.all(np.diag(block) == 0.0)
         assert np.all(block[~np.eye(len(block), dtype=bool)] == half)
     with pytest.raises(DimensionError):
-        ad.masked_softmax_rows(ad.Node(np.zeros(BLOCKS.size)), True, BLOCKS)
+        ad.masked_softmax_rows(ad.Node(np.zeros(BLOCKS.size)), BLOCKS, True)
     alone = ad.Blocks([0, 3, 4], [0, 3, 4])
     with pytest.raises(EmptyContextError, match="nothing to attend"):
-        ad.masked_softmax_rows(ad.Node(np.zeros(alone.size)), True, alone)
+        ad.masked_softmax_rows(ad.Node(np.zeros(alone.size)), alone, True)
 
 
 def test_segment_and_block_preconditions():
@@ -374,7 +389,8 @@ def test_segment_and_block_preconditions():
         for op in (ad.window3, ad.max_over_positions):
             with pytest.raises(ContractError):
                 op(h, starts)
-    for rows, cols in (([0], [0]), ([1, 2], [0, 1]), ([0, 1, 1], [0, 1, 2]), ([0, 1], [0, 1, 2])):
+    for rows, cols in (([0], [0]), ([1, 2], [0, 1]), ([0, 1, 1], [0, 1, 2]), ([0, 1], [0, 1, 2]),
+                       ([[0, 1], [0, 2]], [[0, 1], [0, 2]])):
         with pytest.raises(ContractError):
             ad.Blocks(rows, cols)
     with pytest.raises(ContractError):
@@ -384,7 +400,7 @@ def test_segment_and_block_preconditions():
     with pytest.raises(DimensionError):
         ad.block_apply(ad.Node(np.zeros(BLOCKS.size + 1)), ad.Node(np.zeros((3, 4))), BLOCKS)
     with pytest.raises(DimensionError):
-        ad.masked_softmax_rows(ad.Node(np.zeros((2, 5))), blocks=BLOCKS)
+        ad.masked_softmax_rows(ad.Node(np.zeros((2, 5))), BLOCKS)
 
 
 def test_structural_op_preconditions():
@@ -393,25 +409,28 @@ def test_structural_op_preconditions():
     with pytest.raises(DimensionError):
         ad.concat_rows([ad.Node(np.ones((2, 2))), ad.Node(np.ones((2, 3)))])
     with pytest.raises(DimensionError):
-        ad.window3(ad.Node(np.ones(3)))
+        ad.window3(ad.Node(np.ones(3)), [0])
     p = ad.Node(np.ones((2, 3)))
     q = ad.Node(np.ones((2, 4)))
+    pair = one_block(3, 4)
     with pytest.raises(DimensionError):
-        ad.additive_scores(p, q, ad.Node(np.ones(3)))
+        ad.additive_scores(p, q, ad.Node(np.ones(3)), pair)
     with pytest.raises(DimensionError):
-        ad.additive_scores(p, ad.Node(np.ones((3, 4))), ad.Node(np.ones(2)))
+        ad.additive_scores(p, ad.Node(np.ones((3, 4))), ad.Node(np.ones(2)), pair)
     with pytest.raises(DimensionError):
-        ad.additive_scores(p, q, ad.Node(np.ones((2, 1))))
+        ad.additive_scores(p, q, ad.Node(np.ones((2, 1))), pair)
     with pytest.raises(DimensionError):
-        ad.additive_scores(ad.Node(np.ones(2)), q, ad.Node(np.ones(2)))
+        ad.additive_scores(ad.Node(np.ones(2)), q, ad.Node(np.ones(2)), pair)
+    with pytest.raises(DimensionError):
+        ad.additive_scores(p, q, ad.Node(np.ones(2)), one_block(3, 5))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
 def test_additive_scores_match_the_per_row_loop(n):
     # reference: one row at a time, v @ tanh(p_i + q) and its backward.
-    # Scores keep the loop's arithmetic, so they are compared bitwise, short
-    # contexts included; the gradients sum in another order, so they are
-    # compared to 1e-12 of their largest entry.
+    # The one block's scores keep the loop's arithmetic, so they are compared
+    # bitwise, short contexts included; the gradients sum in another order,
+    # so they are compared to 1e-12 of their largest entry.
     rng = np.random.default_rng(n)
     d, m = 5, 4
     p, q, v = rng.standard_normal((d, m)), rng.standard_normal((d, n)), rng.standard_normal(d)
@@ -427,9 +446,9 @@ def test_additive_scores_match_the_per_row_loop(n):
         gp[:, i] = gpre.sum(axis=1)
 
     leaves = [ad.param(p), ad.param(q), ad.param(v)]
-    scores = ad.additive_scores(*leaves)
-    assert np.array_equal(scores.value, want)
-    ad.backward(project(scores, g))
+    scores = ad.additive_scores(*leaves, one_block(m, n))
+    assert np.array_equal(scores.value, want.ravel())
+    ad.backward(project(scores, g.ravel()))
     for leaf, ref in zip(leaves, (gp, gq, gv)):
         assert np.max(np.abs(leaf.grad - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -453,9 +472,10 @@ def _case_matmul(rng):
     return [a, b], lambda: project(ad.matmul(a, b))
 
 
-def _case_matmul_vector(rng):
+def _case_matmul_column(rng):
+    # the classifier's shape in a batch of one
     a = ad.param(rng.standard_normal((3, 4)))
-    v = ad.param(rng.standard_normal(4))
+    v = ad.param(rng.standard_normal((4, 1)))
     return [a, v], lambda: project(ad.matmul(a, v))
 
 
@@ -502,18 +522,11 @@ def _case_concat_rows(rng):
     return [a, b], lambda: project(ad.concat_rows([a, b]), c)
 
 
-def _case_concat_vec(rng):
-    a = ad.param(rng.standard_normal(2))
-    b = ad.param(rng.standard_normal(3))
-    c = rng.standard_normal(5)
-    return [a, b], lambda: project(ad.concat_vec([a, b]), c)
-
-
 def _case_window3(m):
     def case(rng):
         a = ad.param(rng.standard_normal((3, m)))
         c = rng.standard_normal((9, m))
-        return [a], lambda: project(ad.window3(a), c)
+        return [a], lambda: project(ad.window3(a, [0]), c)
 
     return case
 
@@ -522,34 +535,27 @@ def _case_additive_scores(rng):
     p = ad.param(rng.standard_normal((3, 4)))
     q = ad.param(rng.standard_normal((3, 5)))
     v = ad.param(rng.standard_normal(3))
-    c = rng.standard_normal((4, 5))
-    return [p, q, v], lambda: project(ad.additive_scores(p, q, v), c)
-
-
-def _case_stack(rng):
-    a = ad.param(rng.standard_normal(3))
-    b = ad.param(rng.standard_normal(3))
-    c = rng.standard_normal((3, 2))
-    return [a, b], lambda: project(ad.stack_cols([a, b]), c)
+    c = rng.standard_normal(20)
+    return [p, q, v], lambda: project(ad.additive_scores(p, q, v, one_block(4, 5)), c)
 
 
 def _case_row_sums(rng):
-    a = ad.param(rng.standard_normal((4, 3)))
+    a = ad.param(rng.standard_normal(12))
     c = rng.standard_normal(4)
-    return [a], lambda: project(ad.row_sums(a), c)
+    return [a], lambda: project(ad.row_sums(a, one_block(4, 3)), c)
 
 
 def _case_nll(rng):
-    # entries well above the 1e-12 floor, so the step never crosses it
-    a = ad.param(rng.uniform(0.1, 0.9, 4))
-    return [a], lambda: ad.nll(a, 2)
+    # one column, entries well above the 1e-12 floor, so the step never crosses it
+    a = ad.param(rng.uniform(0.1, 0.9, (4, 1)))
+    return [a], lambda: ad.nll(a, [2])
 
 
 def _case_nll_mean(rng):
-    # three columns of one vector, one label repeated: the K x B mean sums
+    # three copies of one column, one label repeated: the K x B mean sums
     # all three losses' gradients into it
-    a = ad.param(rng.uniform(0.1, 0.9, 4))
-    return [a], lambda: ad.nll(ad.stack_cols([a, a, a]), [0, 2, 2])
+    a = ad.param(rng.uniform(0.1, 0.9, (4, 1)))
+    return [a], lambda: ad.nll(ad.gather(a, [0, 0, 0]), [0, 2, 2])
 
 
 def _case_embed(rng):
@@ -563,22 +569,20 @@ def _case_max_over_positions(rng):
     base = rng.permutation(15).reshape(3, 5).astype(float) * 0.4
     h = ad.param(base + rng.uniform(-0.01, 0.01, (3, 5)))
 
-    def build():
-        return project(ad.max_over_positions(h))
-
-    return [h], build
+    c = rng.standard_normal((3, 1))
+    return [h], lambda: project(ad.max_over_positions(h, [0]), c)
 
 
 def _case_softmax(rng):
-    s = ad.param(rng.standard_normal(5))
-    c = rng.standard_normal(5)
+    s = ad.param(rng.standard_normal((5, 1)))
+    c = rng.standard_normal((5, 1))
     return [s], lambda: project(ad.softmax(s), c)
 
 
 def _case_masked_softmax_rows(rng):
-    s = ad.param(rng.standard_normal((4, 4)))
-    c = rng.standard_normal((4, 4))
-    return [s], lambda: project(ad.masked_softmax_rows(s, exclude_self=True), c)
+    s = ad.param(rng.standard_normal(16))
+    c = rng.standard_normal(16)
+    return [s], lambda: project(ad.masked_softmax_rows(s, one_block(4, 4), exclude_self=True), c)
 
 
 # two pairs: 2 text positions against 3 context positions, then 3 against 1
@@ -632,7 +636,7 @@ def _case_additive_blocks(rng):
 def _case_block_softmax_rows(rng):
     s = ad.param(rng.standard_normal(SQUARE.size))
     c = rng.standard_normal(SQUARE.size)
-    return [s], lambda: project(ad.masked_softmax_rows(s, exclude_self=True, blocks=SQUARE), c)
+    return [s], lambda: project(ad.masked_softmax_rows(s, SQUARE, exclude_self=True), c)
 
 
 def _case_block_sums_and_transpose(rng):
@@ -656,7 +660,7 @@ def _case_nll_columns(rng):
 
 GRAD_CASES = {
     "matmul": _case_matmul,
-    "matmul_vector": _case_matmul_vector,
+    "matmul_column": _case_matmul_column,
     "add": _case_add,
     "tanh": _case_tanh,
     "sigmoid": _case_sigmoid,
@@ -664,11 +668,9 @@ GRAD_CASES = {
     "add_bias": _case_add_bias,
     "transpose": _case_transpose,
     "concat_rows": _case_concat_rows,
-    "concat_vec": _case_concat_vec,
     "window3_m1": _case_window3(1),
     "window3_m5": _case_window3(5),
     "additive_scores": _case_additive_scores,
-    "stack": _case_stack,
     "row_sums": _case_row_sums,
     "nll": _case_nll,
     "nll_mean": _case_nll_mean,
@@ -694,6 +696,22 @@ def test_op_gradient_matches_finite_differences(name):
     rng = np.random.default_rng([ord(ch) for ch in name])
     leaves, build = GRAD_CASES[name](rng)
     assert_grads_match(build, leaves)
+
+
+# public functions of the engine that build no graph node
+NON_OPS = {"backward", "topo_order", "grad_check", "zero_grads", "glorot", "param"}
+
+
+def test_gradient_cases_cover_every_op():
+    # every graph-building public function names its nodes' op after itself
+    ops = {name for name, fn in vars(ad).items()
+           if not name.startswith("_") and name not in NON_OPS and inspect.isfunction(fn)
+           and fn.__module__ == ad.__name__}
+    built = set()
+    for name, case in GRAD_CASES.items():
+        _, build = case(np.random.default_rng(0))
+        built.update(node.op for node in ad.topo_order(build()))
+    assert ops <= built, sorted(ops - built)
 
 
 # ---------------------------------------------------------------------------
@@ -785,13 +803,13 @@ def test_grad_check_linear_regression_is_nearly_exact():
     # quadratic loss, so central differences agree to machine precision
     rng = np.random.default_rng(42)
     X = ad.Node(rng.standard_normal((6, 4)))
-    y = rng.standard_normal(6)
-    w = ad.param(rng.standard_normal(4))
+    y = rng.standard_normal((6, 1))
+    w = ad.param(rng.standard_normal((4, 1)))
 
     def build():
         err = ad.add(ad.matmul(X, w), ad.Node(-y))
-        # 0.5 * err . err, the dot product as a 1 x 6 by 6 matmul
-        return project(ad.matmul(ad.transpose(ad.stack_cols([err])), err), 0.5)
+        # 0.5 * err . err, the dot product as a 1 x 6 by 6 x 1 matmul
+        return project(ad.matmul(ad.transpose(err), err), 0.5)
 
     report = ad.grad_check(build, {"w": w}, step=1e-5, tolerance=1e-9)
     assert report.passed, report.errors

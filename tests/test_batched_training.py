@@ -1,7 +1,8 @@
 """``train`` runs each batch as one packed ``forward_batch`` graph.
 
-The oracle is the per-example loop in ``oracle_train``: one ``forward_ids``
-per example, the arithmetic training had before batches were packed.
+The oracle is the per-example loop in ``oracle_train``: one unsegmented
+``reference_forward`` per example, the arithmetic training had before
+batches were packed.
 Packing sums wider matmuls in another order, so losses and parameters are
 compared within TRAIN_BATCH_TOLERANCE (absolute), while train accuracies
 and the predictions after every epoch must be identical.

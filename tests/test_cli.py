@@ -15,7 +15,7 @@ from attconv import cli, errors
 from attconv.checkpoint import MAGIC, save_checkpoint
 from attconv.cli import SEED_ENV, main
 from attconv.data import Dataset, Vocabulary, gen_context_match, save_jsonl
-from attconv.model import ModelConfig, TrainConfig, build_model
+from attconv.model import MAX_SCORE_ENTRIES, ModelConfig, TrainConfig, build_model
 
 BASE_CONFIG = {
     "variant": "light",
@@ -317,6 +317,35 @@ def test_exclude_self_on_a_one_token_text_exits_2(tmp_path, capsys):
     assert code == 2
     assert "nothing to attend" in err and err.count("\n") == 1
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def _long_text(n):
+    return " ".join(f"w{i % 40}" for i in range(n))
+
+
+def test_an_example_over_the_score_bound_exits_3(tmp_path, capsys):
+    # a text one token longer than the square root of the bound, scored
+    # against itself at d=1: small enough to run where nothing refuses it
+    n = math.isqrt(MAX_SCORE_ENTRIES) + 1
+    data = tmp_path / "long.jsonl"
+    data.write_text(json.dumps({"label": "0", "text": "a b"}) + "\n"
+                    + json.dumps({"label": "1", "text": _long_text(n)}) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, **{"context-mode": "intra", "d": 1, "epochs": 1})
+    code, _, err = run(capsys, ["train", "--config", config, "--train", str(data),
+                                "--out", str(tmp_path / "m.ckpt")])
+    assert code == 3
+    assert "too large" in err and str(n * n) in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_eval_of_an_example_over_the_score_bound_exits_3(trained, tmp_path, capsys):
+    n = math.isqrt(MAX_SCORE_ENTRIES)
+    data = tmp_path / "long.jsonl"
+    data.write_text(json.dumps({"label": "1", "text": _long_text(n + 1),
+                                "contexts": [_long_text(n)]}) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, ["eval", "--model", trained["model"], "--data", str(data)])
+    assert code == 3
+    assert "too large" in err and err.count("\n") == 1
 
 
 def test_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,10 @@
 """``forward_batch`` runs a chunk of examples as one packed graph.
 
-The oracle is ``forward_ids``, one example at a time. Packing puts several
-examples' columns into one matmul, and BLAS sums a wider matmul in another
-order, so the comparison is a tolerance: every probability within
-BATCH_TOLERANCE (absolute) of the oracle's, and identical predictions.
+The oracle is ``reference_forward``, the unsegmented forward of one example
+at a time. Packing puts several examples' columns into one matmul, and BLAS
+sums a wider matmul in another order, so the comparison is a tolerance:
+every probability within BATCH_TOLERANCE (absolute) of the oracle's, and
+identical predictions. ``forward`` is the batch of one, bit for bit.
 """
 
 import numpy as np
@@ -20,9 +21,11 @@ from attconv.model import (
     build_model,
     cross_entropy,
     evaluate,
+    forward,
     forward_batch,
     forward_ids,
 )
+from reference import reference_forward
 
 BATCH_TOLERANCE = 1e-12
 
@@ -73,7 +76,8 @@ def test_forward_batch_matches_per_example_forward(variant, mode, self_mode, met
     model = _model(variant, mode, self_mode, method)
     encoded = _encoded(mode, 2 * EVAL_CHUNK + 3, seed=len(variant) + len(mode))
     got = forward_batch(model, encoded).value
-    want = np.stack([forward_ids(model, text, ctxs).value for text, ctxs, _ in encoded], axis=1)
+    want = np.stack([reference_forward(model, text, ctxs).value for text, ctxs, _ in encoded],
+                    axis=1)
     assert got.shape == want.shape == (len(LABELS), len(encoded))
     assert np.max(np.abs(got - want)) <= BATCH_TOLERANCE
     assert np.array_equal(got.argmax(axis=0), want.argmax(axis=0))
@@ -92,12 +96,20 @@ def test_forward_batch_matches_per_example_forward(variant, mode, self_mode, met
     assert abs(result.loss - want_loss) <= BATCH_TOLERANCE
 
 
-def test_a_batch_of_one_is_one_column():
-    model = _model("light", "multi-wise", "include-self", "bilinear")
-    [(text, ctxs, _)] = _encoded("multi-wise", 1, seed=3)
-    got = forward_batch(model, [(text, ctxs)]).value
-    assert got.shape == (len(LABELS), 1)
-    assert np.max(np.abs(got[:, 0] - forward_ids(model, text, ctxs).value)) <= BATCH_TOLERANCE
+@pytest.mark.parametrize("variant,mode,self_mode,method", GRID)
+def test_forward_is_the_batch_of_one(variant, mode, self_mode, method):
+    # comparison: bitwise; forward and forward_ids give column 0 of a
+    # forward_batch of one, as a detached K-vector
+    model = _model(variant, mode, self_mode, method)
+    for text, ctxs, label in _encoded(mode, 6, seed=3):
+        column = forward_batch(model, [(text, ctxs)]).value
+        assert column.shape == (len(LABELS), 1)
+        got = forward_ids(model, text, ctxs)
+        assert got.value.shape == (len(LABELS),) and got.inputs == ()
+        assert np.array_equal(got.value, column[:, 0])
+        example = Example(text=[VOCAB.tokens[i] for i in text],
+                          contexts=[[VOCAB.tokens[i] for i in c] for c in ctxs], label=label)
+        assert np.array_equal(forward(model, example).value, column[:, 0])
 
 
 @pytest.mark.parametrize("variant,mode,self_mode,method", GRID)

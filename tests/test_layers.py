@@ -1,5 +1,9 @@
 """Convolution layers: windowing, the split filter against its joint-filter
-oracle, gating, multi-granular states, pooling, and the convolution-free stack."""
+oracle, gating, multi-granular states, pooling, and the convolution-free stack.
+
+Each test runs one sequence (the segment ``[0]``) or one text against one
+context map (a packing of one pair).
+"""
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from attconv import layers as ly
 from attconv.attention import apply_attention, attention_weights, match_scores, project_text
 from attconv.errors import DimensionError
 from attconv.model import ModelConfig, init_tensor, param_shapes
+
+ONE = [0]  # the segment starts of one sequence alone
 
 
 def np_window3(H):
@@ -25,7 +31,7 @@ def draw(rng, shapes):
 
 def light(H, C, params, at=""):
     """``light_attconv`` with its W1 term built from H, as the attentive layers build it."""
-    return ly.light_attconv(ad.matmul(params[at + "W1"], ad.window3(H)), C, params, at)
+    return ly.light_attconv(ad.matmul(params[at + "W1"], ad.window3(H, ONE)), C, params, at)
 
 
 def _conv_params(d, rng):
@@ -45,6 +51,16 @@ def _mgran_params(d, rng):
     return draw(rng, {**_gated_shapes(d, 1, "uni."), **_gated_shapes(d, 3, "tri.")})
 
 
+def one_pair(Hx, Hy):
+    """The packing of one text against one context map."""
+    return ly.pack([Hx.value.shape[1]], [[Hy.value.shape[1]]])
+
+
+def weights_of(pk, trace_node):
+    """A traced weights node of one pair as its m x n matrix."""
+    return pk.blocks.block(trace_node.value, 0)
+
+
 def _net_params(variant, d, method, rng):
     """The ``net.`` tensors of a variant, in ``param_shapes`` order."""
     shapes = param_shapes(ModelConfig(variant=variant, d=d, match_method=method), 1)
@@ -54,13 +70,13 @@ def _net_params(variant, d, method, rng):
 def test_window3_matches_numpy_oracle():
     rng = np.random.default_rng(0)
     H = ad.Node(rng.standard_normal((3, 5)))
-    assert np.array_equal(ad.window3(H).value, np_window3(H.value))
+    assert np.array_equal(ad.window3(H, ONE).value, np_window3(H.value))
 
 
 def test_vanilla_conv_hand_check_scalar_case():
     # W1 = [1 1 1], H = [1 2 3]: windows sum to 3, 6, 5
     params = {"W1": ad.param(np.ones((1, 3))), "b": ad.param(np.zeros(1))}
-    out = ly.vanilla_conv(ad.Node(np.array([[1.0, 2.0, 3.0]])), params, "")
+    out = ly.vanilla_conv(ad.Node(np.array([[1.0, 2.0, 3.0]])), params, "", ONE)
     assert np.allclose(out.value, np.tanh([[3.0, 6.0, 5.0]]), atol=1e-15)
 
 
@@ -69,8 +85,8 @@ def test_vanilla_conv_translation_covariance_in_the_interior():
     d, m = 4, 9
     params = _conv_params(d, rng)
     H = rng.standard_normal((d, m))
-    out = ly.vanilla_conv(ad.Node(H), params, "").value
-    rolled = ly.vanilla_conv(ad.Node(np.roll(H, 1, axis=1)), params, "").value
+    out = ly.vanilla_conv(ad.Node(H), params, "", ONE).value
+    rolled = ly.vanilla_conv(ad.Node(np.roll(H, 1, axis=1)), params, "", ONE).value
     # away from both boundaries the shifted input just shifts the output
     assert np.array_equal(rolled[:, 2:m - 1], out[:, 1:m - 2])
 
@@ -97,7 +113,7 @@ def test_light_attconv_with_zero_context_is_vanilla():
     H = ad.Node(rng.standard_normal((4, 7)))
     C = ad.Node(np.zeros((6, 7)))
     got = light(H, C, params).value
-    plain = ly.vanilla_conv(H, params, "").value
+    plain = ly.vanilla_conv(H, params, "", ONE).value
     assert np.array_equal(got, plain)
 
 
@@ -128,7 +144,7 @@ def test_light_attconv_rejects_misaligned_context():
 def test_gated_conv_all_zero_parameters_halve_the_input():
     H = ad.Node(np.random.default_rng(6).standard_normal((3, 4)))
     params = {name: ad.param(np.zeros(shape)) for name, shape in _gated_shapes(3, 3).items()}
-    out = ly.gated_conv(H, params, "")
+    out = ly.gated_conv(H, params, "", ONE)
     assert np.allclose(out.value, 0.5 * H.value, atol=1e-15)
 
 
@@ -138,7 +154,7 @@ def test_gated_conv_saturated_gate_passes_input_through(width):
     params = draw(rng, _gated_shapes(4, width))
     params["b_g"].value[:] = 30.0
     H = ad.Node(rng.standard_normal((4, 5)) * 0.1)
-    out = ly.gated_conv(H, params, "")
+    out = ly.gated_conv(H, params, "", ONE)
     assert np.max(np.abs(out.value - H.value)) < 1e-9
 
 
@@ -147,7 +163,7 @@ def test_gated_conv_open_gate_yields_the_candidate():
     params = draw(rng, _gated_shapes(3, 3))
     params["b_g"].value[:] = -30.0
     H = rng.standard_normal((3, 6)) * 0.1
-    out = ly.gated_conv(ad.Node(H), params, "").value
+    out = ly.gated_conv(ad.Node(H), params, "", ONE).value
     cand = np.tanh(params["W_h"].value @ np_window3(H) + params["b_h"].value[:, None])
     assert np.max(np.abs(out - cand)) < 1e-9
 
@@ -157,7 +173,7 @@ def test_gated_conv_output_between_input_and_candidate():
     for trial in range(10):
         params = draw(rng, _gated_shapes(3, 3))
         H = rng.standard_normal((3, 5))
-        out = ly.gated_conv(ad.Node(H), params, "").value
+        out = ly.gated_conv(ad.Node(H), params, "", ONE).value
         cand = np.tanh(params["W_h"].value @ np_window3(H) + params["b_h"].value[:, None])
         lo = np.minimum(H, cand) - 1e-12
         hi = np.maximum(H, cand) + 1e-12
@@ -172,10 +188,10 @@ def test_mgran_shape_and_composition():
     rng = np.random.default_rng(11)
     params = _mgran_params(4, rng)
     H = ad.Node(rng.standard_normal((4, 5)))
-    out = ly.mgran(H, params, "")
+    out = ly.mgran(H, params, "", ONE)
     assert out.value.shape == (8, 5)
-    uni = ly.gated_conv(H, params, "uni.").value
-    tri = ly.gated_conv(H, params, "tri.").value
+    uni = ly.gated_conv(H, params, "uni.", ONE).value
+    tri = ly.gated_conv(H, params, "tri.", ONE).value
     assert np.array_equal(out.value, np.vstack([uni, tri]))
 
 
@@ -184,10 +200,10 @@ def test_mgran_locality_of_the_two_granularities():
     d, m, j = 3, 7, 3
     params = _mgran_params(d, rng)
     H = rng.standard_normal((d, m))
-    base = ly.mgran(ad.Node(H), params, "").value
+    base = ly.mgran(ad.Node(H), params, "", ONE).value
     bumped = H.copy()
     bumped[:, j] += 0.5
-    out = ly.mgran(ad.Node(bumped), params, "").value
+    out = ly.mgran(ad.Node(bumped), params, "", ONE).value
     changed = np.flatnonzero(np.any(out != base, axis=0))
     # the uni half may move only column j, the tri half only j-1, j, j+1
     uni_changed = np.flatnonzero(np.any(out[:d] != base[:d], axis=0))
@@ -201,7 +217,7 @@ def test_beneficiary_keeps_shape():
     rng = np.random.default_rng(13)
     params = draw(rng, _gated_shapes(4, 1))
     H = ad.Node(rng.standard_normal((4, 6)))
-    assert ly.gated_conv(H, params, "").value.shape == (4, 6)
+    assert ly.gated_conv(H, params, "", ONE).value.shape == (4, 6)
 
 
 def test_beneficiary_saturated_gate_is_near_identity():
@@ -209,7 +225,7 @@ def test_beneficiary_saturated_gate_is_near_identity():
     params = draw(rng, _gated_shapes(4, 1))
     params["b_g"].value[:] = 30.0
     H = ad.Node(rng.standard_normal((4, 6)) * 0.1)
-    assert np.max(np.abs(ly.gated_conv(H, params, "").value - H.value)) < 1e-9
+    assert np.max(np.abs(ly.gated_conv(H, params, "", ONE).value - H.value)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +238,15 @@ def test_attend_and_convolve_light_equals_manual_composition():
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 6)))
     trace = []
-    got = ly.attend_and_convolve(Hx, Hy, params, "net.", "dot", trace=trace)
+    pk = one_pair(Hx, Hy)
+    got = ly.attend_and_convolve(Hx, Hy, params, "net.", "dot", pk, trace=trace)
 
-    Cx = apply_attention(attention_weights(match_scores(project_text(Hx, "dot"), Hy, "dot")), Hy)
+    scores = match_scores(project_text(Hx, "dot"), Hy, "dot", pk.blocks)
+    Cx = apply_attention(attention_weights(scores, pk.blocks), Hy, pk.blocks)
     want = light(Hx, Cx, params, "net.conv.").value
     assert np.array_equal(got.value, want)
     assert len(trace) == 1
-    assert trace[0].value.shape == (5, 6)
+    assert weights_of(pk, trace[0]).shape == (5, 6)
 
 
 def test_attend_and_convolve_advanced_shapes_and_trace():
@@ -236,10 +254,11 @@ def test_attend_and_convolve_advanced_shapes_and_trace():
     params = _net_params("advanced", 3, "dot", rng)
     Hx = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", trace=trace)
+    pk = one_pair(Hx, Hx)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", pk, trace=trace)
     assert out.value.shape == (3, 5)
     # matching runs over the multi-granular states, one row/column per position
-    assert trace[0].value.shape == (5, 5)
+    assert weights_of(pk, trace[0]).shape == (5, 5)
 
 
 def test_attend_and_convolve_rejects_unknown_bundles():
@@ -248,7 +267,7 @@ def test_attend_and_convolve_rejects_unknown_bundles():
     params = _net_params("vanilla-cnn", 2, "dot", rng)
     H = ad.Node(np.zeros((2, 2)))
     with pytest.raises(KeyError, match="net.conv.W1"):
-        ly.attend_and_convolve(H, H, params, "net.", "dot")
+        ly.attend_and_convolve(H, H, params, "net.", "dot", one_pair(H, H))
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +280,8 @@ def test_intra_attconv_single_position_attends_to_itself():
     h = rng.standard_normal((3, 1))
     trace = []
     Hx = ad.Node(h)
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", trace=trace)
-    assert np.array_equal(trace[0].value, np.array([[1.0]]))
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", one_pair(Hx, Hx), trace=trace)
+    assert np.array_equal(trace[0].value, np.array([1.0]))
     # with weight 1.0 the attentive context is the position's own state
     want = light(ad.Node(h), ad.Node(h), params, "net.conv.").value
     assert np.array_equal(out.value, want)
@@ -273,8 +292,9 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     params = _net_params("light", 3, "dot", rng)
     H = ad.Node(rng.standard_normal((3, 5)))
     trace = []
-    ly.attend_and_convolve(H, H, params, "net.", "dot", exclude_self=True, trace=trace)
-    w = trace[0].value
+    pk = one_pair(H, H)
+    ly.attend_and_convolve(H, H, params, "net.", "dot", pk, exclude_self=True, trace=trace)
+    w = weights_of(pk, trace[0])
     assert np.all(np.diag(w) == 0.0)
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -285,9 +305,9 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
 
 def pool_pair(Hx, Hy, params):
     """The pooled x and y states of ``attentive_pooling`` on one context map."""
-    rep = ly.attentive_pooling(Hx, Hy, params, "")
+    rep = ly.attentive_pooling(Hx, Hy, params, "", one_pair(Hx, Hy))
     d = Hx.value.shape[0]
-    return rep.value[:d], rep.value[d:]
+    return rep.value[:d, 0], rep.value[d:, 0]
 
 
 def test_attentive_pooling_is_symmetric_in_its_arguments():
@@ -315,8 +335,8 @@ def test_attentive_pooling_single_positions_return_their_states():
     Hx = ad.Node(rng.standard_normal((3, 1)))
     Hy = ad.Node(rng.standard_normal((3, 1)))
     rx, ry = pool_pair(Hx, Hy, params)
-    assert np.array_equal(rx, ly.vanilla_conv(Hx, params, "").value[:, 0])
-    assert np.array_equal(ry, ly.vanilla_conv(Hy, params, "").value[:, 0])
+    assert np.array_equal(rx, ly.vanilla_conv(Hx, params, "", ONE).value[:, 0])
+    assert np.array_equal(ry, ly.vanilla_conv(Hy, params, "", ONE).value[:, 0])
 
 
 def test_attentive_pooling_outputs_stay_in_their_own_hull():
@@ -325,8 +345,8 @@ def test_attentive_pooling_outputs_stay_in_their_own_hull():
     Hx = ad.Node(rng.standard_normal((3, 6)))
     Hy = ad.Node(rng.standard_normal((3, 4)))
     rx, ry = pool_pair(Hx, Hy, params)
-    cx = ly.vanilla_conv(Hx, params, "").value
-    cy = ly.vanilla_conv(Hy, params, "").value
+    cx = ly.vanilla_conv(Hx, params, "", ONE).value
+    cy = ly.vanilla_conv(Hy, params, "", ONE).value
     assert np.all(rx >= cx.min(axis=1) - 1e-12)
     assert np.all(rx <= cx.max(axis=1) + 1e-12)
     assert np.all(ry >= cy.min(axis=1) - 1e-12)
@@ -343,7 +363,7 @@ def test_no_conv_stack_zero_context_reduces_to_mlp():
     Hx = ad.Node(rng.standard_normal((3, 4)))
     Hy = ad.Node(np.zeros((3, 2)))
     trace = []
-    out = ly.no_conv_stack(Hx, Hy, params, "net.", "dot", trace=trace)
+    out = ly.no_conv_stack(Hx, Hy, params, "net.", "dot", one_pair(Hx, Hy), trace=trace)
     got = out.value
     want = Hx.value
     for i in range(ly.NO_CONV_LAYERS):
@@ -387,5 +407,6 @@ def test_advanced_bilinear_matching_runs_at_doubled_width():
     assert params["net.match.W_e"].value.shape == (2 * d, 2 * d)
     Hx = ad.Node(rng.standard_normal((d, 4)))
     trace = []
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "bilinear", trace=trace)
-    assert out.value.shape == (d, 4) and trace[0].value.shape == (4, 4)
+    pk = one_pair(Hx, Hx)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "bilinear", pk, trace=trace)
+    assert out.value.shape == (d, 4) and weights_of(pk, trace[0]).shape == (4, 4)

@@ -14,9 +14,11 @@ from attconv.errors import (
     DivergenceError,
     EmptyContextError,
     EmptyInputError,
+    FormatError,
 )
 from attconv.model import (
     EVAL_CHUNK,
+    MAX_SCORE_ENTRIES,
     AdaGradState,
     ModelConfig,
     TrainConfig,
@@ -337,29 +339,64 @@ def test_no_conv_records_one_attention_pass_per_layer():
     assert [r.layer_index for r in trace] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("mode,text_len,map_lens,allowed", [
+    ("intra", 1000, [], True),
+    ("intra", 1001, [], False),
+    ("single", 500, [2000], True),
+    ("single", 500, [2001], False),
+    # a repeated multi-wise context is one map, scored once
+    ("multi-wise", 500, [2000, 2000], True),
+    ("multi-wise", 500, [1000, 1001], False),
+    # the joined map counts its separator
+    ("multi-conc", 500, [1000, 999], True),
+    ("multi-conc", 500, [1000, 1000], False),
+])
+def test_an_example_over_the_score_bound_is_refused_before_any_op(
+        monkeypatch, mode, text_len, map_lens, allowed):
+    # comparison: which error; the bound counts text length times the summed
+    # lengths of the context maps, and is checked before the first op
+    assert MAX_SCORE_ENTRIES == 10**6
+    model = build_model(small_config(context_mode=mode, d=1), VOCAB, LABELS)
+
+    def first_op(*args):
+        raise RuntimeError("an op was built")
+
+    monkeypatch.setattr(ad, "embed", first_op)
+    text = [2 + i % 9 for i in range(text_len)]
+    ctxs = [[2] * n for n in map_lens]
+    example = Example(text=[VOCAB.tokens[i] for i in text],
+                      contexts=[[VOCAB.tokens[i] for i in c] for c in ctxs], label=0)
+    data = Dataset(examples=[example], label_names=LABELS)
+    for run in (lambda: forward_ids(model, text, ctxs), lambda: forward(model, example),
+                lambda: forward_batch(model, [(text, ctxs)]), lambda: evaluate(data, model),
+                lambda: train(model, data, TrainConfig(epochs=1))):
+        with pytest.raises(RuntimeError if allowed else FormatError, match="op|too large"):
+            run()
+
+
 # ---------------------------------------------------------------------------
 # loss and prediction
 
 
 def test_cross_entropy_perfect_prediction_is_zero():
-    probs = ad.Node(np.array([0.0, 1.0]))
-    assert cross_entropy(probs, 1).value.item() == 0.0
+    probs = ad.Node(np.array([[0.0], [1.0]]))
+    assert cross_entropy(probs, [1]).value.item() == 0.0
 
 
 def test_cross_entropy_uniform_five_way():
-    probs = ad.Node(np.full(5, 0.2))
-    assert abs(cross_entropy(probs, 3).value.item() - math.log(5.0)) < 1e-12
+    probs = ad.Node(np.full((5, 1), 0.2))
+    assert abs(cross_entropy(probs, [3]).value.item() - math.log(5.0)) < 1e-12
 
 
 def test_cross_entropy_floors_vanishing_probabilities():
-    probs = ad.Node(np.array([1.0, 0.0]))
-    assert abs(cross_entropy(probs, 1).value.item() - (-math.log(1e-12))) < 1e-9
+    probs = ad.Node(np.array([[1.0], [0.0]]))
+    assert abs(cross_entropy(probs, [1]).value.item() - (-math.log(1e-12))) < 1e-9
 
 
 def test_cross_entropy_adds_one_node_to_the_forward_graph():
     model = build_model(small_config(), VOCAB, LABELS)
-    probs = forward_ids(model, [2, 3, 4], [[5, 6]])
-    loss = cross_entropy(probs, 1)
+    probs = forward_batch(model, [([2, 3, 4], [[5, 6]])])
+    loss = cross_entropy(probs, [1])
     assert len(ad.topo_order(loss)) == len(ad.topo_order(probs)) + 1
     assert loss.op == "nll" and loss.inputs == (probs,)
 
@@ -649,7 +686,7 @@ def test_evaluate_loss_is_the_mean_cross_entropy():
         sorted({t for ex in data for t in ex.text + ex.contexts[0]})), LABELS)
     result = evaluate(data, model)
     per_example = [forward(model, ex).value for ex in data.examples]
-    want = sum(cross_entropy(ad.Node(p), ex.label).value.item()
+    want = sum(cross_entropy(ad.Node(p[:, None]), [ex.label]).value.item()
                for ex, p in zip(data.examples, per_example)) / len(data)
     assert abs(result.loss - want) <= 1e-12
     confusion = np.zeros((2, 2), dtype=np.int64)
@@ -662,8 +699,8 @@ def test_evaluate_loss_is_the_mean_cross_entropy():
         chunk = data.examples[lo:lo + EVAL_CHUNK]
         probs = forward_batch(model, [(encode(ex.text), [encode(c) for c in ex.contexts])
                                       for ex in chunk]).value
-        for ex, column in zip(chunk, probs.T):
-            total += cross_entropy(ad.Node(column), ex.label).value.item()
+        for b, ex in enumerate(chunk):
+            total += cross_entropy(ad.Node(probs[:, b:b + 1]), [ex.label]).value.item()
     assert result.loss == total / len(data)
 
 

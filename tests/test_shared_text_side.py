@@ -1,37 +1,35 @@
 """The text side of each attentive layer is built once per example.
 
-The oracle is the per-context forward: the layer called with one context map
-at a time, each map's feature map max-pooled, the maps max-pooled, then the
-classifier. With one context map (intra, single, multi-conc) the forward
-runs that very arithmetic and must give bitwise-equal probabilities and
-attention traces. A multi-wise forward packs its context maps side by side,
-so its wider matmuls sum in another order: it is compared within
-FORWARD_TOLERANCE, with identical predictions. Training is compared with a
-tolerance too: ``train`` packs each batch into one graph, and a node shared
-by several contexts also sums their gradients before its one backward,
-where the oracle, the per-example loop of ``oracle_train`` on the
-per-context forward, sums them at the parameter.
+The oracle is the per-context forward ``reference_forward``: the unsegmented
+layer called with one context map at a time, each map's feature map
+max-pooled, the maps max-pooled, then the classifier. The forward packs its
+context maps side by side and sums its row softmaxes and wider matmuls in
+another order, so it is compared within FORWARD_TOLERANCE, with identical
+predictions. Training is compared with a tolerance too: ``train`` packs
+each batch into one graph, and a node shared by several contexts also sums
+their gradients before its one backward, where the oracle, the per-example
+loop of ``oracle_train`` on the per-context forward, sums them at the
+parameter.
 """
 
 import numpy as np
 import pytest
 
 from attconv import autodiff as ad
-from attconv import layers as ly
 from attconv.attention import MATCH_METHODS
 from attconv.data import SEP_TOKEN, Dataset, Example, Vocabulary
 from attconv.model import (
-    AttentionRecord,
     ModelConfig,
     TrainConfig,
     build_model,
     evaluate,
+    forward_batch,
     forward_ids,
-    join_context_ids,
     predict,
     train,
 )
 from oracle_train import oracle_train
+from reference import reference_forward
 
 VOCAB = Vocabulary()
 for _tok in [f"t{i}" for i in range(12)] + [SEP_TOKEN]:
@@ -45,35 +43,6 @@ TRAIN_TOLERANCE = 1e-12  # relative to each tensor's largest entry
 FORWARD_TOLERANCE = 1e-12  # absolute, on probabilities and attention weights
 
 
-def oracle_forward_ids(model, text_ids, ctx_ids, trace=None):
-    """Per-context forward: one layer call per context map, then max-pooling."""
-    cfg, p = model.config, model.params
-    Hx = ad.embed(model.embeddings, text_ids)
-    if cfg.context_mode == "intra":
-        maps = [Hx]
-    elif cfg.context_mode == "multi-conc":
-        maps = [ad.embed(model.embeddings,
-                         join_context_ids(ctx_ids, model.vocab.index[SEP_TOKEN]))]
-    else:
-        maps = [ad.embed(model.embeddings, ids) for ids in ctx_ids]
-    exclude_self = cfg.context_mode == "intra" and cfg.self_mode == "exclude-self"
-    layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
-    reps = []
-    for j, Hy in enumerate(maps):
-        if cfg.variant == "attentive-pooling":
-            rep = ly.attentive_pooling(Hx, Hy, p, "net.")
-        else:
-            passes = []
-            fmap = layer(Hx, Hy, p, "net.", cfg.match_method, exclude_self=exclude_self,
-                         trace=passes)
-            rep = ad.max_over_positions(fmap)
-            if trace is not None:
-                trace.extend(AttentionRecord(j, li, w) for li, w in enumerate(passes))
-        reps.append(rep)
-    rep = reps[0] if len(reps) == 1 else ad.max_over_positions(ad.stack_cols(reps))
-    return ad.softmax(ad.add(ad.matmul(p["classifier.W"], rep), p["classifier.b"]))
-
-
 def _example_ids(rng, mode):
     def sent(lo):
         return [int(i) for i in rng.integers(2, 14, size=int(rng.integers(lo, 7)))]
@@ -82,57 +51,35 @@ def _example_ids(rng, mode):
     return text, [sent(1) for _ in range(n_ctx)]
 
 
-def _trace_key(trace):
-    return [(r.context_index, r.layer_index, r.weights.value.shape, r.weights.value.tobytes())
-            for r in trace]
-
-
 def _trace_shapes(trace):
     return [(r.context_index, r.layer_index, r.weights.value.shape) for r in trace]
 
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
-@pytest.mark.parametrize("mode,self_mode", [m for m in MODES if m[0] != "multi-wise"])
+@pytest.mark.parametrize("mode,self_mode", MODES)
 @pytest.mark.parametrize("variant", CONTEXTUAL)
-def test_forward_is_bitwise_equal_to_the_per_context_oracle(variant, mode, self_mode, method):
-    # comparison: bitwise (array_equal on probabilities, bytes of every trace)
+def test_forward_is_within_tolerance_of_the_per_context_oracle(variant, mode, self_mode, method):
+    # comparison: FORWARD_TOLERANCE on probabilities and every traced weight,
+    # identical predictions, and one trace record per context and pass
     cfg = ModelConfig(variant=variant, context_mode=mode, self_mode=self_mode, d=8,
                       match_method=method, seed=4)
     model = build_model(cfg, VOCAB, LABELS)
     rng = np.random.default_rng(11)
-    for _ in range(4):
-        text, ctxs = _example_ids(rng, mode)
-        got_trace, want_trace = [], []
-        got = forward_ids(model, text, ctxs, trace=got_trace).value
-        want = oracle_forward_ids(model, text, ctxs, trace=want_trace).value
-        assert np.array_equal(got, want)
-        assert _trace_key(got_trace) == _trace_key(want_trace)
-        if variant != "attentive-pooling":
-            assert len(got_trace) == (4 if variant == "no-conv" else 1)
-
-
-@pytest.mark.parametrize("method", MATCH_METHODS)
-@pytest.mark.parametrize("variant", CONTEXTUAL)
-def test_multiwise_forward_is_within_tolerance_of_the_per_context_oracle(variant, method):
-    # comparison: FORWARD_TOLERANCE on probabilities and every traced weight,
-    # identical predictions, and one trace record per context and pass
-    cfg = ModelConfig(variant=variant, context_mode="multi-wise", d=8, match_method=method,
-                      seed=4)
-    model = build_model(cfg, VOCAB, LABELS)
-    rng = np.random.default_rng(11)
     for _ in range(6):
-        text, ctxs = _example_ids(rng, "multi-wise")
-        ctxs = ctxs + [ctxs[0]]  # a repeated context shares its map's block
+        text, ctxs = _example_ids(rng, mode)
+        if mode == "multi-wise":
+            ctxs = ctxs + [ctxs[0]]  # a repeated context shares its map's block
         got_trace, want_trace = [], []
         got = forward_ids(model, text, ctxs, trace=got_trace).value
-        want = oracle_forward_ids(model, text, ctxs, trace=want_trace).value
+        want = reference_forward(model, text, ctxs, trace=want_trace).value
         assert np.max(np.abs(got - want)) <= FORWARD_TOLERANCE
         assert predict(got) == predict(want)
         assert _trace_shapes(got_trace) == _trace_shapes(want_trace)
         for a, b in zip(got_trace, want_trace):
             assert np.max(np.abs(a.weights.value - b.weights.value)) <= FORWARD_TOLERANCE
         if variant != "attentive-pooling":
-            assert len(got_trace) == (4 if variant == "no-conv" else 1) * len(ctxs)
+            passes = 4 if variant == "no-conv" else 1
+            assert len(got_trace) == passes * (len(ctxs) if mode == "multi-wise" else 1)
 
 
 def _multiwise_data(seed, n=20):
@@ -158,7 +105,7 @@ def test_multiwise_training_stays_within_tolerance_of_the_oracle(variant, method
     shared = build_model(cfg, VOCAB, LABELS)
     train(shared, data, tcfg)
     oracle = build_model(cfg, VOCAB, LABELS)
-    oracle_train(oracle, data, tcfg, forward=oracle_forward_ids)
+    oracle_train(oracle, data, tcfg)
     for name, node in shared.params.items():
         want = oracle.params[name].value
         scale = max(float(np.max(np.abs(want))), 1e-300)
@@ -176,7 +123,7 @@ def _multiwise_graph(variant):
     cfg = ModelConfig(variant=variant, context_mode="multi-wise", d=8,
                       match_method="bilinear", seed=1)
     model = build_model(cfg, VOCAB, LABELS)
-    probs = forward_ids(model, [2, 3, 4, 5], [[6, 7], [8, 9, 10], [11]])
+    probs = forward_batch(model, [([2, 3, 4, 5], [[6, 7], [8, 9, 10], [11]])])
     return ad.topo_order(probs)
 
 
