@@ -134,18 +134,6 @@ class Blocks:
         return value[f0:f1].reshape(r1 - r0, c1 - c0)
 
     @cached_property
-    def T(self) -> "Blocks":
-        """The layout of the transposed blocks."""
-        return Blocks(self.cols, self.rows)
-
-    @cached_property
-    def transposer(self) -> np.ndarray:
-        """Entry indices that read a blocked value as its transposed blocks."""
-        return np.concatenate([
-            f0 + np.arange((r1 - r0) * (c1 - c0)).reshape(r1 - r0, c1 - c0).T.ravel()
-            for r0, r1, c0, c1, f0, _ in self.spans])
-
-    @cached_property
     def diagonal(self) -> np.ndarray:
         """Entry indices of every block's diagonal; every block must be square."""
         if not np.array_equal(self.rows, self.cols):
@@ -368,21 +356,8 @@ def block_apply(w: Node, b: Node, blocks: Blocks) -> Node:
 # structural ops
 
 
-def transpose(a: Node, blocks: Blocks | None = None) -> Node:
-    """Transpose each block of a blocked value (``blocks.T`` is the layout of
-    the result), or without ``blocks`` a 2-d node, such as a packed text map."""
-    if blocks is not None:
-        _check_blocked(a.value, blocks, "transpose")
-        perm = blocks.transposer
-        out = Node(a.value[perm], "transpose", (a,))
-
-        def _bw(g):
-            back = np.empty_like(g)
-            back[perm] = g
-            _accum(a, back)
-
-        out._backward = _bw
-        return out
+def transpose(a: Node) -> Node:
+    """Transpose a 2-d node, such as a packed text map."""
     _require_2d(a.value, "transpose")
     out = Node(np.ascontiguousarray(a.value.T), "transpose", (a,))
     out._backward = lambda g: _accum(a, g.T)
@@ -466,14 +441,6 @@ def concat_rows(nodes: list[Node]) -> Node:
             _accum(n, g[lo:hi, :])
 
     out._backward = _bw
-    return out
-
-
-def row_sums(a: Node, blocks: Blocks) -> Node:
-    """Sum every row of every block of a blocked value."""
-    _check_blocked(a.value, blocks, "row_sums")
-    out = Node(np.add.reduceat(a.value, blocks.row_starts), "row_sums", (a,))
-    out._backward = lambda g: _accum(a, g.repeat(blocks.row_len))
     return out
 
 
@@ -682,9 +649,12 @@ class GradCheckReport:
         return all(e < self.tolerance for e in self.errors.values())
 
 
-def grad_check(build_loss, params: dict[str, Node], step: float = 1e-5,
-               tolerance: float = 1e-6) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+GRAD_CHECK_STEP = 1e-5
+
+
+def grad_check(build_loss, params: dict[str, Node], tolerance: float = 1e-6) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences of
+    step ``GRAD_CHECK_STEP``.
 
     ``build_loss`` must be a zero-argument callable that rebuilds the full
     loss graph from the live ``params`` leaves, deterministically. It is
@@ -693,8 +663,6 @@ def grad_check(build_loss, params: dict[str, Node], step: float = 1e-5,
     The relative error for one entry is |a - n| / max(|a|, |n|, 1), and the
     report keeps the per-tensor maximum.
     """
-    if step <= 0.0:
-        raise ContractError("grad_check: step must be positive")
     if not 0.0 <= tolerance < np.inf:
         raise ContractError(f"grad_check: tolerance must be finite and >= 0, got {tolerance}")
     first = build_loss()
@@ -715,15 +683,15 @@ def grad_check(build_loss, params: dict[str, Node], step: float = 1e-5,
         worst = 0.0
         for i in range(flat.shape[0]):
             keep = flat[i]
-            flat[i] = keep + step
+            flat[i] = keep + GRAD_CHECK_STEP
             up = build_loss().value.item()
-            flat[i] = keep - step
+            flat[i] = keep - GRAD_CHECK_STEP
             down = build_loss().value.item()
             flat[i] = keep
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * GRAD_CHECK_STEP)
             a = analytic[name].reshape(-1)[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
             if rel > worst:
                 worst = rel
         errors[name] = worst
-    return GradCheckReport(errors=errors, step=step, tolerance=tolerance)
+    return GradCheckReport(errors=errors, step=GRAD_CHECK_STEP, tolerance=tolerance)

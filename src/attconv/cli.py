@@ -188,7 +188,7 @@ def cmd_gradcheck(args) -> int:
     def build_loss():
         return cross_entropy(forward_batch(model, [(text_ids, ctx_ids)]), [label])
 
-    report = ad.grad_check(build_loss, model.params, step=1e-5, tolerance=args.tolerance)
+    report = ad.grad_check(build_loss, model.params, tolerance=args.tolerance)
     print(json.dumps({
         "variant": model.config.variant,
         "d": model.config.d,

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import apply_attention, attention_weights, match_scores, project_text
-from .errors import DimensionError
 
 SELF_MODES = ("include-self", "exclude-self")
 NO_CONV_LAYERS = 4
@@ -106,8 +105,6 @@ def light_attconv(local: ad.Node, Cx: ad.Node, p: Params, at: str) -> ad.Node:
     same as one convolution with the joint filter [W1 | W2] over the four
     stacked vectors.
     """
-    if local.value.shape[1] != Cx.value.shape[1]:
-        raise DimensionError("light_attconv: H_x and C_x must align per position")
     contextual = ad.matmul(p[at + "W2"], Cx)
     return ad.tanh(ad.add_bias(ad.add(local, contextual), p[at + "b"]))
 
@@ -166,20 +163,26 @@ def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, pk: Packing)
     """Post-convolution attentive mean pooling of Hx against Hy.
 
     Both sentences go through the same width-3 convolution, each text once.
-    Each resulting state is scored against all states of the other sentence
-    by dot product; row sums (for x) and column sums (for y) are softmax
-    normalized and used as weighted-mean pooling weights. Attention acts
-    only on pooling here, never on the convolution itself. Returns the
-    pooled x state over the pooled y state, one 2d column per pair.
+    Each state is weighted by the softmax of its summed dot products with
+    the other sentence's states, a row (x) or column (y) sum of the m x n
+    scores H_x^T H_y. That sum is one dot product with the other side's
+    summed states, so each side is pooled by one attention pass with that
+    sum as its query, at a cost linear in both lengths. Attention acts only
+    on pooling here, never on the convolution itself. Returns the pooled x
+    state over the pooled y state, one 2d column per pair.
     """
     Hx2 = pk.per_pair(vanilla_conv(Hx, p, at, pk.text))
     Hy2 = vanilla_conv(Hy, p, at, pk.contexts)
-    blocks = pk.blocks
-    E = match_scores(project_text(Hx2, "dot"), Hy2, "dot", blocks)
-    over_x, over_y = blocks.pooling()
-    wx = ad.masked_softmax_rows(ad.row_sums(E, blocks), over_x)
-    wy = ad.masked_softmax_rows(ad.row_sums(ad.transpose(E, blocks), blocks.T), over_y)
-    return ad.concat_rows([ad.block_apply(wx, Hx2, over_x), ad.block_apply(wy, Hy2, over_y)])
+    over_x, over_y = pk.blocks.pooling()
+    return ad.concat_rows([_pool_against(Hx2, Hy2, over_x, over_y),
+                           _pool_against(Hy2, Hx2, over_y, over_x)])
+
+
+def _pool_against(H: ad.Node, other: ad.Node, over: ad.Blocks, over_other: ad.Blocks) -> ad.Node:
+    """Each pair's states of H pooled by attention queried by its summed ``other`` states."""
+    query = ad.block_apply(ad.Node(np.ones(over_other.size)), other, over_other)
+    weights = attention_weights(match_scores(project_text(query, "dot"), H, "dot", over), over)
+    return apply_attention(weights, H, over)
 
 
 def no_conv_stack(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,

@@ -243,11 +243,17 @@ def init_tensor(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> 
 
 
 def check_labels(config: ModelConfig, label_names: list[str]) -> None:
-    """Reject a label list whose length is not the configured class count."""
+    """Reject a label list whose length is not the configured class count, or
+    that names a class twice."""
     if len(label_names) != config.num_classes:
         raise ConfigError(
             f"label list has {len(label_names)} entries but num-classes is {config.num_classes}"
         )
+    seen: set[str] = set()
+    for name in label_names:
+        if name in seen:
+            raise ConfigError(f"label list names class {name!r} twice")
+        seen.add(name)
 
 
 def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],

@@ -365,8 +365,6 @@ def test_blocked_ops_equal_each_block_alone():
         assert np.array_equal(applied[:, r0:r1], b[:, c0:c1] @ blocks.block(weights, k).T)
         want_a = ad.additive_scores(ad.Node(p[:, r0:r1]), ad.Node(q[:, c0:c1]), ad.Node(v), alone)
         assert np.array_equal(blocks.block(additive, k).ravel(), want_a.value)
-        assert np.array_equal(blocks.T.block(ad.transpose(ad.Node(scores), blocks).value, k),
-                              want.T)
 
 
 def test_block_softmax_exclude_self_zeroes_each_block_diagonal():
@@ -539,12 +537,6 @@ def _case_additive_scores(rng):
     return [p, q, v], lambda: project(ad.additive_scores(p, q, v, one_block(4, 5)), c)
 
 
-def _case_row_sums(rng):
-    a = ad.param(rng.standard_normal(12))
-    c = rng.standard_normal(4)
-    return [a], lambda: project(ad.row_sums(a, one_block(4, 3)), c)
-
-
 def _case_nll(rng):
     # one column, entries well above the 1e-12 floor, so the step never crosses it
     a = ad.param(rng.uniform(0.1, 0.9, (4, 1)))
@@ -639,14 +631,6 @@ def _case_block_softmax_rows(rng):
     return [s], lambda: project(ad.masked_softmax_rows(s, SQUARE, exclude_self=True), c)
 
 
-def _case_block_sums_and_transpose(rng):
-    s = ad.param(rng.standard_normal(BLOCKS.size))
-    c, e = rng.standard_normal(5), rng.standard_normal(4)
-    return [s], lambda: ad.add(
-        project(ad.row_sums(s, BLOCKS), c),
-        project(ad.row_sums(ad.transpose(s, BLOCKS), BLOCKS.T), e))
-
-
 def _case_softmax_columns(rng):
     s = ad.param(rng.standard_normal((3, 4)))
     c = rng.standard_normal((3, 4))
@@ -671,7 +655,6 @@ GRAD_CASES = {
     "window3_m1": _case_window3(1),
     "window3_m5": _case_window3(5),
     "additive_scores": _case_additive_scores,
-    "row_sums": _case_row_sums,
     "nll": _case_nll,
     "nll_mean": _case_nll_mean,
     "embed": _case_embed,
@@ -685,7 +668,6 @@ GRAD_CASES = {
     "block_apply": _case_block_apply,
     "additive_blocks": _case_additive_blocks,
     "block_softmax_rows": _case_block_softmax_rows,
-    "block_sums_and_transpose": _case_block_sums_and_transpose,
     "softmax_columns": _case_softmax_columns,
     "nll_columns": _case_nll_columns,
 }
@@ -774,12 +756,6 @@ def test_topo_order_puts_inputs_first():
 # grad_check harness
 
 
-def test_grad_check_rejects_zero_step():
-    w = ad.param(np.ones(1))
-    with pytest.raises(ContractError):
-        ad.grad_check(lambda: project(w), {"w": w}, step=0.0)
-
-
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
 def test_grad_check_rejects_a_non_finite_or_negative_tolerance(tolerance):
     w = ad.param(np.ones(1))
@@ -811,7 +787,7 @@ def test_grad_check_linear_regression_is_nearly_exact():
         # 0.5 * err . err, the dot product as a 1 x 6 by 6 x 1 matmul
         return project(ad.matmul(ad.transpose(err), err), 0.5)
 
-    report = ad.grad_check(build, {"w": w}, step=1e-5, tolerance=1e-9)
+    report = ad.grad_check(build, {"w": w}, tolerance=1e-9)
     assert report.passed, report.errors
     assert report.max_error < 1e-9
 

@@ -227,6 +227,19 @@ def test_vocab_must_begin_with_the_reserved_tokens_and_list_each_once(tmp_path, 
         load_checkpoint(str(path))
 
 
+def test_a_label_named_twice_is_a_config_error(tmp_path):
+    model, tcfg, _ = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+
+    def repeat_first(manifest):
+        manifest["labels"] = [manifest["labels"][0]] * len(manifest["labels"])
+
+    path.write_bytes(_rewrite_manifest(path.read_bytes(), repeat_first))
+    with pytest.raises(ConfigError, match="names class .* twice"):
+        load_checkpoint(str(path))
+
+
 def test_shape_mismatch_names_the_tensor(tmp_path):
     model, tcfg, _ = trained_model()
     path = tmp_path / "m.ckpt"

@@ -584,6 +584,19 @@ def test_eval_version_mismatch_exits_2(trained, tmp_path, capsys):
     assert "99" in err and "1" in err
 
 
+def test_eval_of_a_checkpoint_naming_a_label_twice_exits_2(trained, tmp_path, capsys):
+    raw = Path(trained["model"]).read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16:16 + mlen].decode("utf-8"))
+    manifest["labels"] = ["p", "p"]
+    out = json.dumps(manifest).encode("utf-8")
+    bad = tmp_path / "twice.ckpt"
+    bad.write_bytes(MAGIC + struct.pack("<Q", len(out)) + out + raw[16 + mlen:])
+    code, stdout, err = run(capsys, ["eval", "--model", str(bad), "--data", trained["data"]])
+    assert code == 2
+    assert stdout == "" and "names class 'p' twice" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

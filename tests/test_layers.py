@@ -13,6 +13,7 @@ from attconv import layers as ly
 from attconv.attention import apply_attention, attention_weights, match_scores, project_text
 from attconv.errors import DimensionError
 from attconv.model import ModelConfig, init_tensor, param_shapes
+from reference import attentive_pooling as reference_pooling
 
 ONE = [0]  # the segment starts of one sequence alone
 
@@ -351,6 +352,29 @@ def test_attentive_pooling_outputs_stay_in_their_own_hull():
     assert np.all(rx <= cx.max(axis=1) + 1e-12)
     assert np.all(ry >= cy.min(axis=1) - 1e-12)
     assert np.all(ry <= cy.max(axis=1) + 1e-12)
+
+
+@pytest.mark.parametrize("text_lengths,map_lengths", [
+    ([5], [[8]]),  # unequal lengths
+    ([1], [[1]]),  # one position on either side
+    ([1], [[6]]),
+    ([7], [[1]]),
+    ([4, 1, 6], [[3, 1, 5], [2], [6, 4]]),  # multi-wise: several maps per text
+], ids=["unequal", "one-one", "one-x", "one-y", "multi-wise"])
+def test_attentive_pooling_equals_the_explicit_score_matrix_oracle(text_lengths, map_lengths):
+    # comparison: 1e-12; the oracle sums the rows and columns of the whole
+    # m x n score matrix, the layer dots each side with the other's sum
+    rng = np.random.default_rng(25)
+    params = _conv_params(4, rng)
+    texts = [rng.standard_normal((4, m)) for m in text_lengths]
+    maps = [[rng.standard_normal((4, n)) for n in lengths] for lengths in map_lengths]
+    got = ly.attentive_pooling(ad.Node(np.hstack(texts)),
+                               ad.Node(np.hstack([Y for ys in maps for Y in ys])), params, "",
+                               ly.pack(text_lengths, map_lengths)).value
+    want = np.stack([reference_pooling(ad.Node(X), ad.Node(Y), params, "").value
+                     for X, ys in zip(texts, maps) for Y in ys], axis=1)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

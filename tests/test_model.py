@@ -145,6 +145,12 @@ def test_build_model_rejects_label_count_mismatch():
         build_model(small_config(), VOCAB, ["only-one"])
 
 
+def test_build_model_rejects_a_label_named_twice():
+    # two columns of one class would make a confusion with a phantom class
+    with pytest.raises(ConfigError, match="names class 'p' twice"):
+        build_model(small_config(), VOCAB, ["p", "p"])
+
+
 def test_attentive_pooling_head_is_twice_as_wide():
     model = build_model(small_config(variant="attentive-pooling"), VOCAB, LABELS)
     assert model.params["classifier.W"].value.shape == (2, 12)
@@ -245,6 +251,17 @@ def test_exclude_self_leaves_a_one_token_text_nothing_to_attend(variant):
                                      self_mode="exclude-self"), VOCAB, LABELS)
     with pytest.raises(EmptyContextError, match="nothing to attend"):
         forward_ids(model, [2], [])
+
+
+def test_attentive_pooling_builds_no_score_matrix():
+    # each side is pooled against the other's summed states: no graph node
+    # holds one entry per (text, context) position pair
+    model = build_model(small_config(variant="attentive-pooling", d=4), VOCAB, LABELS)
+    text, context = [2 + i % 10 for i in range(40)], [2 + i % 7 for i in range(45)]
+    probs = forward_batch(model, [(text, [context])])
+    big = [node for node in ad.topo_order(probs)
+           if node is not model.embeddings and node.value.size >= 40 * 45]
+    assert big == []
 
 
 def test_attentive_pooling_ignores_exclude_self():
