@@ -51,7 +51,7 @@ def _limit_blas_threads() -> None:
 
 _limit_blas_threads()
 
-from .attention import match_scores, project_text
+from .attention import match_scores
 from .autodiff import Node, GradCheckReport, backward, grad_check, zero_grads
 from .data import (
     Dataset,
@@ -72,6 +72,7 @@ from .model import (
     ModelConfig,
     TrainConfig,
     adagrad_step,
+    attention_records,
     build_model,
     count_params,
     cross_entropy,
@@ -96,6 +97,7 @@ __all__ = [
     "TrainConfig",
     "Vocabulary",
     "adagrad_step",
+    "attention_records",
     "backward",
     "build_model",
     "build_vocab",
@@ -113,7 +115,6 @@ __all__ = [
     "load_pretrained",
     "make_batches",
     "match_scores",
-    "project_text",
     "save_checkpoint",
     "save_jsonl",
     "tokenize",

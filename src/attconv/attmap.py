@@ -1,9 +1,11 @@
 """Export normalized attention maps as TSV tables or standalone SVG heatmaps.
 
-One file per (example, context, layer) attention pass. TSV rows carry the
-text token followed by its weights over the context positions; the header
-row carries the context tokens. The SVG is self-contained text: a grayscale
-grid, darker for heavier weight, with token labels on both axes.
+One file per (example, context, layer) attention pass, as
+``model.attention_records`` reads it off the example's forward graph. TSV
+rows carry the text token followed by its weights over the context
+positions; the header row carries the context tokens. The SVG is
+self-contained text: a grayscale grid, darker for heavier weight, with
+token labels on both axes.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ import numpy as np
 
 from .data import SEP_TOKEN, Dataset
 from .errors import ConfigError
-from .model import AttentionRecord, Model, forward, join_context_ids
-
-# variants that produce a text-by-context attention matrix to export
-EXPORTABLE_VARIANTS = ("light", "advanced", "no-conv")
+from .model import Model, attention_records, join_context_ids
 
 
 def context_tokens_for(model: Model, example, context_index: int) -> list[str]:
@@ -39,16 +38,13 @@ def export_attention(model: Model, dataset: Dataset, fmt: str, out_dir: str) -> 
     """
     if fmt not in ("tsv", "svg"):
         raise ConfigError(f"unknown attention export format {fmt!r}")
-    if model.config.variant not in EXPORTABLE_VARIANTS:
-        raise ConfigError(
-            f"variant {model.config.variant!r} has no attention matrix to export"
-        )
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
+    encode = model.vocab.encode
     for ei, example in enumerate(dataset.examples):
-        trace: list[AttentionRecord] = []
-        forward(model, example, trace=trace)
-        for rec in trace:
+        records = attention_records(model, encode(example.text),
+                                    [encode(c) for c in example.contexts])
+        for rec in records:
             x_tokens = list(example.text)
             y_tokens = context_tokens_for(model, example, rec.context_index)
             weights = rec.weights.value

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import autodiff as ad
 from .attmap import export_attention
@@ -33,8 +33,8 @@ from .model import (
 
 SEED_ENV = "ATTCONV_SEED"
 
-_MODEL_KEYS = {f.name.replace("_", "-") for f in fields(ModelConfig)}
-_TRAIN_KEYS = {f.name.replace("_", "-") for f in fields(TrainConfig)}
+_MODEL_KEYS = set(ModelConfig().to_json())
+_TRAIN_KEYS = set(TrainConfig().to_json())
 _EXTRA_KEYS = {"embeddings"}  # optional path to pretrained word vectors
 
 # params --config and gradcheck name the classes "0".."K-1" themselves; the

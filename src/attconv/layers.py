@@ -13,7 +13,10 @@ lists every name and shape. The attentive layers take a packed text map, a
 packed context map and their ``Packing``, and return one feature map over
 the pair positions, building each text's context-free work once. Their
 ``exclude_self`` is the intra-mode ``self-mode`` exclude-self: no position
-attends to itself.
+attends to itself. Each attention pass is ``match_scores``, then
+``autodiff.masked_softmax_rows`` and ``autodiff.block_apply``; its weights
+stay a node of the returned graph, where ``model.attention_records`` reads
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .attention import apply_attention, attention_weights, match_scores, project_text
+from .attention import match_scores
 
 SELF_MODES = ("include-self", "exclude-self")
 NO_CONV_LAYERS = 4
@@ -131,8 +134,7 @@ def mgran(H: ad.Node, p: Params, at: str, starts) -> ad.Node:
 
 
 def attend_and_convolve(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
-                        pk: Packing, exclude_self: bool = False,
-                        trace: list[ad.Node] | None = None) -> ad.Node:
+                        pk: Packing, exclude_self: bool = False) -> ad.Node:
     """Run the light or advanced attentive convolution of Hx against Hy.
 
     Returns the d x Q feature map over the pair positions of ``pk``. The
@@ -144,19 +146,16 @@ def attend_and_convolve(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: st
     states, refines the raw text states with the width-1 beneficiary gate,
     and convolves those against the 2d attentive context. ``exclude_self``
     keeps each position of a text that is its own context from attending to
-    itself. ``trace``, when given, gets the weights node of the attention pass.
+    itself.
     """
     advanced = at + "beneficiary.W_h" in p
     src = mgran(Hx, p, at + "source.", pk.text) if advanced else Hx
-    text = project_text(src, method, p, at + "match.", pk.spread)
     bene = gated_conv(Hx, p, at + "beneficiary.", pk.text) if advanced else Hx
     local = pk.per_pair(ad.matmul(p[at + "conv.W1"], ad.window3(bene, pk.text)))
     foc = mgran(Hy, p, at + "focus.", pk.contexts) if advanced else Hy
-    weights = attention_weights(match_scores(text, foc, method, pk.blocks, p, at + "match."),
-                                pk.blocks, exclude_self)
-    if trace is not None:
-        trace.append(weights)
-    return light_attconv(local, apply_attention(weights, foc, pk.blocks), p, at + "conv.")
+    scores = match_scores(src, foc, method, pk.blocks, p, at + "match.", pk.spread)
+    weights = ad.masked_softmax_rows(scores, pk.blocks, exclude_self)
+    return light_attconv(local, ad.block_apply(weights, foc, pk.blocks), p, at + "conv.")
 
 
 def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, pk: Packing) -> ad.Node:
@@ -181,13 +180,12 @@ def attentive_pooling(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, pk: Packing)
 def _pool_against(H: ad.Node, other: ad.Node, over: ad.Blocks, over_other: ad.Blocks) -> ad.Node:
     """Each pair's states of H pooled by attention queried by its summed ``other`` states."""
     query = ad.block_apply(ad.Node(np.ones(over_other.size)), other, over_other)
-    weights = attention_weights(match_scores(project_text(query, "dot"), H, "dot", over), over)
-    return apply_attention(weights, H, over)
+    weights = ad.masked_softmax_rows(match_scores(query, H, "dot", over), over)
+    return ad.block_apply(weights, H, over)
 
 
 def no_conv_stack(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
-                  pk: Packing, exclude_self: bool = False,
-                  trace: list[ad.Node] | None = None) -> ad.Node:
+                  pk: Packing, exclude_self: bool = False) -> ad.Node:
     """Four layers of attend, add, fully-connected transform; no windows.
 
     Each layer ``layer<i>.`` matches the current text states against the
@@ -196,19 +194,14 @@ def no_conv_stack(Hx: ad.Node, Hy: ad.Node, p: Params, at: str, method: str,
     layer's text side is built once per text; every later layer matches
     states that depend on the context, so from there on each pair has its
     own. Returns the d x Q feature map over the pair positions;
-    ``exclude_self`` is as in ``attend_and_convolve``, and ``trace`` gets
-    the weights node of each layer's pass.
+    ``exclude_self`` is as in ``attend_and_convolve``.
     """
     H = Hx
     for i in range(NO_CONV_LAYERS):
-        match = f"{at}layer{i}.match."
         spread = pk.spread if i == 0 else None
-        scores = match_scores(project_text(H, method, p, match, spread), Hy, method, pk.blocks,
-                              p, match)
-        weights = attention_weights(scores, pk.blocks, exclude_self)
-        if trace is not None:
-            trace.append(weights)
-        C = apply_attention(weights, Hy, pk.blocks)
+        scores = match_scores(H, Hy, method, pk.blocks, p, f"{at}layer{i}.match.", spread)
+        C = ad.block_apply(ad.masked_softmax_rows(scores, pk.blocks, exclude_self), Hy,
+                           pk.blocks)
         X = pk.per_pair(H) if i == 0 else H
         H = ad.tanh(ad.add_bias(ad.matmul(p[f"{at}layer{i}.W"], ad.add(X, C)),
                                 p[f"{at}layer{i}.b"]))

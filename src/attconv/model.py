@@ -7,9 +7,11 @@ vector, and a logistic regression head produces class probabilities.
 initializes along it, checkpoints store and load along it, and a model
 holds its tensors in one flat dict under those dotted names.
 ``forward_batch`` packs examples side by side on the position axis and
-runs them as one graph; ``forward`` is its batch of one. Training is plain
-AdaGrad on the averaged cross-entropy of each batch, one packed graph per
-batch; ``evaluate`` scores a dataset in packed chunks of ``EVAL_CHUNK``.
+runs them as one graph; ``forward`` is its batch of one, and
+``attention_records`` reads one example's attention weights off that
+graph. Training is plain AdaGrad on the averaged cross-entropy of each
+batch, one packed graph per batch; ``evaluate`` scores a dataset in packed
+chunks of ``EVAL_CHUNK``.
 """
 
 from __future__ import annotations
@@ -288,6 +290,10 @@ def build_model(config: ModelConfig, vocab: Vocabulary, label_names: list[str],
 # forward
 
 
+# variants that produce a text-by-context attention matrix
+EXPORTABLE_VARIANTS = ("light", "advanced", "no-conv")
+
+
 @dataclass
 class AttentionRecord:
     """One exported attention pass: which context, which layer, what weights."""
@@ -307,11 +313,6 @@ def join_context_ids(ctx_ids: list[list], sep_id) -> list:
     return joined
 
 
-def _distinct(ctx_ids: list[list[int]]) -> list[tuple[int, ...]]:
-    """Each distinct context once, in sorted order: a multi-wise example's maps."""
-    return sorted({tuple(ids) for ids in ctx_ids})
-
-
 def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -> list:
     """Check one encoded example and list the id sequences of its context maps.
 
@@ -321,8 +322,9 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
     is exactly invariant to context order and repetition. Vanilla-cnn
     ignores contexts and has no maps. Every malformed example raises here,
     before any op is built, so a packed chunk fails on its first malformed
-    example just as one forward per example would. So does an example with
-    more than ``MAX_SCORE_ENTRIES`` attention scores, a FormatError.
+    example just as one forward per example would. So does an example of a
+    variant in ``EXPORTABLE_VARIANTS`` with more than ``MAX_SCORE_ENTRIES``
+    attention scores, a FormatError.
     """
     cfg = model.config
     mode = cfg.context_mode
@@ -336,42 +338,34 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
         if (cfg.self_mode == "exclude-self" and cfg.variant != "attentive-pooling"
                 and len(text_ids) < 2):
             raise EmptyContextError(ad.EXCLUDE_SELF_ALONE)
-        return _bounded([text_ids], len(text_ids))
-    if mode == "single" and len(ctx_ids) != 1:
+        maps = [text_ids]
+    elif mode == "single" and len(ctx_ids) != 1:
         raise ConfigError(f"single-context model expects exactly 1 context, got {len(ctx_ids)}")
-    if not ctx_ids:
+    elif not ctx_ids:
         raise EmptyContextError(f"{mode} forward needs at least one context")
-    if mode == "multi-conc":
+    elif mode == "multi-conc":
         sep = model.vocab.index.get(SEP_TOKEN)
         if sep is None:
             raise ConfigError(f"multi-conc needs {SEP_TOKEN!r} in the vocabulary")
         maps = [join_context_ids(ctx_ids, sep)]
     elif mode == "multi-wise":
-        maps = _distinct(ctx_ids)
+        maps = sorted({tuple(ids) for ids in ctx_ids})
     else:
         maps = ctx_ids
     if not all(maps):
         raise EmptyInputError("forward: empty context")
-    return _bounded(maps, len(text_ids))
-
-
-def _bounded(maps: list, text_len: int) -> list:
-    """The maps, unless scoring a text of ``text_len`` against them takes more
-    than ``MAX_SCORE_ENTRIES`` entries."""
-    map_len = sum(len(ids) for ids in maps)
-    if text_len * map_len > MAX_SCORE_ENTRIES:
-        raise FormatError(f"example too large: a text of {text_len} tokens against context "
-                          f"maps of {map_len} tokens needs {text_len * map_len} attention "
-                          f"scores, over the bound of {MAX_SCORE_ENTRIES}")
+    m, n = len(text_ids), sum(len(ids) for ids in maps)
+    if cfg.variant in EXPORTABLE_VARIANTS and m * n > MAX_SCORE_ENTRIES:
+        raise FormatError(f"example too large: a text of {m} tokens against context maps of "
+                          f"{n} tokens needs {m * n} attention scores, over the bound of "
+                          f"{MAX_SCORE_ENTRIES}")
     return maps
 
 
-def _packed_forward(model: Model, texts: list[list[int]], maps: list[list[list[int]]],
-                    trace: list[AttentionRecord] | None = None,
-                    ctx_ids: list[list[int]] | None = None) -> ad.Node:
+def _packed_forward(model: Model, texts: list[list[int]],
+                    maps: list[list[list[int]]]) -> ad.Node:
     """Class probabilities (K x B) of checked examples (texts and their
-    context maps, from ``_example_maps``) packed side by side. ``trace`` is
-    for one example, whose contexts are ``ctx_ids``."""
+    context maps, from ``_example_maps``) packed side by side."""
     cfg, p = model.config, model.params
     Hx = ad.embed(model.embeddings, [i for t in texts for i in t])
 
@@ -382,23 +376,20 @@ def _packed_forward(model: Model, texts: list[list[int]], maps: list[list[list[i
         pk = ly.pack([len(t) for t in texts], [[len(ids) for ids in m] for m in maps])
         Hy = Hx if cfg.context_mode == "intra" else ad.embed(
             model.embeddings, [i for m in maps for ids in m for i in ids])
-        rep = _forward_contextual(model, Hx, Hy, pk, trace, ctx_ids)
+        rep = _forward_contextual(model, Hx, Hy, pk)
 
     logits = ad.add_bias(ad.matmul(p["classifier.W"], rep), p["classifier.b"])
     return ad.softmax(logits)
 
 
-def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]],
-                trace: list[AttentionRecord] | None = None) -> ad.Node:
+def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -> ad.Node:
     """Class probabilities (K) for one encoded example, as a detached node.
 
     The batch of one: column 0 of ``forward_batch``, bit for bit, with no
-    graph behind it; train through ``forward_batch``. ``trace`` collects
-    every attention pass (light/advanced have one per context, the no-conv
-    stack has one per layer per context).
+    graph behind it; train through ``forward_batch``.
     """
     maps = _example_maps(model, text_ids, ctx_ids)
-    return ad.Node(_packed_forward(model, [text_ids], [maps], trace, ctx_ids).value[:, 0])
+    return ad.Node(_packed_forward(model, [text_ids], [maps]).value[:, 0])
 
 
 def forward_batch(model: Model, encoded) -> ad.Node:
@@ -420,46 +411,52 @@ def forward_batch(model: Model, encoded) -> ad.Node:
     return _packed_forward(model, texts, maps)
 
 
-def _forward_contextual(model: Model, Hx: ad.Node, Hy: ad.Node, pk: ly.Packing,
-                        trace: list[AttentionRecord] | None, ctx_ids) -> ad.Node:
+def _forward_contextual(model: Model, Hx: ad.Node, Hy: ad.Node, pk: ly.Packing) -> ad.Node:
     """Max-pool one sentence vector per pair, then, where an example has
-    several context maps, max-pool its pairs. ``trace`` gets the attention
-    passes of each of the one example's contexts, tagged with its index."""
+    several context maps, max-pool its pairs."""
     cfg = model.config
     exclude_self = cfg.context_mode == "intra" and cfg.self_mode == "exclude-self"
-    passes: list[ad.Node] | None = None if trace is None else []
     if cfg.variant == "attentive-pooling":
         reps = ly.attentive_pooling(Hx, Hy, model.params, "net.", pk)
     else:
         layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
-        fmap = layer(Hx, Hy, model.params, "net.", cfg.match_method, pk, exclude_self, passes)
+        fmap = layer(Hx, Hy, model.params, "net.", cfg.match_method, pk, exclude_self)
         reps = ad.max_over_positions(fmap, pk.pairs)
-    if trace is not None:
-        trace.extend(_attention_records(cfg.context_mode, pk, passes, ctx_ids))
     if pk.pool_maps:
         reps = ad.max_over_positions(reps, pk.examples)
     return reps
 
 
-def _attention_records(mode: str, pk: ly.Packing, passes: list[ad.Node],
-                       ctx_ids: list[list[int]]) -> list[AttentionRecord]:
-    """One record per context and attention pass of a one-example forward.
-    Each record holds, as a detached m x n node, the weights block of its
-    context's map; the repeats of a multi-wise context share one map."""
-    maps = [0]
-    if mode == "multi-wise":
-        order = _distinct(ctx_ids)
-        maps = [order.index(tuple(ids)) for ids in ctx_ids]
-    return [AttentionRecord(j, li, ad.Node(pk.blocks.block(weights.value, k)))
-            for j, k in enumerate(maps) for li, weights in enumerate(passes)]
-
-
-def forward(model: Model, example: Example,
-             trace: list[AttentionRecord] | None = None) -> ad.Node:
+def forward(model: Model, example: Example) -> ad.Node:
     """Encode one Example through the vocabulary and run forward_ids."""
     text_ids = model.vocab.encode(example.text)
     ctx_ids = [model.vocab.encode(c) for c in example.contexts]
-    return forward_ids(model, text_ids, ctx_ids, trace=trace)
+    return forward_ids(model, text_ids, ctx_ids)
+
+
+def attention_records(model: Model, text_ids: list[int],
+                      ctx_ids: list[list[int]]) -> list[AttentionRecord]:
+    """Every attention pass of one encoded example, read off its forward graph.
+
+    One record per context and pass, context by context: light and advanced
+    have one pass, the no-conv stack one per layer. The passes are the
+    graph's ``masked_softmax_rows`` nodes in topological order, which is
+    layer order. Each record holds its context map's m x n block of the
+    weights as a detached node; the repeats of a multi-wise context share
+    one map. A variant outside ``EXPORTABLE_VARIANTS`` is a ConfigError.
+    """
+    cfg = model.config
+    if cfg.variant not in EXPORTABLE_VARIANTS:
+        raise ConfigError(f"variant {cfg.variant!r} has no attention matrix to export")
+    maps = _example_maps(model, text_ids, ctx_ids)
+    probs = _packed_forward(model, [text_ids], [maps])
+    passes = [node for node in ad.topo_order(probs) if node.op == "masked_softmax_rows"]
+    blocks = ly.pack([len(text_ids)], [[len(ids) for ids in maps]]).blocks
+    index = [0]
+    if cfg.context_mode == "multi-wise":
+        index = [maps.index(tuple(ids)) for ids in ctx_ids]
+    return [AttentionRecord(j, li, ad.Node(blocks.block(weights.value, k)))
+            for j, k in enumerate(index) for li, weights in enumerate(passes)]
 
 
 def cross_entropy(probs: ad.Node, labels) -> ad.Node:

@@ -18,7 +18,6 @@ import numpy as np
 
 from attconv import autodiff as ad
 from attconv import layers as ly
-from attconv.attention import project_text
 from attconv.data import SEP_TOKEN
 from attconv.model import AttentionRecord, join_context_ids
 
@@ -126,10 +125,12 @@ def stack_cols(nodes):
 
 def match(Hx, Hy, method, p=None, at=""):
     """The m x n scores of Hx against Hy."""
-    Tx = project_text(Hx, method, p, at)
-    if method == "additive":
-        return additive_scores(Tx, ad.matmul(p[at + "U_e"], Hy), p[at + "v_e"])
-    return ad.matmul(Tx, Hy)
+    if method == "dot":
+        return ad.matmul(ad.transpose(Hx), Hy)
+    if method == "bilinear":
+        return ad.matmul(ad.matmul(ad.transpose(Hx), p[at + "W_e"]), Hy)
+    return additive_scores(ad.matmul(p[at + "W_e"], Hx), ad.matmul(p[at + "U_e"], Hy),
+                           p[at + "v_e"])
 
 
 def apply_attention(weights, Hy):

@@ -14,13 +14,7 @@ import pytest
 
 from attconv import autodiff as ad
 from attconv import layers as ly
-from attconv.attention import (
-    MATCH_METHODS,
-    apply_attention,
-    attention_weights,
-    match_scores,
-    project_text,
-)
+from attconv.attention import MATCH_METHODS, match_scores
 from attconv.checkpoint import load_checkpoint, save_checkpoint
 from attconv.cli import main
 from attconv.data import (
@@ -37,6 +31,7 @@ from attconv.model import (
     VARIANTS,
     ModelConfig,
     TrainConfig,
+    attention_records,
     build_model,
     count_params,
     evaluate,
@@ -59,14 +54,21 @@ def pair(Hx, Hy):
 
 
 def match(Hx, Hy, method, p=None):
-    """Both halves of the match on one pair: the projection, then the blocked scores."""
-    return match_scores(project_text(Hx, method, p), Hy, method, pair(Hx, Hy), p)
+    """The blocked scores of one pair."""
+    return match_scores(Hx, Hy, method, pair(Hx, Hy), p)
 
 
 def attend(Hx, Hy):
     """The attentive context of Hx over Hy under dot matching, d x m."""
     blocks = pair(Hx, Hy)
-    return apply_attention(attention_weights(match(Hx, Hy, "dot"), blocks), Hy, blocks)
+    return ad.block_apply(ad.masked_softmax_rows(match(Hx, Hy, "dot"), blocks), Hy, blocks)
+
+
+def probe_row(model, ex):
+    """The last text position's attention weights on the example's first pass."""
+    encode = model.vocab.encode
+    records = attention_records(model, encode(ex.text), [encode(c) for c in ex.contexts])
+    return records[0].weights.value[-1]
 
 
 def np_window3(H):
@@ -152,8 +154,9 @@ def test_attention_invariants():
         Hx = ad.Node(rng.standard_normal((d, m)))
         Hy = ad.Node(rng.standard_normal((d, n)))
         # exclude-self: the context attends to itself, m = n
-        w = pair(Hy, Hy).block(
-            attention_weights(match(Hy, Hy, "dot"), pair(Hy, Hy), exclude_self=True).value, 0)
+        self_pair = pair(Hy, Hy)
+        w = self_pair.block(
+            ad.masked_softmax_rows(match(Hy, Hy, "dot"), self_pair, exclude_self=True).value, 0)
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             ok, _ = False, notes.append(f"trial {trial}: rows not stochastic")
         if np.any(np.diag(w) != 0.0):
@@ -252,12 +255,11 @@ def test_probe_row_attends_to_the_marker(nonlocal_run):
     for ex in nonlocal_run["test"]:
         if ex.label != 1:
             continue
-        trace = []
-        probs = forward(model, ex, trace=trace)
+        probs = forward(model, ex)
         if predict(probs.value) != 1:
             continue
         seen += 1
-        row = trace[0].weights.value[-1]
+        row = probe_row(model, ex)
         hits += int(ex.text[np.argmax(row)] == ex.text[0])
     rate = hits / seen
     check("probe-row attention", rate >= 0.80 and seen > 100,
@@ -270,9 +272,8 @@ def test_attention_export_carries_the_alignment(nonlocal_run, tmp_path):
     for ex in nonlocal_run["test"]:
         if ex.label != 1:
             continue
-        trace = []
-        probs = forward(model, ex, trace=trace)
-        peak = np.argmax(trace[0].weights.value[-1])
+        probs = forward(model, ex)
+        peak = np.argmax(probe_row(model, ex))
         if predict(probs.value) == 1 and ex.text[peak] == ex.text[0]:
             chosen = ex
             break

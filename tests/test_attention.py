@@ -1,7 +1,8 @@
 """Matching functions, attention normalization, and attentive context vectors.
 
 Each test scores one text against one context: one block, whose blocked
-values are read back as m x n matrices.
+values are read back as m x n matrices. An attention pass is the match,
+``ad.masked_softmax_rows`` and ``ad.block_apply``, as the layers build it.
 """
 
 import math
@@ -10,13 +11,7 @@ import numpy as np
 import pytest
 
 from attconv import autodiff as ad
-from attconv.attention import (
-    MATCH_METHODS,
-    apply_attention,
-    attention_weights,
-    match_scores,
-    project_text,
-)
+from attconv.attention import MATCH_METHODS, match_scores
 from attconv.errors import ConfigError, DimensionError
 from attconv.model import ModelConfig, init_tensor, param_shapes
 
@@ -31,13 +26,13 @@ def pair(Hx, Hy):
 
 
 def match(Hx, Hy, method, p=None):
-    """Both halves of the match: the text-side projection, then the blocked scores."""
-    return match_scores(project_text(Hx, method, p), Hy, method, pair(Hx, Hy), p)
+    """The blocked scores of one pair."""
+    return match_scores(Hx, Hy, method, pair(Hx, Hy), p)
 
 
 def weights_of(Hx, Hy, scores):
     """The attention weights of one pair's blocked scores."""
-    return attention_weights(scores, pair(Hx, Hy))
+    return ad.masked_softmax_rows(scores, pair(Hx, Hy))
 
 
 def matrix(Hx, Hy, node):
@@ -47,7 +42,7 @@ def matrix(Hx, Hy, node):
 
 def attend(Hx, Hy, scores):
     """The attentive context C_x (d x m) of one pair's blocked scores."""
-    return apply_attention(weights_of(Hx, Hy, scores), Hy, pair(Hx, Hy))
+    return ad.block_apply(weights_of(Hx, Hy, scores), Hy, pair(Hx, Hy))
 
 
 def _params(method, d, rng):
@@ -118,16 +113,16 @@ def test_match_scores_input_validation():
         with pytest.raises(DimensionError, match="hidden sizes differ, 4 vs 5"):
             match(Hx, Hy, method, params)
         with pytest.raises(DimensionError, match="2-d feature maps"):
-            project_text(ad.Node(np.ones(4)), method, params)
-        with pytest.raises(DimensionError, match="2-d feature maps"):
-            match_scores(project_text(Hx, method, params), ad.Node(np.ones(4)), method,
-                         pair(Hx, Hx), params)
-        with pytest.raises(DimensionError, match="2-d feature maps"):
             match_scores(ad.Node(np.ones(4)), Hy, method, pair(Hx, Hy), params)
+        with pytest.raises(DimensionError, match="2-d feature maps"):
+            match_scores(Hx, ad.Node(np.ones(4)), method, pair(Hx, Hx), params)
+    # one check each, up front: 2-d maps, then the method, then the hidden sizes
+    with pytest.raises(DimensionError, match="2-d feature maps"):
+        match_scores(ad.Node(np.ones(4)), Hy, "cosine", pair(Hx, Hy))
     with pytest.raises(ConfigError, match="cosine"):
-        project_text(Hx, "cosine")
+        match_scores(Hx, Hx, "cosine", pair(Hx, Hx))
     with pytest.raises(ConfigError, match="cosine"):
-        match_scores(ad.transpose(Hx), Hx, "cosine", pair(Hx, Hx))
+        match_scores(Hx, Hy, "cosine", pair(Hx, Hy))
 
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
@@ -205,9 +200,9 @@ def test_permuting_context_columns_leaves_context_vectors_unchanged():
     assert np.allclose(wa[:, perm], wb, atol=1e-12)
 
 
-def test_apply_attention_checks_column_agreement():
+def test_block_apply_checks_column_agreement():
     rng = np.random.default_rng(13)
     weights = ad.Node(np.full(6, 1 / 3))
     Hy = ad.Node(rng.standard_normal((4, 5)))
     with pytest.raises(DimensionError):
-        apply_attention(weights, Hy, ad.Blocks([0, 2], [0, 3]))
+        ad.block_apply(weights, Hy, ad.Blocks([0, 2], [0, 3]))

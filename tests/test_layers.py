@@ -10,7 +10,7 @@ import pytest
 
 from attconv import autodiff as ad
 from attconv import layers as ly
-from attconv.attention import apply_attention, attention_weights, match_scores, project_text
+from attconv.attention import match_scores
 from attconv.errors import DimensionError
 from attconv.model import ModelConfig, init_tensor, param_shapes
 from reference import attentive_pooling as reference_pooling
@@ -57,9 +57,14 @@ def one_pair(Hx, Hy):
     return ly.pack([Hx.value.shape[1]], [[Hy.value.shape[1]]])
 
 
-def weights_of(pk, trace_node):
-    """A traced weights node of one pair as its m x n matrix."""
-    return pk.blocks.block(trace_node.value, 0)
+def passes_of(out):
+    """The attention weights nodes in a layer's output graph, in layer order."""
+    return [node for node in ad.topo_order(out) if node.op == "masked_softmax_rows"]
+
+
+def weights_of(pk, out):
+    """The first attention pass behind a layer's output, one pair's m x n matrix."""
+    return pk.blocks.block(passes_of(out)[0].value, 0)
 
 
 def _net_params(variant, d, method, rng):
@@ -238,28 +243,26 @@ def test_attend_and_convolve_light_equals_manual_composition():
     params = _net_params("light", 4, "dot", rng)
     Hx = ad.Node(rng.standard_normal((4, 5)))
     Hy = ad.Node(rng.standard_normal((4, 6)))
-    trace = []
     pk = one_pair(Hx, Hy)
-    got = ly.attend_and_convolve(Hx, Hy, params, "net.", "dot", pk, trace=trace)
+    got = ly.attend_and_convolve(Hx, Hy, params, "net.", "dot", pk)
 
-    scores = match_scores(project_text(Hx, "dot"), Hy, "dot", pk.blocks)
-    Cx = apply_attention(attention_weights(scores, pk.blocks), Hy, pk.blocks)
+    scores = match_scores(Hx, Hy, "dot", pk.blocks)
+    Cx = ad.block_apply(ad.masked_softmax_rows(scores, pk.blocks), Hy, pk.blocks)
     want = light(Hx, Cx, params, "net.conv.").value
     assert np.array_equal(got.value, want)
-    assert len(trace) == 1
-    assert weights_of(pk, trace[0]).shape == (5, 6)
+    assert len(passes_of(got)) == 1
+    assert weights_of(pk, got).shape == (5, 6)
 
 
-def test_attend_and_convolve_advanced_shapes_and_trace():
+def test_attend_and_convolve_advanced_shapes_and_weights():
     rng = np.random.default_rng(16)
     params = _net_params("advanced", 3, "dot", rng)
     Hx = ad.Node(rng.standard_normal((3, 5)))
-    trace = []
     pk = one_pair(Hx, Hx)
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", pk, trace=trace)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", pk)
     assert out.value.shape == (3, 5)
     # matching runs over the multi-granular states, one row/column per position
-    assert weights_of(pk, trace[0]).shape == (5, 5)
+    assert weights_of(pk, out).shape == (5, 5)
 
 
 def test_attend_and_convolve_rejects_unknown_bundles():
@@ -279,10 +282,9 @@ def test_intra_attconv_single_position_attends_to_itself():
     rng = np.random.default_rng(18)
     params = _net_params("light", 3, "dot", rng)
     h = rng.standard_normal((3, 1))
-    trace = []
     Hx = ad.Node(h)
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", one_pair(Hx, Hx), trace=trace)
-    assert np.array_equal(trace[0].value, np.array([1.0]))
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "dot", one_pair(Hx, Hx))
+    assert np.array_equal(passes_of(out)[0].value, np.array([1.0]))
     # with weight 1.0 the attentive context is the position's own state
     want = light(ad.Node(h), ad.Node(h), params, "net.conv.").value
     assert np.array_equal(out.value, want)
@@ -292,10 +294,9 @@ def test_intra_attconv_exclude_self_zeroes_the_diagonal():
     rng = np.random.default_rng(19)
     params = _net_params("light", 3, "dot", rng)
     H = ad.Node(rng.standard_normal((3, 5)))
-    trace = []
     pk = one_pair(H, H)
-    ly.attend_and_convolve(H, H, params, "net.", "dot", pk, exclude_self=True, trace=trace)
-    w = weights_of(pk, trace[0])
+    out = ly.attend_and_convolve(H, H, params, "net.", "dot", pk, exclude_self=True)
+    w = weights_of(pk, out)
     assert np.all(np.diag(w) == 0.0)
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -386,15 +387,14 @@ def test_no_conv_stack_zero_context_reduces_to_mlp():
     params = _net_params("no-conv", 3, "dot", rng)
     Hx = ad.Node(rng.standard_normal((3, 4)))
     Hy = ad.Node(np.zeros((3, 2)))
-    trace = []
-    out = ly.no_conv_stack(Hx, Hy, params, "net.", "dot", one_pair(Hx, Hy), trace=trace)
+    out = ly.no_conv_stack(Hx, Hy, params, "net.", "dot", one_pair(Hx, Hy))
     got = out.value
     want = Hx.value
     for i in range(ly.NO_CONV_LAYERS):
         want = np.tanh(params[f"net.layer{i}.W"].value @ want
                        + params[f"net.layer{i}.b"].value[:, None])
     assert np.allclose(got, want, atol=1e-15)
-    assert len(trace) == 4
+    assert len(passes_of(out)) == 4
     assert got.shape == (3, 4)
 
 
@@ -430,7 +430,6 @@ def test_advanced_bilinear_matching_runs_at_doubled_width():
     params = _net_params("advanced", d, "bilinear", rng)
     assert params["net.match.W_e"].value.shape == (2 * d, 2 * d)
     Hx = ad.Node(rng.standard_normal((d, 4)))
-    trace = []
     pk = one_pair(Hx, Hx)
-    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "bilinear", pk, trace=trace)
-    assert out.value.shape == (d, 4) and weights_of(pk, trace[0]).shape == (4, 4)
+    out = ly.attend_and_convolve(Hx, Hx, params, "net.", "bilinear", pk)
+    assert out.value.shape == (d, 4) and weights_of(pk, out).shape == (4, 4)

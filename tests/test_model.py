@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import attconv
 from attconv import autodiff as ad
 from attconv.data import Dataset, Example, Vocabulary, gen_context_match, make_batches
 from attconv.errors import (
@@ -23,6 +24,7 @@ from attconv.model import (
     ModelConfig,
     TrainConfig,
     adagrad_step,
+    attention_records,
     build_model,
     count_params,
     cross_entropy,
@@ -46,6 +48,12 @@ def make_vocab(tokens):
 
 VOCAB = make_vocab([f"t{i}" for i in range(10)] + ["</s>"])
 LABELS = ["0", "1"]
+
+
+def test_every_public_name_resolves():
+    assert attconv.__all__
+    for name in attconv.__all__:
+        assert getattr(attconv, name) is not None, name
 
 
 def small_config(**overrides):
@@ -322,11 +330,10 @@ def test_multi_conc_order_moves_attention_columns_not_their_mass():
     model = build_model(small_config(context_mode="multi-conc"), VOCAB, LABELS)
     text = [2, 3, 4]
     c1, c2 = [5, 6], [7, 8, 9]
-    t1, t2 = [], []
-    a = forward_ids(model, text, [c1, c2], trace=t1).value
-    b = forward_ids(model, text, [c2, c1], trace=t2).value
-    w1 = t1[0].weights.value
-    w2 = t2[0].weights.value
+    a = forward_ids(model, text, [c1, c2]).value
+    b = forward_ids(model, text, [c2, c1]).value
+    w1 = attention_records(model, text, [c1, c2])[0].weights.value
+    w2 = attention_records(model, text, [c2, c1])[0].weights.value
     perm = (list(range(len(c1) + 1, len(c1) + 1 + len(c2)))
             + [len(c1)] + list(range(len(c1))))
     assert np.allclose(w2, w1[:, perm], atol=1e-12)
@@ -351,29 +358,37 @@ def test_every_contextual_variant_produces_a_distribution(variant, mode):
 
 def test_no_conv_records_one_attention_pass_per_layer():
     model = build_model(small_config(variant="no-conv"), VOCAB, LABELS)
-    trace = []
-    forward_ids(model, [2, 3], [[4, 5]], trace=trace)
-    assert [r.layer_index for r in trace] == [0, 1, 2, 3]
+    records = attention_records(model, [2, 3], [[4, 5]])
+    assert [r.layer_index for r in records] == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("mode,text_len,map_lens,allowed", [
-    ("intra", 1000, [], True),
-    ("intra", 1001, [], False),
-    ("single", 500, [2000], True),
-    ("single", 500, [2001], False),
+@pytest.mark.parametrize("variant", ["attentive-pooling", "vanilla-cnn"])
+def test_attention_records_refuse_variants_without_an_attention_matrix(variant):
+    model = build_model(small_config(variant=variant), VOCAB, LABELS)
+    with pytest.raises(ConfigError, match="no attention matrix"):
+        attention_records(model, [2, 3], [[4, 5]])
+
+
+@pytest.mark.parametrize("variant,mode,text_len,map_lens,allowed", [
+    ("light", "intra", 1000, [], True),
+    ("light", "intra", 1001, [], False),
+    ("light", "single", 500, [2000], True),
+    ("light", "single", 500, [2001], False),
     # a repeated multi-wise context is one map, scored once
-    ("multi-wise", 500, [2000, 2000], True),
-    ("multi-wise", 500, [1000, 1001], False),
+    ("light", "multi-wise", 500, [2000, 2000], True),
+    ("light", "multi-wise", 500, [1000, 1001], False),
     # the joined map counts its separator
-    ("multi-conc", 500, [1000, 999], True),
-    ("multi-conc", 500, [1000, 1000], False),
+    ("light", "multi-conc", 500, [1000, 999], True),
+    ("light", "multi-conc", 500, [1000, 1000], False),
+    # attentive pooling builds no score matrix, so the bound does not apply
+    ("attentive-pooling", "intra", 1001, [], True),
 ])
 def test_an_example_over_the_score_bound_is_refused_before_any_op(
-        monkeypatch, mode, text_len, map_lens, allowed):
+        monkeypatch, variant, mode, text_len, map_lens, allowed):
     # comparison: which error; the bound counts text length times the summed
     # lengths of the context maps, and is checked before the first op
     assert MAX_SCORE_ENTRIES == 10**6
-    model = build_model(small_config(context_mode=mode, d=1), VOCAB, LABELS)
+    model = build_model(small_config(variant=variant, context_mode=mode, d=1), VOCAB, LABELS)
 
     def first_op(*args):
         raise RuntimeError("an op was built")

@@ -19,8 +19,10 @@ from attconv import autodiff as ad
 from attconv.attention import MATCH_METHODS
 from attconv.data import SEP_TOKEN, Dataset, Example, Vocabulary
 from attconv.model import (
+    EXPORTABLE_VARIANTS,
     ModelConfig,
     TrainConfig,
+    attention_records,
     build_model,
     evaluate,
     forward_batch,
@@ -51,16 +53,16 @@ def _example_ids(rng, mode):
     return text, [sent(1) for _ in range(n_ctx)]
 
 
-def _trace_shapes(trace):
-    return [(r.context_index, r.layer_index, r.weights.value.shape) for r in trace]
+def _record_shapes(records):
+    return [(r.context_index, r.layer_index, r.weights.value.shape) for r in records]
 
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
 @pytest.mark.parametrize("mode,self_mode", MODES)
 @pytest.mark.parametrize("variant", CONTEXTUAL)
 def test_forward_is_within_tolerance_of_the_per_context_oracle(variant, mode, self_mode, method):
-    # comparison: FORWARD_TOLERANCE on probabilities and every traced weight,
-    # identical predictions, and one trace record per context and pass
+    # comparison: FORWARD_TOLERANCE on probabilities and every recorded
+    # weight, identical predictions, and one record per context and pass
     cfg = ModelConfig(variant=variant, context_mode=mode, self_mode=self_mode, d=8,
                       match_method=method, seed=4)
     model = build_model(cfg, VOCAB, LABELS)
@@ -69,17 +71,20 @@ def test_forward_is_within_tolerance_of_the_per_context_oracle(variant, mode, se
         text, ctxs = _example_ids(rng, mode)
         if mode == "multi-wise":
             ctxs = ctxs + [ctxs[0]]  # a repeated context shares its map's block
-        got_trace, want_trace = [], []
-        got = forward_ids(model, text, ctxs, trace=got_trace).value
-        want = reference_forward(model, text, ctxs, trace=want_trace).value
+        want_records = []
+        got = forward_ids(model, text, ctxs).value
+        want = reference_forward(model, text, ctxs, trace=want_records).value
         assert np.max(np.abs(got - want)) <= FORWARD_TOLERANCE
         assert predict(got) == predict(want)
-        assert _trace_shapes(got_trace) == _trace_shapes(want_trace)
-        for a, b in zip(got_trace, want_trace):
+        if variant not in EXPORTABLE_VARIANTS:
+            assert want_records == []
+            continue
+        got_records = attention_records(model, text, ctxs)
+        assert _record_shapes(got_records) == _record_shapes(want_records)
+        for a, b in zip(got_records, want_records):
             assert np.max(np.abs(a.weights.value - b.weights.value)) <= FORWARD_TOLERANCE
-        if variant != "attentive-pooling":
-            passes = 4 if variant == "no-conv" else 1
-            assert len(got_trace) == passes * (len(ctxs) if mode == "multi-wise" else 1)
+        passes = 4 if variant == "no-conv" else 1
+        assert len(got_records) == passes * (len(ctxs) if mode == "multi-wise" else 1)
 
 
 def _multiwise_data(seed, n=20):
