@@ -67,7 +67,6 @@ from .data import (
     tokenize,
 )
 from .model import (
-    AdaGradState,
     Model,
     ModelConfig,
     TrainConfig,
@@ -87,7 +86,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaGradState",
     "Dataset",
     "Example",
     "GradCheckReport",

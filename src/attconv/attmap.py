@@ -47,13 +47,12 @@ def export_attention(model: Model, dataset: Dataset, fmt: str, out_dir: str) -> 
         for rec in records:
             x_tokens = list(example.text)
             y_tokens = context_tokens_for(model, example, rec.context_index)
-            weights = rec.weights.value
             name = f"ex{ei:04d}_ctx{rec.context_index}_layer{rec.layer_index}.{fmt}"
             path = os.path.join(out_dir, name)
             if fmt == "tsv":
-                _write_tsv(path, x_tokens, y_tokens, weights)
+                _write_tsv(path, x_tokens, y_tokens, rec.weights)
             else:
-                _write_svg(path, x_tokens, y_tokens, weights)
+                _write_svg(path, x_tokens, y_tokens, rec.weights)
             written.append(path)
     return written
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -114,10 +114,12 @@ def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarra
     token keeps its first vector. Returns a vocabulary of the file's tokens
     (after PAD and UNK) plus a V x d float64 matrix
     whose PAD and UNK rows are zero; randomized UNK/OOV rows are filled in
-    later, under the run seed, by ``init_embeddings``.
+    later, under the run seed, by ``init_embeddings``. The matrix is
+    allocated once, after every line is checked; an ``expected_dim`` too
+    large to allocate is a ConfigError.
     """
     vocab = Vocabulary()
-    rows = [np.zeros(expected_dim), np.zeros(expected_dim)]
+    rows = []
     with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.rstrip("\n").split()
@@ -144,7 +146,13 @@ def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarra
                 continue
             vocab.add(token)
             rows.append(vec)
-    return vocab, np.vstack(rows)
+    try:
+        table = np.zeros((len(vocab), expected_dim))
+    except MemoryError:
+        raise ConfigError(f"d={expected_dim} does not fit in memory") from None
+    for i, vec in enumerate(rows, start=UNK_ID + 1):
+        table[i] = vec
+    return vocab, table
 
 
 def build_vocab(examples: list[Example], pretrained: Vocabulary | None = None,

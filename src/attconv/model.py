@@ -6,19 +6,19 @@ vector, and a logistic regression head produces class probabilities.
 ``param_shapes`` is the one list of a variant's tensors: ``build_model``
 initializes along it, checkpoints store and load along it, and a model
 holds its tensors in one flat dict under those dotted names.
-``forward_batch`` packs examples side by side on the position axis and
-runs them as one graph; ``forward`` is its batch of one, and
-``attention_records`` reads one example's attention weights off that
-graph. Training is plain AdaGrad on the averaged cross-entropy of each
-batch, one packed graph per batch; ``evaluate`` scores a dataset in packed
-chunks of ``EVAL_CHUNK``.
+``forward_batch`` builds every graph: it packs examples side by side on
+the position axis and runs them as one graph. ``forward`` is its batch of
+one, and ``attention_records`` reads one example's attention weights off
+that graph. Training is plain AdaGrad on the averaged cross-entropy of
+each batch, one packed graph per batch; ``evaluate`` scores a dataset in
+packed chunks of ``EVAL_CHUNK``.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from . import autodiff as ad
 from . import layers as ly
 from .attention import MATCH_METHODS
 from .data import (
+    PAD_ID,
     SEP_TOKEN,
     Dataset,
     Example,
@@ -300,7 +301,7 @@ class AttentionRecord:
 
     context_index: int
     layer_index: int
-    weights: ad.Node  # m x n, rows sum to 1
+    weights: np.ndarray  # m x n, rows sum to 1
 
 
 def join_context_ids(ctx_ids: list[list], sep_id) -> list:
@@ -362,34 +363,13 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
     return maps
 
 
-def _packed_forward(model: Model, texts: list[list[int]],
-                    maps: list[list[list[int]]]) -> ad.Node:
-    """Class probabilities (K x B) of checked examples (texts and their
-    context maps, from ``_example_maps``) packed side by side."""
-    cfg, p = model.config, model.params
-    Hx = ad.embed(model.embeddings, [i for t in texts for i in t])
-
-    if cfg.variant == "vanilla-cnn":
-        starts = ly.segment_starts([len(t) for t in texts])
-        rep = ad.max_over_positions(ly.vanilla_conv(Hx, p, "net.", starts), starts)
-    else:
-        pk = ly.pack([len(t) for t in texts], [[len(ids) for ids in m] for m in maps])
-        Hy = Hx if cfg.context_mode == "intra" else ad.embed(
-            model.embeddings, [i for m in maps for ids in m for i in ids])
-        rep = _forward_contextual(model, Hx, Hy, pk)
-
-    logits = ad.add_bias(ad.matmul(p["classifier.W"], rep), p["classifier.b"])
-    return ad.softmax(logits)
-
-
 def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -> ad.Node:
     """Class probabilities (K) for one encoded example, as a detached node.
 
     The batch of one: column 0 of ``forward_batch``, bit for bit, with no
     graph behind it; train through ``forward_batch``.
     """
-    maps = _example_maps(model, text_ids, ctx_ids)
-    return ad.Node(_packed_forward(model, [text_ids], [maps]).value[:, 0])
+    return ad.Node(forward_batch(model, [(text_ids, ctx_ids)]).value[:, 0])
 
 
 def forward_batch(model: Model, encoded) -> ad.Node:
@@ -399,32 +379,38 @@ def forward_batch(model: Model, encoded) -> ad.Node:
     batches of ``make_batches``; labels are ignored. ``train`` runs each
     batch through it, ``evaluate`` each chunk. The examples and their
     context maps are packed side by side on the position axis and run as
-    one graph, so every matmul serves the whole chunk. Each column equals
-    ``forward_ids`` of its example within rounding (wider matmuls sum in
-    another order), bit for bit in a batch of one, and the first malformed
-    example raises what its own forward would.
+    one graph, so every matmul serves the whole chunk; an example with
+    several context maps max-pools the sentence vectors of its pairs. Each
+    column equals ``forward_ids`` of its example within rounding (wider
+    matmuls sum in another order), bit for bit in a batch of one, and the
+    first malformed example raises what its own forward would.
     """
     if not encoded:
         raise ContractError("forward_batch: no examples")
+    cfg, p = model.config, model.params
     texts = [ex[0] for ex in encoded]
     maps = [_example_maps(model, ex[0], ex[1]) for ex in encoded]
-    return _packed_forward(model, texts, maps)
+    Hx = ad.embed(model.embeddings, [i for t in texts for i in t])
 
-
-def _forward_contextual(model: Model, Hx: ad.Node, Hy: ad.Node, pk: ly.Packing) -> ad.Node:
-    """Max-pool one sentence vector per pair, then, where an example has
-    several context maps, max-pool its pairs."""
-    cfg = model.config
-    exclude_self = cfg.context_mode == "intra" and cfg.self_mode == "exclude-self"
-    if cfg.variant == "attentive-pooling":
-        reps = ly.attentive_pooling(Hx, Hy, model.params, "net.", pk)
+    if cfg.variant == "vanilla-cnn":
+        starts = ly.segment_starts([len(t) for t in texts])
+        rep = ad.max_over_positions(ly.vanilla_conv(Hx, p, "net.", starts), starts)
     else:
-        layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
-        fmap = layer(Hx, Hy, model.params, "net.", cfg.match_method, pk, exclude_self)
-        reps = ad.max_over_positions(fmap, pk.pairs)
-    if pk.pool_maps:
-        reps = ad.max_over_positions(reps, pk.examples)
-    return reps
+        pk = ly.pack([len(t) for t in texts], [[len(ids) for ids in m] for m in maps])
+        Hy = Hx if cfg.context_mode == "intra" else ad.embed(
+            model.embeddings, [i for m in maps for ids in m for i in ids])
+        if cfg.variant == "attentive-pooling":
+            rep = ly.attentive_pooling(Hx, Hy, p, "net.", pk)
+        else:
+            exclude_self = cfg.context_mode == "intra" and cfg.self_mode == "exclude-self"
+            layer = ly.no_conv_stack if cfg.variant == "no-conv" else ly.attend_and_convolve
+            fmap = layer(Hx, Hy, p, "net.", cfg.match_method, pk, exclude_self)
+            rep = ad.max_over_positions(fmap, pk.pairs)
+        if pk.pool_maps:
+            rep = ad.max_over_positions(rep, pk.examples)
+
+    logits = ad.add_bias(ad.matmul(p["classifier.W"], rep), p["classifier.b"])
+    return ad.softmax(logits)
 
 
 def forward(model: Model, example: Example) -> ad.Node:
@@ -442,20 +428,20 @@ def attention_records(model: Model, text_ids: list[int],
     have one pass, the no-conv stack one per layer. The passes are the
     graph's ``masked_softmax_rows`` nodes in topological order, which is
     layer order. Each record holds its context map's m x n block of the
-    weights as a detached node; the repeats of a multi-wise context share
-    one map. A variant outside ``EXPORTABLE_VARIANTS`` is a ConfigError.
+    weights; the repeats of a multi-wise context share one map. A variant
+    outside ``EXPORTABLE_VARIANTS`` is a ConfigError.
     """
     cfg = model.config
     if cfg.variant not in EXPORTABLE_VARIANTS:
         raise ConfigError(f"variant {cfg.variant!r} has no attention matrix to export")
-    maps = _example_maps(model, text_ids, ctx_ids)
-    probs = _packed_forward(model, [text_ids], [maps])
+    probs = forward_batch(model, [(text_ids, ctx_ids)])
     passes = [node for node in ad.topo_order(probs) if node.op == "masked_softmax_rows"]
+    maps = _example_maps(model, text_ids, ctx_ids)
     blocks = ly.pack([len(text_ids)], [[len(ids) for ids in maps]]).blocks
     index = [0]
     if cfg.context_mode == "multi-wise":
         index = [maps.index(tuple(ids)) for ids in ctx_ids]
-    return [AttentionRecord(j, li, ad.Node(blocks.block(weights.value, k)))
+    return [AttentionRecord(j, li, blocks.block(weights.value, k))
             for j, k in enumerate(index) for li, weights in enumerate(passes)]
 
 
@@ -475,27 +461,18 @@ def predict(probs: np.ndarray) -> int:
 # optimization
 
 
-@dataclass
-class AdaGradState:
-    """Per-tensor squared-gradient accumulators, started at zero."""
-
-    acc: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def for_params(cls, params: dict[str, ad.Node]) -> "AdaGradState":
-        return cls(acc={name: np.zeros_like(n.value) for name, n in params.items()})
-
-
-def adagrad_step(params: dict[str, ad.Node], grads: dict[str, np.ndarray],
-                 state: AdaGradState, lr: float, eps: float = 1e-8) -> None:
-    """One AdaGrad update: acc += g^2; p -= lr * g / (sqrt(acc) + eps)."""
+def adagrad_step(params: dict[str, ad.Node], acc: dict[str, np.ndarray],
+                 lr: float, eps: float) -> None:
+    """One AdaGrad update of every tensor that has a gradient:
+    acc += g^2; p -= lr * g / (sqrt(acc) + eps), with g the tensor's
+    ``grad``. A tensor whose ``grad`` is None is skipped, its value and
+    its accumulator unchanged."""
     for name, node in params.items():
-        g = grads.get(name)
+        g = node.grad
         if g is None:
             continue
-        acc = state.acc[name]
-        acc += g * g
-        node.value -= lr * g / (np.sqrt(acc) + eps)
+        acc[name] += g * g
+        node.value -= lr * g / (np.sqrt(acc[name]) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +543,7 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
     _check_dataset(train_data, model, "train")
     if dev_data is not None:
         _check_dataset(dev_data, model, "evaluate")
-    state = AdaGradState.for_params(model.params)
+    acc = {name: np.zeros_like(node.value) for name, node in model.params.items()}
     metrics: list[dict] = []
 
     def record(rec: dict) -> None:
@@ -594,15 +571,9 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
             loss_sum += loss.value.item() * len(batch)
             ad.zero_grads(model.params.values())
             ad.backward(loss)
-            grads = {}
-            for name, node in model.params.items():
-                if node.grad is None:
-                    continue
-                if name == EMBEDDINGS_KEY:
-                    node.grad[0, :] = 0.0  # PAD row stays frozen at zero
-                grads[name] = node.grad
-            adagrad_step(model.params, grads, state,
-                         train_config.learning_rate, train_config.adagrad_epsilon)
+            model.embeddings.grad[PAD_ID] = 0.0  # PAD row stays frozen at zero
+            adagrad_step(model.params, acc, train_config.learning_rate,
+                         train_config.adagrad_epsilon)
         record({
             "epoch": epoch,
             "split": "train",

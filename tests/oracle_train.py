@@ -13,13 +13,13 @@ import json
 import numpy as np
 
 from attconv import autodiff as ad
-from attconv.data import make_batches
-from attconv.model import EMBEDDINGS_KEY, AdaGradState, adagrad_step, predict
+from attconv.data import PAD_ID, make_batches
+from attconv.model import adagrad_step, predict
 from reference import reference_forward, stack_cols
 
 
 def oracle_train(model, data, train_config, forward=reference_forward, emit=None) -> list[dict]:
-    state = AdaGradState.for_params(model.params)
+    acc = {name: np.zeros_like(node.value) for name, node in model.params.items()}
     metrics = []
     for epoch in range(1, train_config.epochs + 1):
         batches = make_batches(data.examples, train_config.batch_size,
@@ -37,15 +37,9 @@ def oracle_train(model, data, train_config, forward=reference_forward, emit=None
             loss_sum += loss.value.item() * len(batch)
             ad.zero_grads(model.params.values())
             ad.backward(loss)
-            grads = {}
-            for name, node in model.params.items():
-                if node.grad is None:
-                    continue
-                if name == EMBEDDINGS_KEY:
-                    node.grad[0, :] = 0.0
-                grads[name] = node.grad
-            adagrad_step(model.params, grads, state,
-                         train_config.learning_rate, train_config.adagrad_epsilon)
+            model.embeddings.grad[PAD_ID] = 0.0
+            adagrad_step(model.params, acc, train_config.learning_rate,
+                         train_config.adagrad_epsilon)
         rec = {"epoch": epoch, "split": "train", "loss": loss_sum / len(data),
                "accuracy": correct / len(data)}
         metrics.append(rec)

@@ -195,6 +195,6 @@ def reference_forward(model, text_ids, ctx_ids, trace=None):
             fmap = layer(Hx, Hy, p, "net.", cfg.match_method, exclude_self, passes)
             reps.append(max_over_positions(fmap))
             if trace is not None:
-                trace.extend(AttentionRecord(j, li, w) for li, w in enumerate(passes))
+                trace.extend(AttentionRecord(j, li, w.value) for li, w in enumerate(passes))
         rep = reps[0] if len(reps) == 1 else max_over_positions(stack_cols(reps))
     return softmax(ad.add(matvec(p["classifier.W"], rep), p["classifier.b"]))

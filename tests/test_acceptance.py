@@ -68,7 +68,7 @@ def probe_row(model, ex):
     """The last text position's attention weights on the example's first pass."""
     encode = model.vocab.encode
     records = attention_records(model, encode(ex.text), [encode(c) for c in ex.contexts])
-    return records[0].weights.value[-1]
+    return records[0].weights[-1]
 
 
 def np_window3(H):

@@ -1,5 +1,7 @@
 """End-to-end command line flows and exit code mapping."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attconv import cli, errors
 from attconv.checkpoint import MAGIC, save_checkpoint
@@ -132,6 +136,24 @@ def test_train_unallocatable_d_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "d=1000000000000000" in err and "vocabulary of" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("vectors, want_code, want", [
+    ("x 1 2\n", 3, "line 1: expected 1000000000000000 values, got 2"),
+    ("", 2, "d=1000000000000000 does not fit in memory"),
+], ids=["one-line", "empty"])
+def test_train_unallocatable_d_with_a_vectors_file(tmp_path, capsys, vectors, want_code, want):
+    # the lines are checked before the d-wide table is allocated
+    path = tmp_path / "vec.txt"
+    path.write_text(vectors, encoding="utf-8")
+    config = write_config(tmp_path, d=10**15, embeddings=str(path))
+    code, _, err = run(capsys, [
+        "train", "--config", config, "--train", write_data(tmp_path),
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert code == want_code
+    assert want in err
     assert "Traceback" not in err
 
 
@@ -407,6 +429,74 @@ def test_non_finite_vector_exits_3_even_for_an_unused_token(tmp_path, capsys, va
     assert code == 3
     assert f"{vectors}: line 2: non-finite" in err
     assert not out.exists()
+
+
+# numbers the parser accepts, kept small so that a file that loads trains
+# without diverging, and fields it must refuse: malformed or non-finite
+_NUMBERS = st.floats(-2.0, 2.0).map(repr) | st.sampled_from(["1", "-0", "1e-3", "1_0", "\u0661"])
+_MALFORMED = st.sampled_from(["abc", "1.2.3", "0x10", "--1", "1e", "1\x00", "nan", "-inf",
+                              "Infinity", "1e999", "9" * 400])
+# tokens repeat, hit the reserved and the data tokens, and carry NUL or a BOM
+_TOKENS = st.sampled_from(["t0", "t1", "q0", "<pad>", "<unk>", "</s>", "a\x00b", "\ufeffx",
+                           "3"]) | st.text(st.characters(blacklist_categories=["Z", "C"]),
+                                           min_size=1, max_size=3)
+
+
+@st.composite
+def _vectors_files(draw, d: int) -> bytes:
+    """A vectors file for dimension d: perhaps a BOM and a header, then
+    lines that mostly carry d values, some of them a wrong count or a bad
+    field, and perhaps bytes that are not UTF-8."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 7))  # 0 header, 1 blank, 2-6 d values, 7 any count
+        if kind == 0:
+            lines.append(f"{draw(st.integers(0, 10**6))} {draw(st.integers(0, 4))}")
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        else:
+            n = d if d <= 4 and kind < 7 else draw(st.integers(0, 4))
+            values = draw(st.lists(_NUMBERS, min_size=n, max_size=n))
+            if values and draw(st.integers(0, 3)) == 0:
+                values[draw(st.integers(0, n - 1))] = draw(_MALFORMED)
+            lines.append(" ".join([draw(_TOKENS), *values]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + "\n".join(lines)
+    raw = (text + draw(st.sampled_from(["", "\n"]))).encode("utf-8")
+    if draw(st.integers(0, 7)) == 7:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def vectors_run(tmp_path_factory):
+    """Runs ``train`` in-process on a tiny dataset with the given vectors
+    file and d; returns the exit code and what went to stderr."""
+    workdir = tmp_path_factory.mktemp("vectors")
+    data = write_data(workdir, n=6)
+    vectors, out = workdir / "vec.txt", workdir / "m.ckpt"
+
+    def run_with(raw: bytes, d: int) -> tuple[int, str]:
+        vectors.write_bytes(raw)
+        config = write_config(workdir, d=d, epochs=1, embeddings=str(vectors))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", config, "--train", data, "--out", str(out)])
+        return code, err.getvalue()
+
+    return run_with
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from([1, 2, 3, 10**15]).flatmap(
+    lambda d: st.tuples(st.just(d), _vectors_files(d))))
+def test_fuzzed_vectors_file_exits_cleanly(vectors_run, case):
+    # a file that loads trains (exit 0, nothing on stderr); any other ends
+    # in one line on stderr with a config (2) or data (3) exit code
+    code, err = vectors_run(case[1], case[0])
+    assert code in (0, 2, 3)
+    assert len(err.splitlines()) == (0 if code == 0 else 1)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("line", ["t0 nan x 0.3 0.4", "<unk> 1 zz 1 1"])

@@ -20,7 +20,6 @@ from attconv.errors import (
 from attconv.model import (
     EVAL_CHUNK,
     MAX_SCORE_ENTRIES,
-    AdaGradState,
     ModelConfig,
     TrainConfig,
     adagrad_step,
@@ -332,8 +331,8 @@ def test_multi_conc_order_moves_attention_columns_not_their_mass():
     c1, c2 = [5, 6], [7, 8, 9]
     a = forward_ids(model, text, [c1, c2]).value
     b = forward_ids(model, text, [c2, c1]).value
-    w1 = attention_records(model, text, [c1, c2])[0].weights.value
-    w2 = attention_records(model, text, [c2, c1])[0].weights.value
+    w1 = attention_records(model, text, [c1, c2])[0].weights
+    w2 = attention_records(model, text, [c2, c1])[0].weights
     perm = (list(range(len(c1) + 1, len(c1) + 1 + len(c2)))
             + [len(c1)] + list(range(len(c1))))
     assert np.allclose(w2, w1[:, perm], atol=1e-12)
@@ -444,18 +443,20 @@ def test_predict_breaks_ties_toward_the_lowest_class():
 
 def test_adagrad_first_step_oracle():
     p = ad.param(np.zeros(1), "p")
-    state = AdaGradState.for_params({"p": p})
-    adagrad_step({"p": p}, {"p": np.ones(1)}, state, lr=0.01, eps=1e-8)
-    assert state.acc["p"][0] == 1.0
+    acc = {"p": np.zeros(1)}
+    p.grad = np.ones(1)
+    adagrad_step({"p": p}, acc, lr=0.01, eps=1e-8)
+    assert acc["p"][0] == 1.0
     assert abs(p.value[0] - (-0.01 / (1.0 + 1e-8))) < 1e-15
 
 
 def test_adagrad_second_step_shrinks_by_sqrt_two():
     p = ad.param(np.zeros(1), "p")
-    state = AdaGradState.for_params({"p": p})
-    adagrad_step({"p": p}, {"p": np.ones(1)}, state, lr=0.01, eps=1e-8)
+    acc = {"p": np.zeros(1)}
+    p.grad = np.ones(1)
+    adagrad_step({"p": p}, acc, lr=0.01, eps=1e-8)
     before = p.value[0]
-    adagrad_step({"p": p}, {"p": np.ones(1)}, state, lr=0.01, eps=1e-8)
+    adagrad_step({"p": p}, acc, lr=0.01, eps=1e-8)
     second = before - p.value[0]
     assert abs(second - 0.01 / math.sqrt(2.0)) < 1e-9
     assert abs(second - 0.0070711) < 1e-6
@@ -463,24 +464,26 @@ def test_adagrad_second_step_shrinks_by_sqrt_two():
 
 def test_adagrad_zero_gradient_changes_nothing():
     p = ad.param(np.array([0.5]), "p")
-    state = AdaGradState.for_params({"p": p})
-    state.acc["p"][:] = 4.0
-    adagrad_step({"p": p}, {"p": np.zeros(1)}, state, lr=0.1)
-    assert p.value[0] == 0.5 and state.acc["p"][0] == 4.0
-    # a tensor missing from the gradient dict is skipped entirely
-    adagrad_step({"p": p}, {}, state, lr=0.1)
-    assert p.value[0] == 0.5
+    acc = {"p": np.full(1, 4.0)}
+    p.grad = np.zeros(1)
+    adagrad_step({"p": p}, acc, lr=0.1, eps=1e-8)
+    assert p.value[0] == 0.5 and acc["p"][0] == 4.0
+    # a tensor whose grad is None is skipped entirely
+    p.grad = None
+    adagrad_step({"p": p}, acc, lr=0.1, eps=1e-8)
+    assert p.value[0] == 0.5 and acc["p"][0] == 4.0
 
 
 def test_adagrad_accumulators_never_decrease():
     rng = np.random.default_rng(0)
     p = ad.param(np.zeros(4), "p")
-    state = AdaGradState.for_params({"p": p})
-    last = state.acc["p"].copy()
+    acc = {"p": np.zeros(4)}
+    last = acc["p"].copy()
     for _ in range(5):
-        adagrad_step({"p": p}, {"p": rng.standard_normal(4)}, state, lr=0.01)
-        assert np.all(state.acc["p"] >= last)
-        last = state.acc["p"].copy()
+        p.grad = rng.standard_normal(4)
+        adagrad_step({"p": p}, acc, lr=0.01, eps=1e-8)
+        assert np.all(acc["p"] >= last)
+        last = acc["p"].copy()
 
 
 # ---------------------------------------------------------------------------

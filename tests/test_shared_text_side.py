@@ -54,7 +54,7 @@ def _example_ids(rng, mode):
 
 
 def _record_shapes(records):
-    return [(r.context_index, r.layer_index, r.weights.value.shape) for r in records]
+    return [(r.context_index, r.layer_index, r.weights.shape) for r in records]
 
 
 @pytest.mark.parametrize("method", MATCH_METHODS)
@@ -82,7 +82,7 @@ def test_forward_is_within_tolerance_of_the_per_context_oracle(variant, mode, se
         got_records = attention_records(model, text, ctxs)
         assert _record_shapes(got_records) == _record_shapes(want_records)
         for a, b in zip(got_records, want_records):
-            assert np.max(np.abs(a.weights.value - b.weights.value)) <= FORWARD_TOLERANCE
+            assert np.max(np.abs(a.weights - b.weights)) <= FORWARD_TOLERANCE
         passes = 4 if variant == "no-conv" else 1
         assert len(got_records) == passes * (len(ctxs) if mode == "multi-wise" else 1)
 
