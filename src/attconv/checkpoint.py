@@ -6,7 +6,8 @@ tensor in manifest order, each starting where the one before it ends. The
 manifest records the format version, both configs, the vocabulary token
 list, the label order, and a tensor directory of shapes and byte offsets.
 Loading reads the tensor blobs once into one buffer and hands out views of
-it. Save, load, save again reproduces the file byte for byte.
+it. Save, load, save again reproduces the file byte for byte. A save
+replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -47,14 +48,24 @@ def _manifest(model: Model, train_config: TrainConfig) -> dict:
 
 
 def save_checkpoint(path: str, model: Model, train_config: TrainConfig) -> None:
+    """Write the file under a new name next to ``path``, then move it onto
+    ``path``: a save that fails removes its own file and leaves any earlier
+    checkpoint at ``path`` as it was."""
     manifest = json.dumps(_manifest(model, train_config),
                           ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(manifest)))
-        fh.write(manifest)
-        for node in model.params.values():
-            fh.write(np.ascontiguousarray(node.value, dtype="<f8").data)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")  # "x": never another file; the mode a plain open gives
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(manifest)))
+            fh.write(manifest)
+            for node in model.params.values():
+                fh.write(np.ascontiguousarray(node.value, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _is_count(value) -> bool:

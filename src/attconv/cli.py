@@ -17,7 +17,8 @@ from dataclasses import replace
 from . import autodiff as ad
 from .attmap import export_attention
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import SEP_TOKEN, Dataset, Vocabulary, build_vocab, load_jsonl, load_pretrained
+from .data import (SEP_TOKEN, Dataset, Vocabulary, build_vocab, load_jsonl, load_pretrained,
+                   parse_json, utf8_text)
 from .errors import AttconvError, ConfigError, DataError, DeterminismError, DivergenceError
 from .model import (
     Model,
@@ -44,18 +45,10 @@ _MAX_UNNAMED_CLASSES = 10**6
 
 def _read_config(path: str) -> tuple[ModelConfig, TrainConfig, dict]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with utf8_text(path, ConfigError) as fh:
+            raw = parse_json(fh.read(), path, ConfigError)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise ConfigError(f"{path}: JSON nested too deeply") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
-    except ValueError as exc:  # an integer past Python's digit limit
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(raw) - _MODEL_KEYS - _TRAIN_KEYS - _EXTRA_KEYS
@@ -82,10 +75,10 @@ def _resolve_seed(flag_value: int | None, config_seed: int) -> int:
     return config_seed
 
 
-def _load_dataset(path: str, what: str) -> Dataset:
+def _load_dataset(path: str, what: str, label_names: list[str] | None = None) -> Dataset:
     if not os.path.exists(path):
         raise DataError(f"{what} file not found: {path}")
-    ds = load_jsonl(path)
+    ds = load_jsonl(path, label_names)
     if len(ds) == 0:
         raise DataError(f"{what} file is empty: {path}")
     return ds
@@ -94,10 +87,14 @@ def _load_dataset(path: str, what: str) -> Dataset:
 def cmd_train(args) -> int:
     model_cfg, train_cfg, extras = _read_config(args.config)
     model_cfg.seed = _resolve_seed(args.seed, model_cfg.seed)
+    # checked before any work, so that a trained model is never lost to a bad path
+    out_dir = os.path.dirname(args.out) or "."
+    if not args.out or os.path.isdir(args.out) or not os.path.isdir(out_dir):
+        raise DataError(f"--out must name a file in an existing directory: {args.out}")
     train_ds = _load_dataset(args.train, "--train")
     dev_ds = None
     if args.dev:
-        dev_ds = _remap_labels(_load_dataset(args.dev, "--dev"), train_ds.label_names, args.dev)
+        dev_ds = _load_dataset(args.dev, "--dev", train_ds.label_names)
 
     if model_cfg.num_classes != len(train_ds.label_names):
         raise ConfigError(
@@ -121,26 +118,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _remap_labels(ds: Dataset, label_names: list[str], path: str) -> Dataset:
-    """Express a dataset's labels in the model's class order, ``label_names``:
-    the checkpoint's for ``eval``, the training data's for ``train --dev``."""
-    mapping = {}
-    for name in ds.label_names:
-        if name not in label_names:
-            raise ConfigError(
-                f"{path}: label {name!r} is not among the model's classes {label_names}"
-            )
-        mapping[ds.label_names.index(name)] = label_names.index(name)
-    remapped = [
-        type(ex)(text=ex.text, contexts=ex.contexts, label=mapping[ex.label])
-        for ex in ds.examples
-    ]
-    return Dataset(examples=remapped, label_names=list(label_names))
-
-
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.model)
-    ds = _remap_labels(_load_dataset(args.data, "--data"), model.label_names, args.data)
+    ds = _load_dataset(args.data, "--data", model.label_names)
     result = evaluate(ds, model)
     print(json.dumps({
         "accuracy": result.accuracy,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError
+from .errors import AttconvError, ConfigError, ContractError, FormatError
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -94,13 +94,34 @@ class Dataset:
 
 
 @contextmanager
-def _utf8_text(path: str):
-    """Open a text file for reading; bytes that do not decode raise FormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
+def utf8_text(path: str, error: type[AttconvError] = FormatError):
+    """Open a config, dataset or vectors file for reading, dropping a leading
+    byte-order mark; bytes that do not decode raise ``error``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
-            raise FormatError(f"{path}: not UTF-8 text") from None
+            raise error(f"{path}: not UTF-8 text") from None
+
+
+def parse_json(text: str, where: str, error: type[AttconvError]):
+    """Decode one JSON value; bad JSON, nesting past the recursion limit and
+    integers past the digit limit raise ``error`` naming ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise error(f"{where}: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise error(f"{where}: invalid JSON ({exc})") from None
+
+
+def _ascii_number(field: str) -> bool:
+    """Whether a field may hold a number in a vectors file: ``int`` and
+    ``float`` also read ``1_0`` and non-ASCII digits, which no vectors
+    format writes."""
+    return field.isascii() and "_" not in field
 
 
 def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarray]:
@@ -108,24 +129,24 @@ def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarra
 
     An optional first line holding exactly two integers (count and dim) is
     detected and skipped. Every data line must carry exactly
-    ``expected_dim`` finite values; violations raise FormatError with the
-    line number. This holds for the lines of the reserved tokens and of
-    repeated tokens too, which are checked and then skipped, so a repeated
-    token keeps its first vector. Returns a vocabulary of the file's tokens
-    (after PAD and UNK) plus a V x d float64 matrix
-    whose PAD and UNK rows are zero; randomized UNK/OOV rows are filled in
-    later, under the run seed, by ``init_embeddings``. The matrix is
-    allocated once, after every line is checked; an ``expected_dim`` too
-    large to allocate is a ConfigError.
+    ``expected_dim`` finite values, spelled in ASCII without underscores;
+    violations raise FormatError with the line number. This holds for the
+    lines of the reserved tokens and of repeated tokens too, which are
+    checked and then skipped, so a repeated token keeps its first vector.
+    Returns a vocabulary of the file's tokens (after PAD and UNK) plus a
+    V x d float64 matrix whose PAD and UNK rows are zero; randomized UNK/OOV
+    rows are filled in later, under the run seed, by ``init_embeddings``.
+    The matrix is allocated once, after every line is checked; an
+    ``expected_dim`` too large to allocate is a ConfigError.
     """
     vocab = Vocabulary()
     rows = []
-    with _utf8_text(path) as fh:
+    with utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.rstrip("\n").split()
             if not parts:
                 continue
-            if lineno == 1 and len(parts) == 2:
+            if lineno == 1 and len(parts) == 2 and all(map(_ascii_number, parts)):
                 try:
                     int(parts[0]), int(parts[1])
                     continue  # header line
@@ -136,6 +157,10 @@ def load_pretrained(path: str, expected_dim: int) -> tuple[Vocabulary, np.ndarra
                 raise FormatError(
                     f"{path}: line {lineno}: expected {expected_dim} values, got {len(values)}"
                 )
+            bad = next((v for v in values if not _ascii_number(v)), None)
+            if bad is not None:
+                raise FormatError(f"{path}: line {lineno}: bad float ({bad!r} is not "
+                                  f"an ASCII decimal number)")
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
@@ -205,24 +230,23 @@ def init_embeddings(vocab: Vocabulary, dim: int, seed: int,
     return table
 
 
-def load_jsonl(path: str) -> Dataset:
-    """Load a JSONL dataset; labels get contiguous ids in appearance order."""
+def load_jsonl(path: str, label_names: list[str] | None = None) -> Dataset:
+    """Load a JSONL dataset; labels get contiguous ids in appearance order.
+
+    Given ``label_names`` (a model's class order), each label gets its index
+    there instead; the first label missing from it is a ConfigError, raised
+    after the whole file is read so that a malformed line is reported first.
+    """
     examples: list[Example] = []
-    label_names: list[str] = []
-    label_ids: dict[str, int] = {}
-    with _utf8_text(path) as fh:
+    names = list(label_names or ())
+    label_ids = {name: k for k, name in enumerate(names)}
+    unknown = None
+    with utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            except RecursionError:
-                raise FormatError(f"{path}: line {lineno}: JSON nested too deeply") from None
-            except ValueError as exc:  # an integer past Python's digit limit
-                raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
+            rec = parse_json(line, f"{path}: line {lineno}", FormatError)
             if not isinstance(rec, dict):
                 raise FormatError(f"{path}: line {lineno}: record must be an object")
             for key in ("text", "label"):
@@ -245,11 +269,16 @@ def load_jsonl(path: str) -> Dataset:
                     raise FormatError(f"{path}: line {lineno}: context {k} is empty")
                 contexts.append(toks)
             name = rec["label"]
-            if name not in label_ids:
-                label_ids[name] = len(label_names)
-                label_names.append(name)
-            examples.append(Example(text=text, contexts=contexts, label=label_ids[name]))
-    return Dataset(examples=examples, label_names=label_names)
+            label = label_ids.get(name)
+            if label is None and label_names is None:
+                label = label_ids[name] = len(names)
+                names.append(name)
+            elif label is None and unknown is None:
+                unknown = name
+            examples.append(Example(text=text, contexts=contexts, label=label))
+    if unknown is not None:
+        raise ConfigError(f"{path}: label {unknown!r} is not among the model's classes {names}")
+    return Dataset(examples=examples, label_names=names)
 
 
 def save_jsonl(dataset: Dataset, path: str) -> None:

@@ -62,6 +62,33 @@ def test_save_load_save_is_byte_identical(tmp_path):
     loaded, loaded_tcfg = load_checkpoint(str(first))
     save_checkpoint(str(second), loaded, loaded_tcfg)
     assert first.read_bytes() == second.read_bytes()
+    # and onto the file the model was loaded from, which the save replaces
+    save_checkpoint(str(first), loaded, loaded_tcfg)
+    assert first.read_bytes() == second.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["a.ckpt", "b.ckpt"]
+
+
+def test_a_failed_save_keeps_the_previous_file_and_leaves_no_other(tmp_path):
+    model, tcfg, _ = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, tcfg)
+    before = path.read_bytes()
+    # the last tensor cannot be converted to float64, so the save fails
+    # after the header, the manifest and the other tensors are written
+    last = list(model.params.values())[-1]
+    last.value = np.full(last.value.shape, "x")
+    with pytest.raises(ValueError, match="could not convert"):
+        save_checkpoint(str(path), model, tcfg)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+def test_a_saved_file_has_the_mode_a_plain_open_gives(tmp_path):
+    model, tcfg, _ = trained_model()
+    save_checkpoint(str(tmp_path / "m.ckpt"), model, tcfg)
+    with open(tmp_path / "plain", "wb"):
+        pass
+    assert os.stat(tmp_path / "m.ckpt").st_mode == os.stat(tmp_path / "plain").st_mode
 
 
 def test_loaded_model_trains_like_the_model_it_was_saved_from(tmp_path):

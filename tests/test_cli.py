@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from attconv import cli, errors
 from attconv.checkpoint import MAGIC, save_checkpoint
 from attconv.cli import SEED_ENV, main
-from attconv.data import Dataset, Vocabulary, gen_context_match, save_jsonl
+from attconv.data import (Dataset, Vocabulary, gen_context_match, load_jsonl, load_pretrained,
+                          save_jsonl)
 from attconv.model import MAX_SCORE_ENTRIES, ModelConfig, TrainConfig, build_model
 
 BASE_CONFIG = {
@@ -396,6 +397,71 @@ def test_undecodable_input_file_exits_with_its_code(tmp_path, capsys, bad_file, 
     assert f"{target}: not UTF-8 text" in err
 
 
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("marked", ["config", "train", "embeddings"])
+def test_input_file_with_a_byte_order_mark_trains(tmp_path, capsys, marked):
+    data = write_data(tmp_path)
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("1 4\nt0 0.1 0.2 0.3 0.4\n", encoding="utf-8")
+    config = write_config(tmp_path, embeddings=str(vectors))
+    target = Path({"config": config, "train": data, "embeddings": str(vectors)}[marked])
+    target.write_text(BOM + target.read_text(encoding="utf-8"), encoding="utf-8")
+    code, _, err = run(capsys, [
+        "train", "--config", config, "--train", data, "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert (code, err) == (0, "")
+
+
+def test_jsonl_file_with_a_byte_order_mark_loads_the_same_dataset(tmp_path):
+    plain = write_data(tmp_path)
+    marked = tmp_path / "marked.jsonl"
+    marked.write_text(BOM + Path(plain).read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_jsonl(str(marked)) == load_jsonl(plain)
+    assert load_jsonl(str(marked), ["1", "0"]) == load_jsonl(plain, ["1", "0"])
+
+
+@pytest.mark.parametrize("header", ["2 3\n", ""], ids=["header", "no-header"])
+def test_vectors_file_with_a_byte_order_mark_loads_every_row(tmp_path, header):
+    path = tmp_path / "vec.txt"
+    path.write_text(BOM + header + "the 1 2 3\ncat 4 5 6\n", encoding="utf-8")
+    vocab, table = load_pretrained(str(path), 3)
+    assert vocab.tokens[2:] == ["the", "cat"]
+    assert table[2:].tolist() == [[1, 2, 3], [4, 5, 6]]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+def test_vector_value_that_is_not_an_ascii_decimal_exits_3(tmp_path, capsys, value):
+    # float() reads both, as 10.0 and 1.0
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text(f"t0 0.1 0.2 0.3 0.4\nt1 0.1 {value} 0.3 0.4\n", encoding="utf-8")
+    out = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, [
+        "train", "--config", write_config(tmp_path, embeddings=str(vectors)),
+        "--train", write_data(tmp_path), "--out", str(out),
+    ])
+    assert code == 3
+    assert f"{vectors}: line 2: bad float ({value!r} is not an ASCII decimal number)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["missing/m.ckpt", ".", ""], ids=["missing-directory", "directory",
+                                                                 "empty"])
+def test_unwritable_out_exits_3_before_training(tmp_path, capsys, out):
+    # a malformed training file shows that no data is read before --out is checked
+    config = write_config(tmp_path)
+    data = tmp_path / "bad.jsonl"
+    data.write_text("{oops\n", encoding="utf-8")
+    before = sorted(os.listdir(tmp_path))
+    code, stdout, err = run(capsys, [
+        "train", "--config", config, "--train", str(data), "--out", out and str(tmp_path / out),
+    ])
+    assert (code, stdout) == (3, "")
+    assert "--out must name a file in an existing directory" in err and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("value", [None, True, 5, ["vec.txt"]], ids=repr)
 def test_embeddings_must_be_a_path_string(tmp_path, capsys, value):
     config = write_config(tmp_path, embeddings=value)
@@ -432,10 +498,11 @@ def test_non_finite_vector_exits_3_even_for_an_unused_token(tmp_path, capsys, va
 
 
 # numbers the parser accepts, kept small so that a file that loads trains
-# without diverging, and fields it must refuse: malformed or non-finite
-_NUMBERS = st.floats(-2.0, 2.0).map(repr) | st.sampled_from(["1", "-0", "1e-3", "1_0", "\u0661"])
+# without diverging, and fields it must refuse: malformed, non-finite, or
+# spelled with an underscore or a non-ASCII digit
+_NUMBERS = st.floats(-2.0, 2.0).map(repr) | st.sampled_from(["1", "-0", "1e-3"])
 _MALFORMED = st.sampled_from(["abc", "1.2.3", "0x10", "--1", "1e", "1\x00", "nan", "-inf",
-                              "Infinity", "1e999", "9" * 400])
+                              "Infinity", "1e999", "9" * 400, "1_0", "\u0661"])
 # tokens repeat, hit the reserved and the data tokens, and carry NUL or a BOM
 _TOKENS = st.sampled_from(["t0", "t1", "q0", "<pad>", "<unk>", "</s>", "a\x00b", "\ufeffx",
                            "3"]) | st.text(st.characters(blacklist_categories=["Z", "C"]),
@@ -468,6 +535,22 @@ def _vectors_files(draw, d: int) -> bytes:
     return raw
 
 
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Runs ``main`` in-process; returns the exit code and what went to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _exits_cleanly(code: int, err: str) -> None:
+    # an input that loads runs (exit 0, nothing on stderr); any other ends
+    # in one line on stderr with a config (2) or data (3) exit code
+    assert code in (0, 2, 3)
+    assert len(err.splitlines()) == (0 if code == 0 else 1)
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def vectors_run(tmp_path_factory):
     """Runs ``train`` in-process on a tiny dataset with the given vectors
@@ -479,10 +562,7 @@ def vectors_run(tmp_path_factory):
     def run_with(raw: bytes, d: int) -> tuple[int, str]:
         vectors.write_bytes(raw)
         config = write_config(workdir, d=d, epochs=1, embeddings=str(vectors))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["train", "--config", config, "--train", data, "--out", str(out)])
-        return code, err.getvalue()
+        return _run_quietly(["train", "--config", config, "--train", data, "--out", str(out)])
 
     return run_with
 
@@ -491,12 +571,7 @@ def vectors_run(tmp_path_factory):
 @given(case=st.sampled_from([1, 2, 3, 10**15]).flatmap(
     lambda d: st.tuples(st.just(d), _vectors_files(d))))
 def test_fuzzed_vectors_file_exits_cleanly(vectors_run, case):
-    # a file that loads trains (exit 0, nothing on stderr); any other ends
-    # in one line on stderr with a config (2) or data (3) exit code
-    code, err = vectors_run(case[1], case[0])
-    assert code in (0, 2, 3)
-    assert len(err.splitlines()) == (0 if code == 0 else 1)
-    assert "Traceback" not in err
+    _exits_cleanly(*vectors_run(case[1], case[0]))
 
 
 @pytest.mark.parametrize("line", ["t0 nan x 0.3 0.4", "<unk> 1 zz 1 1"])
@@ -512,6 +587,147 @@ def test_bad_vector_of_a_skipped_token_exits_3(tmp_path, capsys, line):
     assert code == 3
     assert f"{vectors}: line 2: bad float" in err
     assert not out.exists()
+
+
+# raw JSON of every type, nested past any recursion limit, or holding an
+# integer past the digit limit
+_JSON_VALUES = st.sampled_from(["null", "true", "0", "-1.5", "1e400", "[]", '["q0"]', "{}",
+                                '""', '"q0 t1"', '"a\\u0000b"', DEEP, HUGE])
+# strings that load, among them a NUL, a BOM and the reserved tokens inside
+# a text, and strings that must be refused: no token at all, or any text
+_CLEAN = st.sampled_from(["q0 t1", "c2 q1 c0", "t0 q1", "a\x00b", "\ufeffq0", "<pad> <unk>"])
+_HOSTILE = st.sampled_from(["", " ", "maybe"]) | st.text(max_size=6)
+_SIDE = math.isqrt(MAX_SCORE_ENTRIES)
+
+
+def _raw_object(fields: dict) -> str:
+    return "{" + ", ".join(f"{json.dumps(key)}: {raw}" for key, raw in fields.items()) + "}"
+
+
+def _encode(draw, text: str) -> bytes:
+    """``text`` as UTF-8, perhaps after a BOM and perhaps with bytes that do not decode."""
+    raw = (draw(st.sampled_from(["", BOM])) + text).encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
+@st.composite
+def _jsonl_files(draw) -> bytes:
+    """A few records of one context, some with a text scored near the bound
+    of ``MAX_SCORE_ENTRIES`` (against a context of its square root), and at
+    most one hostile line: no record at all, a field of another JSON type,
+    missing or extra, a string that must be refused, NUL written raw, or a
+    wrong number of contexts."""
+    lines = []
+    count = draw(st.integers(1, 4))
+    hostile = draw(st.integers(0, 2 * count))  # no hostile line when past the end
+    for k in range(count):
+        if draw(st.integers(0, 7)) == 0:
+            text = _long_text(draw(st.integers(_SIDE - 1, _SIDE + 1)))
+            contexts = [_long_text(_SIDE)]
+        else:
+            text, contexts = draw(_CLEAN), [draw(_CLEAN)]
+        values = {"label": draw(st.sampled_from(["0", "1"])), "text": text, "contexts": contexts}
+        how = draw(st.integers(0, 5)) if k == hostile else None
+        if how == 0:
+            lines.append(draw(_JSON_VALUES))
+            continue
+        if how == 3:
+            values[draw(st.sampled_from(["label", "text"]))] = draw(_HOSTILE)
+        elif how == 4:
+            values["contexts"] = draw(st.lists(_CLEAN, max_size=3))
+        fields = {key: json.dumps(value, ensure_ascii=how != 5) for key, value in values.items()}
+        if how == 1:
+            key = draw(st.sampled_from(["label", "text", "contexts", "extra"]))
+            fields[key] = draw(_JSON_VALUES)
+        elif how == 2:
+            del fields[draw(st.sampled_from(sorted(fields)))]
+        lines.append(_raw_object(fields))
+    return _encode(draw, "\n".join(lines) + "\n")
+
+
+# values each config key may validly hold, kept small so that training stays
+# quick and cannot diverge, plus values validation must refuse
+_CONFIG_VALUES = {
+    "variant": ["light", "advanced", "vanilla-cnn", "attentive-pooling", "no-conv", "cnn"],
+    "context-mode": ["intra", "single", "multi-wise", "multi-conc", "light\x00"],
+    "match-method": ["dot", "bilinear", "additive", "cosine"],
+    "self-mode": ["include-self", "exclude-self", ""],
+    "d": [1, 2, 0, -1, 10**15],
+    "num-classes": [2, 1, 3, 10**15],
+    "seed": [0, 7, -1],
+    "epochs": [1, 0],
+    "batch-size": [1, 4, 0],
+    "learning-rate": [0.05, 0.0, -1.0],
+    "adagrad-epsilon": [1e-8, 0.0],
+    "eval-every": [1, 0],
+    "embeddings": ["missing.txt"],
+    "dropout": [0.5],
+}
+
+
+@st.composite
+def _config_files(draw) -> bytes:
+    """A config object: the base config with keys changed to other valid or
+    invalid values, to raw JSON of another type, or removed; or a file that
+    holds no object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return _encode(draw, draw(_JSON_VALUES))
+    fields = {key: json.dumps(value) for key, value in BASE_CONFIG.items()}
+    fields.update({"epochs": "1", "d": "2"})
+    for key in draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=3)):
+        if draw(st.integers(0, 3)) == 0:
+            fields[key] = draw(_JSON_VALUES)
+        else:
+            fields[key] = json.dumps(draw(st.sampled_from(_CONFIG_VALUES[key])))
+    if draw(st.integers(0, 5)) == 0:
+        del fields[draw(st.sampled_from(sorted(fields)))]
+    return _encode(draw, _raw_object(fields))
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """Runs ``argv`` in-process, with ``{fuzzed}`` in it the path of a file
+    holding ``raw``, and ``{config}``, ``{data}`` and ``{model}`` those of a
+    good config, dataset and checkpoint; returns the exit code and what went
+    to stderr."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    paths = {"config": write_config(workdir, epochs=1, d=2), "data": write_data(workdir, n=6),
+             "model": str(workdir / "model.ckpt"), "out": str(workdir / "out.ckpt"),
+             "fuzzed": str(workdir / "fuzzed")}
+    assert main(["train", "--config", paths["config"], "--train", paths["data"],
+                 "--out", paths["model"]]) == 0
+
+    def run_with(argv: list[str], raw: bytes) -> tuple[int, str]:
+        Path(paths["fuzzed"]).write_bytes(raw)
+        return _run_quietly([arg.format(**paths) for arg in argv])
+
+    return run_with
+
+
+_TRAIN = ["train", "--config", "{config}", "--out", "{out}"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=_jsonl_files(), role=st.sampled_from(["train", "dev", "eval"]))
+def test_fuzzed_jsonl_file_exits_cleanly(fuzz_run, raw, role):
+    # as training data, as dev data in the training data's class order, and
+    # as eval data in the checkpoint's
+    argv = {"train": _TRAIN + ["--train", "{fuzzed}"],
+            "dev": _TRAIN + ["--train", "{data}", "--dev", "{fuzzed}"],
+            "eval": ["eval", "--model", "{model}", "--data", "{fuzzed}"]}[role]
+    _exits_cleanly(*fuzz_run(argv, raw))
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=_config_files(), command=st.sampled_from(["train", "params"]))
+def test_fuzzed_config_file_exits_cleanly(fuzz_run, raw, command):
+    argv = [command, "--config", "{fuzzed}"]
+    if command == "train":
+        argv += ["--train", "{data}", "--out", "{out}"]
+    _exits_cleanly(*fuzz_run(argv, raw))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -591,6 +807,29 @@ def test_train_dev_label_unseen_in_training_exits_2(tmp_path, capsys):
     assert code == 2
     assert "maybe" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("after, want_code, want", [
+    ("{oops", 3, "line 2: invalid JSON"),
+    (json.dumps({"label": "other", "text": "q1", "contexts": ["c1"]}), 2,
+     "label 'maybe' is not among the model's classes"),
+], ids=["malformed", "unknown"])
+def test_an_unknown_label_is_reported_after_the_whole_file_is_read(
+        trained, tmp_path, capsys, command, after, want_code, want):
+    # line 1's label is unknown: a malformed line after it still wins (exit 3),
+    # and a file of unknown labels names the first (exit 2)
+    data = tmp_path / "labels.jsonl"
+    data.write_text(json.dumps({"label": "maybe", "text": "q0", "contexts": ["c0"]}) + "\n"
+                    + after + "\n", encoding="utf-8")
+    if command == "train":
+        argv = ["train", "--config", write_config(tmp_path), "--train", trained["data"],
+                "--dev", str(data), "--out", str(tmp_path / "m.ckpt")]
+    else:
+        argv = ["eval", "--model", trained["model"], "--data", str(data)]
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (want_code, "")
+    assert f"{data}: {want}" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from attconv.data import (
     save_jsonl,
     tokenize,
 )
-from attconv.errors import ContractError, FormatError
+from attconv.errors import ConfigError, ContractError, FormatError
 
 
 def test_tokenize_lowercases_and_splits():
@@ -176,6 +176,15 @@ def test_load_pretrained_checks_lines_it_skips(tmp_path, line, error):
         load_pretrained(path, 2)
 
 
+@pytest.mark.parametrize("count", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+def test_load_pretrained_header_holds_ascii_decimals_only(tmp_path, count):
+    # int() reads both spellings, which made the line a header and skipped it
+    path = _write(tmp_path / "vec.txt", [f"{count} 1", "b 2"])
+    vocab, mat = load_pretrained(path, 1)
+    assert vocab.tokens[2:] == [count, "b"]
+    assert mat[2:].tolist() == [[1], [2]]
+
+
 # ---------------------------------------------------------------------------
 # embedding init
 
@@ -312,6 +321,23 @@ def test_load_jsonl_fields_must_be_json_strings(tmp_path, record, fragment):
         load_jsonl(path)
     assert "line 2" in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_load_jsonl_numbers_labels_in_a_given_class_order(tmp_path):
+    lines = [json.dumps({"label": name, "text": "t"}) for name in ("pos", "neg", "pos")]
+    path = _write(tmp_path / "d.jsonl", lines)
+    ds = load_jsonl(path, ["neg", "pos", "other"])
+    assert ds.label_names == ["neg", "pos", "other"]
+    assert [ex.label for ex in ds] == [1, 0, 1]
+
+
+def test_load_jsonl_names_the_first_label_missing_from_the_class_order(tmp_path):
+    # the empty string is a label like any other
+    lines = [json.dumps({"label": name, "text": "t"}) for name in ("a", "", "x")]
+    path = _write(tmp_path / "d.jsonl", lines)
+    with pytest.raises(ConfigError, match=r"d.jsonl: label '' is not among the model's "
+                                          r"classes \['a'\]$"):
+        load_jsonl(path, ["a"])
 
 
 def test_save_load_jsonl_roundtrip(tmp_path):
