@@ -536,13 +536,17 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
     is the running accuracy of those columns during the epoch; dev metrics
     come from a full evaluation every ``eval_every`` epochs. A label outside
     the model's classes, in the training or the dev data, is a
-    ContractError before any update. A non-finite loss aborts with
-    diagnostics.
+    ContractError before any update, and a dev example that its own
+    ``forward`` would refuse raises that error before any update too. A
+    non-finite loss aborts with diagnostics.
     """
     train_config.validate()
     _check_dataset(train_data, model, "train")
     if dev_data is not None:
         _check_dataset(dev_data, model, "evaluate")
+        encode = model.vocab.encode
+        for ex in dev_data.examples:
+            _example_maps(model, encode(ex.text), [encode(c) for c in ex.contexts])
     acc = {name: np.zeros_like(node.value) for name, node in model.params.items()}
     metrics: list[dict] = []
 

@@ -423,32 +423,70 @@ def test_structural_op_preconditions():
         ad.additive_scores(p, q, ad.Node(np.ones(2)), one_block(3, 5))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
-def test_additive_scores_match_the_per_row_loop(n):
-    # reference: one row at a time, v @ tanh(p_i + q) and its backward.
-    # The one block's scores keep the loop's arithmetic, so they are compared
-    # bitwise, short contexts included; the gradients sum in another order,
-    # so they are compared to 1e-12 of their largest entry.
-    rng = np.random.default_rng(n)
-    d, m = 5, 4
-    p, q, v = rng.standard_normal((d, m)), rng.standard_normal((d, n)), rng.standard_normal(d)
-    g = rng.standard_normal((m, n))
-    want = np.empty((m, n))
-    gp, gq, gv = np.zeros((d, m)), np.zeros((d, n)), np.zeros(d)
-    for i in range(m):
-        t = np.tanh(np.repeat(p[:, i:i + 1], n, axis=1) + q)
-        want[i] = v @ t
-        gv += t @ g[i]
-        gpre = np.outer(v, g[i]) * (1.0 - t * t)
-        gq += gpre
-        gp[:, i] = gpre.sum(axis=1)
+@pytest.mark.parametrize("rows, cols", [([0, 4], [0, n]) for n in (1, 2, 3, 4, 9)]
+                         + [([0, 1, 4, 5, 11], [0, 1, 2, 9, 12])],
+                         ids=["1", "2", "3", "4", "9", "ragged"])
+def test_additive_scores_match_the_per_row_loop(rows, cols):
+    # reference: one row at a time, v @ tanh(p_i + q_block) and its
+    # elementwise backward. The scores keep the loop's arithmetic, so they are
+    # compared bitwise, short contexts included; the gradients are
+    # contractions that sum in another order, so they are compared to 1e-12
+    # of their largest entry. The ragged layout has blocks of 1x1, 3x1, 1x7
+    # and 6x3, each writing its own rows and columns of the gradients.
+    blocks = ad.Blocks(rows, cols)
+    rng = np.random.default_rng(cols[-1])
+    d = 5
+    p, q = rng.standard_normal((d, rows[-1])), rng.standard_normal((d, cols[-1]))
+    v, g = rng.standard_normal(d), rng.standard_normal(blocks.size)
+    want = np.empty(blocks.size)
+    gp, gq, gv = np.zeros_like(p), np.zeros_like(q), np.zeros_like(v)
+    for r0, r1, c0, c1, f0, _ in blocks.spans:
+        n = c1 - c0
+        for i in range(r0, r1):
+            lo = f0 + (i - r0) * n
+            gi = g[lo:lo + n]
+            t = np.tanh(np.repeat(p[:, i:i + 1], n, axis=1) + q[:, c0:c1])
+            want[lo:lo + n] = v @ t
+            gv += t @ gi
+            gpre = np.outer(v, gi) * (1.0 - t * t)
+            gq[:, c0:c1] += gpre
+            gp[:, i] = gpre.sum(axis=1)
 
     leaves = [ad.param(p), ad.param(q), ad.param(v)]
-    scores = ad.additive_scores(*leaves, one_block(m, n))
-    assert np.array_equal(scores.value, want.ravel())
-    ad.backward(project(scores, g.ravel()))
+    scores = ad.additive_scores(*leaves, blocks)
+    assert np.array_equal(scores.value, want)
+    ad.backward(project(scores, g))
     for leaf, ref in zip(leaves, (gp, gq, gv)):
         assert np.max(np.abs(leaf.grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_additive_scores_hold_one_tanh_and_back_propagate_in_one_more_block():
+    # One 24 x 24 block at d=32, the pair size of the no-conv intra bench
+    # workload. Measured with numpy 2.4: the forward peaks at 1.53x the tanh
+    # it holds (the rest is numpy's fixed 64 KiB ufunc buffer, used by the
+    # broadcast add), and the backward adds 1.19x one block (its scratch
+    # square plus the d x 24 gradients). A broadcast temporary in the
+    # forward reads 2.04x and full-size elementwise products in the backward
+    # 3.09x, so each bound catches one. Bounds: each measurement plus 0.2,
+    # rounded up.
+    rng = np.random.default_rng(5)
+    d, m = 32, 24
+    p, q = ad.param(rng.standard_normal((d, m))), ad.param(rng.standard_normal((d, m)))
+    v = ad.param(rng.standard_normal(d))
+    g = rng.standard_normal(m * m)
+    tanh_bytes = m * d * m * 8
+    tracemalloc.start()
+    try:
+        scores = ad.additive_scores(p, q, v, one_block(m, m))
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        scores._backward(g)
+        backward_added = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 1.75 * tanh_bytes
+    assert backward_added < 1.4 * tanh_bytes
 
 
 def test_glorot_bounds_and_determinism():

@@ -371,6 +371,34 @@ def test_eval_of_an_example_over_the_score_bound_exits_3(trained, tmp_path, caps
     assert "too large" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode, dev_record, want_code, want", [
+    ("single", {"label": "0", "text": "q0", "contexts": ["c0", "c1"]}, 2, "exactly 1 context"),
+    ("intra", {"label": "0", "text": "w0 w1", "contexts": ["w2"]}, 2, "given contexts"),
+    ("intra", {"label": "0", "text": _long_text(math.isqrt(MAX_SCORE_ENTRIES) + 1)}, 3,
+     "too large"),
+], ids=["context-count", "intra-contexts", "score-bound"])
+def test_a_dev_example_the_model_refuses_exits_before_training(
+        tmp_path, capsys, mode, dev_record, want_code, want):
+    # the dev file is first scored after epoch 1; its refusal must come
+    # before any training, so no metric record is printed
+    train_path = write_data(tmp_path)
+    if mode == "intra":
+        Path(train_path).write_text("".join(
+            json.dumps({"label": str(k % 2), "text": _long_text(4 + k)}) + "\n"
+            for k in range(6)), encoding="utf-8")
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text(json.dumps({"label": "1", "text": "w1 w2"} if mode == "intra" else
+                              {"label": "1", "text": "q1", "contexts": ["c1"]}) + "\n"
+                   + json.dumps(dev_record) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, **{"context-mode": mode, "d": 1, "epochs": 1})
+    out = tmp_path / "m.ckpt"
+    code, stdout, err = run(capsys, ["train", "--config", config, "--train", train_path,
+                                     "--dev", str(dev), "--out", str(out)])
+    assert (code, stdout) == (want_code, "")
+    assert want in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV, "-1")
     code, _, err = run(capsys, [

@@ -674,6 +674,27 @@ def test_train_rejects_a_bad_label_before_any_update(split, label):
         assert node.value.tobytes() == before[name].tobytes(), name
 
 
+LONG_TEXT = [f"t{i % 10}" for i in range(math.isqrt(MAX_SCORE_ENTRIES) + 1)]
+
+
+@pytest.mark.parametrize("mode, bad, error, message", [
+    ("single", Example(["t2"], [["t1"], ["t3"]], 0), ConfigError, "exactly 1 context"),
+    ("intra", Example(["t2", "t3"], [["t1"]], 0), ConfigError, "given contexts"),
+    ("intra", Example(LONG_TEXT, [], 0), FormatError, "too large"),
+], ids=["context-count", "intra-contexts", "score-bound"])
+def test_train_rejects_a_malformed_dev_example_before_any_update(mode, bad, error, message):
+    # the dev data is scored only after the first epoch; its malformed last
+    # example is refused before the first update all the same
+    model = build_model(small_config(context_mode=mode, d=1), VOCAB, LABELS)
+    data = Dataset(examples=[_valid_example(mode)] * 4, label_names=LABELS)
+    dev = Dataset(examples=[_valid_example(mode), bad], label_names=LABELS)
+    before = {name: node.value.copy() for name, node in model.params.items()}
+    with pytest.raises(error, match=message):
+        train(model, data, TrainConfig(epochs=1, batch_size=2), dev_data=dev)
+    for name, node in model.params.items():
+        assert node.value.tobytes() == before[name].tobytes(), name
+
+
 def test_train_rejects_empty_dataset():
     model = _toy_model(separable_dataset(4))
     with pytest.raises(ContractError):
