@@ -35,10 +35,11 @@ from .errors import (
 class Node:
     """One vertex of the computation graph.
 
-    ``value`` is a float64 ndarray. ``grad`` has the same shape once
-    ``backward`` has run over a graph containing this node; before that it
-    is None. Leaves (parameters, constants) have no inputs and no backward
-    closure.
+    ``value`` is a float64 ndarray. ``grad`` is None or an array of the
+    same shape. Leaves (parameters, constants) have no inputs and no
+    backward closure; they keep the gradients ``backward`` accumulates into
+    them. An interior node holds a gradient only while ``backward`` is
+    pushing it.
     """
 
     __slots__ = ("value", "grad", "op", "inputs", "name", "_backward", "_ran")
@@ -624,11 +625,15 @@ def topo_order(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Propagate d(loss)/d(node) to every node reachable from ``loss``.
+    """Propagate d(loss)/d(node) to every leaf reachable from ``loss``.
 
-    Gradients accumulate into ``node.grad``; callers zero parameter grads
-    between optimization steps. Running backward twice on the same loss
-    node is an error because the second pass would double-count.
+    Leaves keep their gradients: they accumulate into ``node.grad``, and
+    callers zero parameter grads between optimization steps. An interior
+    node's gradient is released (set to None) once its closure has pushed
+    it to its inputs, so at most the gradients still to be pushed are held,
+    and a later backward through a shared subgraph starts from zero there.
+    Running backward twice on the same loss node is an error because the
+    second pass would double-count.
     """
     if loss.value.size != 1:
         raise ContractError(f"backward: loss must be a scalar, got shape {loss.value.shape}")
@@ -640,6 +645,7 @@ def backward(loss: Node) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def zero_grads(nodes) -> None:

@@ -266,6 +266,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"memory error: the input did not fit in memory{detail}", file=sys.stderr)
+        return 3
     except (DivergenceError, DeterminismError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4

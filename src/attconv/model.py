@@ -536,17 +536,21 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
     is the running accuracy of those columns during the epoch; dev metrics
     come from a full evaluation every ``eval_every`` epochs. A label outside
     the model's classes, in the training or the dev data, is a
-    ContractError before any update, and a dev example that its own
-    ``forward`` would refuse raises that error before any update too. A
-    non-finite loss aborts with diagnostics.
+    ContractError before any update, and a training or dev example that its
+    own ``forward`` would refuse raises that error before any update too. A
+    non-finite loss aborts with diagnostics. Each batch's graph is dropped
+    after its backward, so it is not held through the update or the next
+    batch's forward.
     """
     train_config.validate()
     _check_dataset(train_data, model, "train")
+    checked = train_data.examples
     if dev_data is not None:
         _check_dataset(dev_data, model, "evaluate")
-        encode = model.vocab.encode
-        for ex in dev_data.examples:
-            _example_maps(model, encode(ex.text), [encode(c) for c in ex.contexts])
+        checked = checked + dev_data.examples
+    encode = model.vocab.encode
+    for ex in checked:
+        _example_maps(model, encode(ex.text), [encode(c) for c in ex.contexts])
     acc = {name: np.zeros_like(node.value) for name, node in model.params.items()}
     metrics: list[dict] = []
 
@@ -575,6 +579,7 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
             loss_sum += loss.value.item() * len(batch)
             ad.zero_grads(model.params.values())
             ad.backward(loss)
+            del probs, loss
             model.embeddings.grad[PAD_ID] = 0.0  # PAD row stays frozen at zero
             adagrad_step(model.params, acc, train_config.learning_rate,
                          train_config.adagrad_epsilon)

@@ -162,14 +162,22 @@ def test_embed_backward_matches_the_dense_scatter_bitwise(seed, preset):
     table.grad = None if start is None else start.copy()
     calls = [[7, 2, 7, 0, 11, 2, 2, 7], [3, 7, 9, 7, 0]]  # unsorted, repeated, shared
     embeds = [ad.embed(table, ids) for ids in calls]
+    # backward releases each embed node's gradient once pushed, so record
+    # what every closure receives, in the order backward runs them
+    received = []
+    for k, node in enumerate(embeds):
+        def recording(g, k=k, push=node._backward):
+            received.append((k, g))
+            push(g)
+        node._backward = recording
     coeffs = [spread(e.value.shape) for e in embeds]
     loss = ad.add(project(embeds[0], coeffs[0]), project(embeds[1], coeffs[1]))
     ad.backward(loss)
 
+    assert sorted(k for k, _ in received) == [0, 1]
     want = start
-    for node in reversed(ad.topo_order(loss)):  # the order backward runs them
-        if node.op == "embed":
-            want = _dense_embed_backward(want, table.value, calls[embeds.index(node)], node.grad)
+    for k, g in received:
+        want = _dense_embed_backward(want, table.value, calls[k], g)
     assert table.grad.tobytes() == want.tobytes()
 
 
@@ -777,6 +785,34 @@ def test_shared_node_gradient_accumulates():
     c = np.array([0.5, -1.25])
     ad.backward(project(ad.add(x, x), c))
     assert np.array_equal(x.grad, 2 * c)
+
+
+def test_a_second_backward_through_a_shared_subgraph_starts_from_zero():
+    # two losses over one tanh: the second backward must push only its own
+    # gradient through the shared nodes, as on a freshly built graph
+    def graph(x):
+        probs = ad.softmax(ad.tanh(x))
+        return ad.nll(probs, [0]), ad.nll(probs, [1])
+
+    x = ad.param(np.array([[0.3], [-0.8]]))
+    first, second = graph(x)
+    ad.backward(first)
+    ad.zero_grads([x])
+    ad.backward(second)
+
+    fresh = ad.param(x.value.copy())
+    ad.backward(graph(fresh)[1])
+    assert x.grad.tobytes() == fresh.grad.tobytes()
+
+
+def test_backward_keeps_leaf_gradients_and_releases_interior_ones():
+    w = ad.param(np.array([[0.5, -1.0]]))
+    c = ad.Node(np.array([[2.0], [3.0]]))
+    hidden = ad.tanh(ad.matmul(w, c))
+    loss = project(hidden)
+    ad.backward(loss)
+    assert w.grad is not None and c.grad is not None
+    assert hidden.grad is None and loss.grad is None
 
 
 def test_topo_order_puts_inputs_first():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attconv import cli, errors
+from attconv import model as model_module
 from attconv.checkpoint import MAGIC, save_checkpoint
 from attconv.cli import SEED_ENV, main
 from attconv.data import (Dataset, Vocabulary, gen_context_match, load_jsonl, load_pretrained,
@@ -371,29 +372,54 @@ def test_eval_of_an_example_over_the_score_bound_exits_3(trained, tmp_path, caps
     assert "too large" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("mode, dev_record, want_code, want", [
+REFUSED_RECORDS = pytest.mark.parametrize("mode, bad_record, want_code, want", [
     ("single", {"label": "0", "text": "q0", "contexts": ["c0", "c1"]}, 2, "exactly 1 context"),
     ("intra", {"label": "0", "text": "w0 w1", "contexts": ["w2"]}, 2, "given contexts"),
     ("intra", {"label": "0", "text": _long_text(math.isqrt(MAX_SCORE_ENTRIES) + 1)}, 3,
      "too large"),
 ], ids=["context-count", "intra-contexts", "score-bound"])
-def test_a_dev_example_the_model_refuses_exits_before_training(
-        tmp_path, capsys, mode, dev_record, want_code, want):
-    # the dev file is first scored after epoch 1; its refusal must come
-    # before any training, so no metric record is printed
+
+
+def _write_train_data(tmp_path, mode):
     train_path = write_data(tmp_path)
     if mode == "intra":
         Path(train_path).write_text("".join(
             json.dumps({"label": str(k % 2), "text": _long_text(4 + k)}) + "\n"
             for k in range(6)), encoding="utf-8")
+    return train_path
+
+
+@REFUSED_RECORDS
+def test_a_dev_example_the_model_refuses_exits_before_training(
+        tmp_path, capsys, mode, bad_record, want_code, want):
+    # the dev file is first scored after epoch 1; its refusal must come
+    # before any training, so no metric record is printed
+    train_path = _write_train_data(tmp_path, mode)
     dev = tmp_path / "dev.jsonl"
     dev.write_text(json.dumps({"label": "1", "text": "w1 w2"} if mode == "intra" else
                               {"label": "1", "text": "q1", "contexts": ["c1"]}) + "\n"
-                   + json.dumps(dev_record) + "\n", encoding="utf-8")
+                   + json.dumps(bad_record) + "\n", encoding="utf-8")
     config = write_config(tmp_path, **{"context-mode": mode, "d": 1, "epochs": 1})
     out = tmp_path / "m.ckpt"
     code, stdout, err = run(capsys, ["train", "--config", config, "--train", train_path,
                                      "--dev", str(dev), "--out", str(out)])
+    assert (code, stdout) == (want_code, "")
+    assert want in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@REFUSED_RECORDS
+def test_a_training_example_the_model_refuses_exits_before_training(
+        tmp_path, capsys, mode, bad_record, want_code, want):
+    # the refused example is the training file's last line; it is found
+    # before any update, so no metric record is printed
+    train_path = _write_train_data(tmp_path, mode)
+    with open(train_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad_record) + "\n")
+    config = write_config(tmp_path, **{"context-mode": mode, "d": 1, "epochs": 1})
+    out = tmp_path / "m.ckpt"
+    code, stdout, err = run(capsys, ["train", "--config", config, "--train", train_path,
+                                     "--out", str(out)])
     assert (code, stdout) == (want_code, "")
     assert want in err and err.count("\n") == 1
     assert not out.exists()
@@ -872,6 +898,23 @@ def trained(tmp_path_factory):
     out = tmp / "model.ckpt"
     assert main(["train", "--config", config, "--train", data, "--out", str(out)]) == 0
     return {"dir": tmp, "config": config, "data": data, "model": str(out)}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_input_that_does_not_fit_in_memory_exits_3(trained, tmp_path, capsys, monkeypatch,
+                                                        command):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(model_module, "forward_batch", out_of_memory)
+    out = tmp_path / "m.ckpt"
+    argv = (["train", "--config", trained["config"], "--train", trained["data"],
+             "--out", str(out)] if command == "train" else
+            ["eval", "--model", trained["model"], "--data", trained["data"]])
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (3, "")
+    assert "did not fit in memory" in err and "8.00 GiB" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_eval_reports_accuracy_and_confusion(trained, capsys):

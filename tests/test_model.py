@@ -1,6 +1,7 @@
 """Model assembly, forward contracts, the optimizer, training, evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -675,13 +676,14 @@ def test_train_rejects_a_bad_label_before_any_update(split, label):
 
 
 LONG_TEXT = [f"t{i % 10}" for i in range(math.isqrt(MAX_SCORE_ENTRIES) + 1)]
-
-
-@pytest.mark.parametrize("mode, bad, error, message", [
+MALFORMED_EXAMPLES = pytest.mark.parametrize("mode, bad, error, message", [
     ("single", Example(["t2"], [["t1"], ["t3"]], 0), ConfigError, "exactly 1 context"),
     ("intra", Example(["t2", "t3"], [["t1"]], 0), ConfigError, "given contexts"),
     ("intra", Example(LONG_TEXT, [], 0), FormatError, "too large"),
 ], ids=["context-count", "intra-contexts", "score-bound"])
+
+
+@MALFORMED_EXAMPLES
 def test_train_rejects_a_malformed_dev_example_before_any_update(mode, bad, error, message):
     # the dev data is scored only after the first epoch; its malformed last
     # example is refused before the first update all the same
@@ -695,10 +697,65 @@ def test_train_rejects_a_malformed_dev_example_before_any_update(mode, bad, erro
         assert node.value.tobytes() == before[name].tobytes(), name
 
 
+@MALFORMED_EXAMPLES
+def test_train_rejects_a_malformed_training_example_before_any_update(mode, bad, error, message):
+    # the malformed example sits in the last batch of the first epoch, after
+    # two batches that would already have updated every tensor
+    model = build_model(small_config(context_mode=mode, d=1), VOCAB, LABELS)
+    tcfg = TrainConfig(epochs=1, batch_size=2)
+    # the shuffle depends only on the example count, so distinct probes
+    # show where it puts each position
+    probe = [Example([f"t{i}"], [], 0) for i in range(6)]
+    last = make_batches(probe, tcfg.batch_size, [model.config.seed, 2, 1], model.vocab)[-1][-1]
+    at = next(i for i, ex in enumerate(probe) if model.vocab.encode(ex.text) == last[0])
+    examples = [_valid_example(mode)] * len(probe)
+    examples[at] = bad
+    before = {name: node.value.copy() for name, node in model.params.items()}
+    with pytest.raises(error, match=message):
+        train(model, Dataset(examples=examples, label_names=LABELS), tcfg)
+    for name, node in model.params.items():
+        assert node.value.tobytes() == before[name].tobytes(), name
+
+
 def test_train_rejects_empty_dataset():
     model = _toy_model(separable_dataset(4))
     with pytest.raises(ContractError):
         train(model, Dataset(examples=[], label_names=["neg", "pos"]), TrainConfig())
+
+
+def traced_peak(fn) -> int:
+    """The peak of traced allocations while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_holds_one_batch_graph_at_a_time():
+    # 3 batches of 4 sixteen-token texts through a no-conv/additive/intra
+    # d=8 model. One batch's forward plus backward peaks at 562 KB; a whole
+    # epoch of train peaks at 1.03x that. Before batch graphs were dropped
+    # after their backward (and interior gradients inside it), the same two
+    # measurements read 718 KB and 1.68x: batch k's graph and all its
+    # gradients stayed alive through the step and batch k+1's forward.
+    rng = np.random.default_rng(5)
+    examples = [Example([f"t{i}" for i in rng.integers(0, 10, 16)], [], k % 2)
+                for k in range(12)]
+    data = Dataset(examples=examples, label_names=LABELS)
+    cfg = small_config(variant="no-conv", context_mode="intra", match_method="additive", d=8)
+    tcfg = TrainConfig(epochs=1, batch_size=4)
+    model = build_model(cfg, VOCAB, LABELS)
+    batch = make_batches(data.examples, tcfg.batch_size, [cfg.seed, 2, 1], model.vocab)[0]
+
+    def one_batch():
+        loss = cross_entropy(forward_batch(model, batch), [label for *_, label in batch])
+        ad.backward(loss)
+
+    one = traced_peak(one_batch)
+    fresh = build_model(cfg, VOCAB, LABELS)
+    assert traced_peak(lambda: train(fresh, data, tcfg)) < 1.25 * one
 
 
 # ---------------------------------------------------------------------------
