@@ -75,8 +75,11 @@ def glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
 
 def _accum(node: Node, g) -> None:
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        # 0 + g in one pass, laid out like the value: BLAS sums a later
+        # product of this gradient in an order that depends on its layout
+        node.grad = np.add(g, 0.0, out=np.empty_like(node.value))
+    else:
+        node.grad += g
 
 
 def _require_2d(v: np.ndarray, what: str) -> None:
@@ -256,16 +259,20 @@ def additive_scores(p: Node, q: Node, v: Node, blocks: Blocks) -> Node:
     layout when a block is narrow, and numpy's matmul sums strided blocks in
     another order.
 
-    The node holds every block's tanh until the graph is dropped: d float64
-    values per score. The backward contracts them with the block's gradient
-    g, squaring each tanh into one scratch buffer of the largest block:
-    ``p``'s column i gets v * (sum_j g_ij - t_i^2 @ g_i), ``q``'s column j
-    v * (sum_i g_ij - sum_i t_i^2[:, j] g_ij) and ``v`` the sum of
-    ``t_i @ g_i``. These sum in another order than the elementwise product
-    v g (1 - t^2) summed afterwards, so the gradients match that formula
-    within rounding, not bit for bit: the tests hold them to 1e-12 of the
-    largest entry, and the worst seen is under 1e-15 of it. The scores keep
-    their bits.
+    No tanh outlives the block that uses it. The node holds the scores and
+    a contiguous p^T, d floats per text-side position, not per score. The
+    forward builds each block's tanh into one scratch buffer the size of the
+    largest block, and the backward rebuilds it into a scratch of its own
+    with the same three steps on the same operands, so the rebuilt tanh
+    equals the forward's bit for bit (Chen et al., arXiv 1604.06174, trade
+    this recomputation for memory). The backward contracts each tanh with
+    the block's gradient g, then squares it in place: ``p``'s column i gets
+    v * (sum_j g_ij - t_i^2 @ g_i), ``q``'s column j v * (sum_i g_ij -
+    sum_i t_i^2[:, j] g_ij) and ``v`` the sum of ``t_i @ g_i``. These sum in
+    another order than the elementwise product v g (1 - t^2) summed
+    afterwards, so the gradients match that formula within rounding, not
+    bit for bit: the tests hold them to 1e-12 of the largest entry, and the
+    worst seen is under 1e-15 of it. The scores keep their bits.
     """
     vp, vq, vv = p.value, q.value, v.value
     _require_2d(vp, "additive_scores p")
@@ -278,32 +285,33 @@ def additive_scores(p: Node, q: Node, v: Node, blocks: Blocks) -> Node:
         raise DimensionError("additive_scores: blocks do not fit p and q")
     d = vv.shape[0]
     pT = np.ascontiguousarray(vp.T)
-    flat = np.empty(blocks.size)
-    # one buffer for every block's tanh: with an array per block the
-    # allocator hands the pages back after each backward, and faulting them
-    # in again on the next call costs more than filling them
-    held = np.empty(blocks.size * d)
-    tanhs = []
-    for r0, r1, c0, c1, f0, f1 in blocks.spans:
-        t = held[f0 * d:f1 * d].reshape(r1 - r0, d, c1 - c0)
+    widest = max(f1 - f0 for _, _, _, _, f0, f1 in blocks.spans) * d
+
+    def block_tanh(scratch, r0, r1, c0, c1):
+        t = scratch[:(r1 - r0) * d * (c1 - c0)].reshape(r1 - r0, d, c1 - c0)
         t[...] = np.ascontiguousarray(vq[:, c0:c1])
         t += pT[r0:r1, :, None]
-        np.tanh(t, out=t)
+        return np.tanh(t, out=t)
+
+    flat = np.empty(blocks.size)
+    scratch = np.empty(widest)
+    for r0, r1, c0, c1, f0, f1 in blocks.spans:
+        t = block_tanh(scratch, r0, r1, c0, c1)
         np.matmul(vv, t, out=flat[f0:f1].reshape(r1 - r0, c1 - c0))
-        tanhs.append(t)
     out = Node(flat, "additive_scores", (p, q, v))
 
     def _bw(g):
         # block rows and columns never overlap, so each block writes its slice
         gpT, gq, gv = np.empty_like(pT), np.empty_like(vq), np.zeros_like(vv)
-        scratch = np.empty(max(t.size for t in tanhs))
-        for (r0, r1, c0, c1, f0, f1), t in zip(blocks.spans, tanhs):
+        scratch = np.empty(widest)
+        for r0, r1, c0, c1, f0, f1 in blocks.spans:
             gb = g[f0:f1].reshape(r1 - r0, c1 - c0)
-            s = np.square(t, out=scratch[:t.size].reshape(t.shape))
+            t = block_tanh(scratch, r0, r1, c0, c1)
+            gv += np.matmul(t, gb[:, :, None]).sum(axis=0)[:, 0]
+            s = np.square(t, out=t)
             np.subtract(gb.sum(axis=1)[:, None], np.matmul(s, gb[:, :, None])[:, :, 0],
                         out=gpT[r0:r1])
             np.subtract(gb.sum(axis=0), np.einsum("ikj,ij->kj", s, gb), out=gq[:, c0:c1])
-            gv += np.matmul(t, gb[:, :, None]).sum(axis=0)[:, 0]
         gpT *= vv
         gq *= vv[:, None]
         _accum(p, gpT.T)

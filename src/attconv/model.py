@@ -52,8 +52,9 @@ _PARAM_STREAM = 1
 EVAL_CHUNK = 8
 # attention scores of one example, its text length times the summed lengths
 # of its context maps: a 1000-token text in intra mode. Each score costs a
-# few float64 copies in the graph (and d of them in the additive match), so
-# a larger example is refused before anything is built.
+# few float64 copies in the graph (and the additive match a scratch of d per
+# score of its largest block while it runs), so a larger example is refused
+# before anything is built.
 MAX_SCORE_ENTRIES = 10**6
 EMBEDDINGS_KEY = "embeddings"
 
