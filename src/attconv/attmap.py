@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .data import SEP_TOKEN, Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .model import Model, attention_records, join_context_ids
 
 
@@ -34,20 +34,22 @@ def export_attention(model: Model, dataset: Dataset, fmt: str, out_dir: str) -> 
     """Run the model over a dataset and write one attention file per pass.
 
     Returns the written paths. Raises ConfigError for variants without an
-    attention matrix and for intra-context models fed contexts.
+    attention matrix and for intra-context models fed contexts, and
+    DivergenceError for a pass whose weights are not all finite, before its
+    file is written.
     """
     if fmt not in ("tsv", "svg"):
         raise ConfigError(f"unknown attention export format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
-    encode = model.vocab.encode
     for ei, example in enumerate(dataset.examples):
-        records = attention_records(model, encode(example.text),
-                                    [encode(c) for c in example.contexts])
-        for rec in records:
+        text_ids, ctx_ids, _ = model.vocab.encode_example(example)
+        for rec in attention_records(model, text_ids, ctx_ids):
+            name = f"ex{ei:04d}_ctx{rec.context_index}_layer{rec.layer_index}.{fmt}"
+            if not np.isfinite(rec.weights).all():
+                raise DivergenceError(f"{name}: non-finite attention weight")
             x_tokens = list(example.text)
             y_tokens = context_tokens_for(model, example, rec.context_index)
-            name = f"ex{ei:04d}_ctx{rec.context_index}_layer{rec.layer_index}.{fmt}"
             path = os.path.join(out_dir, name)
             if fmt == "tsv":
                 _write_tsv(path, x_tokens, y_tokens, rec.weights)

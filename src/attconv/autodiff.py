@@ -18,6 +18,7 @@ blocks, and never mixes two segments; one sequence is one segment, ``[0]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,7 @@ from .errors import (
     ContractError,
     DeterminismError,
     DimensionError,
+    DivergenceError,
     EmptyContextError,
     EmptyInputError,
 )
@@ -700,7 +702,9 @@ def grad_check(build_loss, params: dict[str, Node], tolerance: float = 1e-6) -> 
     called twice up front; any bitwise difference raises DeterminismError.
 
     The relative error for one entry is |a - n| / max(|a|, |n|, 1), and the
-    report keeps the per-tensor maximum.
+    report keeps the per-tensor maximum. An entry whose analytic gradient
+    or central difference is not finite raises DivergenceError, since no
+    relative error can be taken of it.
     """
     if not 0.0 <= tolerance < np.inf:
         raise ContractError(f"grad_check: tolerance must be finite and >= 0, got {tolerance}")
@@ -729,6 +733,11 @@ def grad_check(build_loss, params: dict[str, Node], tolerance: float = 1e-6) -> 
             flat[i] = keep
             numeric = (up - down) / (2.0 * GRAD_CHECK_STEP)
             a = analytic[name].reshape(-1)[i]
+            if not (math.isfinite(a) and math.isfinite(numeric)):
+                raise DivergenceError(
+                    f"grad_check: {name} entry {i} is not finite: analytic {float(a)}, "
+                    f"central difference {numeric}"
+                )
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
             if rel > worst:
                 worst = rel

@@ -3,7 +3,8 @@
 All commands print machine-parseable JSON on stdout (the attention SVG
 export writes files instead). Exit codes: 0 success, 1 gradient check
 failure, 2 configuration problem or any other library error, 3 data
-problem, 4 numeric problem (divergence or nondeterminism).
+problem, 4 numeric problem (a non-finite loss, attention weight or
+gradient, or nondeterminism).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import autodiff as ad
 from .attmap import export_attention
@@ -259,7 +262,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result exits 4 with one line; numpy's floating-point
+        # warnings on the way there would add lines of their own to stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

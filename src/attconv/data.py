@@ -29,6 +29,9 @@ _EMBED_STREAM = 0
 _DRAW_ROWS = 1024
 
 
+EncodedExample = tuple[list[int], list[list[int]], int]  # (text_ids, ctx_ids, label)
+
+
 def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
@@ -38,11 +41,10 @@ class Vocabulary:
     """Token/id bijection with PAD pinned to 0 and UNK pinned to 1."""
 
     tokens: list[str] = field(default_factory=lambda: [PAD_TOKEN, UNK_TOKEN])
-    index: dict[str, int] = field(default_factory=dict)
+    index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {t: i for i, t in enumerate(self.tokens)}
+        self.index = {t: i for i, t in enumerate(self.tokens)}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -70,8 +72,12 @@ class Vocabulary:
         get = self.index.get
         return [get(t, UNK_ID) or UNK_ID for t in tokens]
 
+    def encode_example(self, ex: Example) -> EncodedExample:
+        """Encode one example: its text, then each of its contexts in order."""
+        return self.encode(ex.text), [self.encode(c) for c in ex.contexts], ex.label
+
     def copy(self) -> "Vocabulary":
-        return Vocabulary(tokens=list(self.tokens), index=dict(self.index))
+        return Vocabulary(tokens=list(self.tokens))
 
 
 @dataclass
@@ -294,29 +300,20 @@ def save_jsonl(dataset: Dataset, path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-EncodedExample = tuple[list[int], list[list[int]], int]  # (text_ids, ctx_ids, label)
+def make_batches(encoded: list[EncodedExample], batch_size: int,
+                 seed) -> list[list[EncodedExample]]:
+    """Shuffle encoded examples under ``seed`` and chunk them into batches.
 
-
-def make_batches(examples: list[Example], batch_size: int, seed,
-                 vocab: Vocabulary) -> list[list[EncodedExample]]:
-    """Shuffle under ``seed`` and chunk into batches of encoded examples.
-
-    ``seed`` may be an int or a sequence of ints (numpy Generator entropy).
-    Every example lands in exactly one batch; only the final batch may be
-    short.
+    ``encoded`` holds ``Vocabulary.encode_example`` results; the batches
+    share them, not copies. ``seed`` may be an int or a sequence of ints
+    (numpy Generator entropy). Every example lands in exactly one batch;
+    only the final batch may be short.
     """
     if batch_size < 1:
         raise ContractError("make_batches: batch_size must be at least 1")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(examples))
-    batches = []
-    for lo in range(0, len(examples), batch_size):
-        chunk = [examples[i] for i in order[lo:lo + batch_size]]
-        batches.append([
-            (vocab.encode(ex.text), [vocab.encode(c) for c in ex.contexts], ex.label)
-            for ex in chunk
-        ])
-    return batches
+    order = np.random.default_rng(seed).permutation(len(encoded))
+    return [[encoded[i] for i in order[lo:lo + batch_size]]
+            for lo in range(0, len(encoded), batch_size)]
 
 
 def gen_nonlocal_match(n_examples: int, seq_len: int, vocab_size: int, seed: int) -> Dataset:

@@ -39,4 +39,5 @@ class DeterminismError(AttconvError):
 
 
 class DivergenceError(AttconvError):
-    """A non-finite value appeared during training."""
+    """A non-finite value appeared: a training or evaluation loss, an
+    attention weight, or a gradient that ``grad_check`` compares."""

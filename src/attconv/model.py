@@ -416,8 +416,7 @@ def forward_batch(model: Model, encoded) -> ad.Node:
 
 def forward(model: Model, example: Example) -> ad.Node:
     """Encode one Example through the vocabulary and run forward_ids."""
-    text_ids = model.vocab.encode(example.text)
-    ctx_ids = [model.vocab.encode(c) for c in example.contexts]
+    text_ids, ctx_ids, _ = model.vocab.encode_example(example)
     return forward_ids(model, text_ids, ctx_ids)
 
 
@@ -506,23 +505,25 @@ def evaluate(dataset: Dataset, model: Model) -> EvalResult:
     gives within rounding, and the first malformed example raises what its
     own ``forward`` would. The loss is the mean of ``cross_entropy`` over
     the examples, summed in dataset order. A label outside the model's
-    classes is a ContractError.
+    classes is a ContractError, and a mean loss that is not finite (weights
+    so large that the forward overflows) a DivergenceError.
     """
     _check_dataset(dataset, model, "evaluate")
     k = model.config.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     total = 0.0
-    encode = model.vocab.encode
+    encode = model.vocab.encode_example
     for lo in range(0, len(dataset), EVAL_CHUNK):
-        chunk = dataset.examples[lo:lo + EVAL_CHUNK]
-        probs = forward_batch(model, [(encode(ex.text), [encode(c) for c in ex.contexts])
-                                      for ex in chunk])
-        for b, ex in enumerate(chunk):
-            confusion[ex.label, predict(probs.value[:, b])] += 1
-            total += cross_entropy(ad.Node(probs.value[:, b:b + 1]), [ex.label]).value.item()
+        chunk = [encode(ex) for ex in dataset.examples[lo:lo + EVAL_CHUNK]]
+        probs = forward_batch(model, chunk)
+        for b, (_, _, label) in enumerate(chunk):
+            confusion[label, predict(probs.value[:, b])] += 1
+            total += cross_entropy(ad.Node(probs.value[:, b:b + 1]), [label]).value.item()
+    loss = total / len(dataset)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite mean loss {loss!r} over {len(dataset)} examples")
     accuracy = float(np.trace(confusion)) / len(dataset)
-    return EvalResult(accuracy=accuracy, n=len(dataset), confusion=confusion,
-                      loss=total / len(dataset))
+    return EvalResult(accuracy=accuracy, n=len(dataset), confusion=confusion, loss=loss)
 
 
 def train(model: Model, train_data: Dataset, train_config: TrainConfig,
@@ -538,20 +539,22 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
     come from a full evaluation every ``eval_every`` epochs. A label outside
     the model's classes, in the training or the dev data, is a
     ContractError before any update, and a training or dev example that its
-    own ``forward`` would refuse raises that error before any update too. A
-    non-finite loss aborts with diagnostics. Each batch's graph is dropped
-    after its backward, so it is not held through the update or the next
-    batch's forward.
+    own ``forward`` would refuse raises that error before any update too.
+    The training examples are encoded once, for that check, and every
+    epoch batches those ids. A non-finite training loss, or dev loss, aborts
+    with diagnostics. Each batch's graph is dropped after its backward, so
+    it is not held through the update or the next batch's forward.
     """
     train_config.validate()
     _check_dataset(train_data, model, "train")
-    checked = train_data.examples
+    dev_examples = []
     if dev_data is not None:
         _check_dataset(dev_data, model, "evaluate")
-        checked = checked + dev_data.examples
-    encode = model.vocab.encode
-    for ex in checked:
-        _example_maps(model, encode(ex.text), [encode(c) for c in ex.contexts])
+        dev_examples = dev_data.examples
+    encode = model.vocab.encode_example
+    encoded = [encode(ex) for ex in train_data.examples]
+    for text_ids, ctx_ids, _ in encoded + [encode(ex) for ex in dev_examples]:
+        _example_maps(model, text_ids, ctx_ids)
     acc = {name: np.zeros_like(node.value) for name, node in model.params.items()}
     metrics: list[dict] = []
 
@@ -561,10 +564,7 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
             emit(json.dumps(rec))
 
     for epoch in range(1, train_config.epochs + 1):
-        batches = make_batches(
-            train_data.examples, train_config.batch_size,
-            [model.config.seed, 2, epoch], model.vocab,
-        )
+        batches = make_batches(encoded, train_config.batch_size, [model.config.seed, 2, epoch])
         loss_sum = 0.0
         correct = 0
         for bi, batch in enumerate(batches):

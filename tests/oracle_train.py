@@ -21,9 +21,9 @@ from reference import reference_forward, stack_cols
 def oracle_train(model, data, train_config, forward=reference_forward, emit=None) -> list[dict]:
     acc = {name: np.zeros_like(node.value) for name, node in model.params.items()}
     metrics = []
+    encoded = [model.vocab.encode_example(ex) for ex in data.examples]
     for epoch in range(1, train_config.epochs + 1):
-        batches = make_batches(data.examples, train_config.batch_size,
-                               [model.config.seed, 2, epoch], model.vocab)
+        batches = make_batches(encoded, train_config.batch_size, [model.config.seed, 2, epoch])
         loss_sum = 0.0
         correct = 0
         for batch in batches:

@@ -66,8 +66,8 @@ def attend(Hx, Hy):
 
 def probe_row(model, ex):
     """The last text position's attention weights on the example's first pass."""
-    encode = model.vocab.encode
-    records = attention_records(model, encode(ex.text), [encode(c) for c in ex.contexts])
+    text_ids, ctx_ids, _ = model.vocab.encode_example(ex)
+    records = attention_records(model, text_ids, ctx_ids)
     return records[0].weights[-1]
 
 

@@ -18,6 +18,7 @@ from attconv.errors import (
     ContractError,
     DeterminismError,
     DimensionError,
+    DivergenceError,
     EmptyContextError,
     EmptyInputError,
 )
@@ -912,6 +913,33 @@ def test_grad_check_linear_regression_is_nearly_exact():
     report = ad.grad_check(build, {"w": w}, tolerance=1e-9)
     assert report.passed, report.errors
     assert report.max_error < 1e-9
+
+
+def _one_op_loss(w, value, grad):
+    """A one-op graph over ``w``: its value is ``value(w)``, and its
+    backward pushes the fixed array ``grad``."""
+    out = ad.Node(value(w.value), "probe", (w,))
+
+    def _bw(g):
+        w.grad = grad.copy()
+
+    out._backward = _bw
+    return out
+
+
+@pytest.mark.parametrize("value, grad, entry", [
+    # a backward that pushes NaN into the second entry
+    (lambda v: v.sum(), np.array([1.0, np.nan]), 1),
+    # a loss that is finite at w but not a step away, so its central
+    # difference is inf - inf
+    (lambda v: 0.0 if v[0] == 0.5 else np.inf, np.zeros(2), 0),
+], ids=["analytic", "central-difference"])
+def test_grad_check_raises_on_a_non_finite_gradient(value, grad, entry):
+    # NaN compares false against the worst error so far, so it must not be
+    # left to the comparison: the check would pass with error 0.0
+    w = ad.param(np.array([0.5, 1.5]))
+    with pytest.raises(DivergenceError, match=f"w entry {entry} is not finite"):
+        ad.grad_check(lambda: _one_op_loss(w, value, grad), {"w": w})
 
 
 def test_grad_check_report_surface():

@@ -15,7 +15,7 @@ import pytest
 
 from attconv.checkpoint import save_checkpoint
 from attconv.data import Dataset, Example
-from attconv.model import ModelConfig, TrainConfig, build_model, forward_ids, predict, train
+from attconv.model import ModelConfig, TrainConfig, build_model, forward, predict, train
 from oracle_train import oracle_train
 from test_forward_batch import GRID, LABELS, VOCAB
 
@@ -44,9 +44,7 @@ def _ragged_data(mode, n=8, seed=4):
 
 
 def _predictions(model, data):
-    return [predict(forward_ids(model, model.vocab.encode(ex.text),
-                                [model.vocab.encode(c) for c in ex.contexts]).value)
-            for ex in data.examples]
+    return [predict(forward(model, ex).value) for ex in data.examples]
 
 
 def _run(run, config, data):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from attconv import cli, errors
 from attconv import model as model_module
-from attconv.checkpoint import MAGIC, save_checkpoint
+from attconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from attconv.cli import SEED_ENV, main
 from attconv.data import (Dataset, Vocabulary, gen_context_match, load_jsonl, load_pretrained,
                           save_jsonl)
@@ -821,6 +821,68 @@ def test_train_divergence_exits_4(tmp_path, capsys):
         ])
     assert code == 4
     assert "numeric error" in err
+
+
+# One batch, one epoch: the AdaGrad step at this learning rate leaves every
+# weight finite, near +-1e300, and the next forward overflows to NaN. The
+# tests turn warnings into errors, so a numpy warning that would reach
+# stderr outside pytest fails them.
+OVERFLOWING = {"learning-rate": 1e300, "epochs": 1, "batch-size": 30}
+
+
+def _numeric_exit(code, stdout, err):
+    assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("numeric error: ")
+    assert "Traceback" not in err
+    assert "NaN" not in stdout
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_whose_dev_pass_overflows_exits_4_without_a_checkpoint(tmp_path, capsys):
+    data = write_data(tmp_path)
+    out = tmp_path / "m.ckpt"
+    code, stdout, err = run(capsys, [
+        "train", "--config", write_config(tmp_path, **OVERFLOWING), "--train", data,
+        "--dev", data, "--out", str(out),
+    ])
+    _numeric_exit(code, stdout, err)
+    assert "non-finite mean loss" in err
+    assert not out.exists()
+
+
+@pytest.fixture
+def overflowing_model(tmp_path, capsys):
+    """A checkpoint trained without --dev at learning rate 1e300, and its data."""
+    data = write_data(tmp_path)
+    out = tmp_path / "m.ckpt"
+    code, _, _ = run(capsys, ["train", "--config", write_config(tmp_path, **OVERFLOWING),
+                              "--train", data, "--out", str(out)])
+    assert code == 0
+    model, _ = load_checkpoint(str(out))
+    values = [node.value for node in model.params.values()]
+    assert all(np.isfinite(v).all() for v in values)
+    assert max(float(np.abs(v).max()) for v in values) > 1e299
+    return str(out), data
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_of_overflowing_weights_exits_4(overflowing_model, capsys):
+    path, data = overflowing_model
+    code, stdout, err = run(capsys, ["eval", "--model", path, "--data", data])
+    _numeric_exit(code, stdout, err)
+    assert "non-finite mean loss" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["tsv", "svg"])
+def test_attmap_of_overflowing_weights_exits_4(overflowing_model, tmp_path, capsys, fmt):
+    path, data = overflowing_model
+    maps = tmp_path / "maps"
+    code, stdout, err = run(capsys, ["attmap", "--model", path, "--input", data,
+                                     "--format", fmt, "--out", str(maps)])
+    _numeric_exit(code, stdout, err)
+    assert "non-finite attention weight" in err
+    assert not any(maps.iterdir())
 
 
 def _labelled_files(tmp_path):

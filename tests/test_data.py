@@ -86,6 +86,22 @@ def test_encode_equals_the_oracle_loop(with_separator):
             assert vocab.encode(tokens) == _oracle_encode(vocab, tokens), tokens
 
 
+def test_vocabulary_index_is_built_from_its_tokens():
+    v = Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN, "a", "b"])
+    assert v.index == {PAD_TOKEN: 0, UNK_TOKEN: 1, "a": 2, "b": 3}
+    assert v.copy().index == v.index
+    with pytest.raises(TypeError):
+        Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN, "a"], index={"a": 5})
+
+
+def test_encode_example_is_the_text_then_each_context():
+    v = build_vocab([Example(text=["a", "b"], contexts=[["c"], ["a", "d"]], label=0)])
+    ex = Example(text=["b", "zzz"], contexts=[["d", "a"], [], ["c"]], label=1)
+    assert v.encode_example(ex) == (v.encode(ex.text), [v.encode(c) for c in ex.contexts], 1)
+    assert v.encode_example(ex) == ([3, UNK_ID], [[5, 2], [], [4]], 1)
+    assert v.encode_example(Example(text=["a"], contexts=[], label=0)) == ([2], [], 0)
+
+
 def test_vocabulary_copy_is_independent():
     v = Vocabulary()
     v.add("a")
@@ -364,41 +380,40 @@ def _tiny_corpus(n):
     return examples
 
 
-def test_make_batches_sizes():
-    examples = _tiny_corpus(103)
+def _tiny_encoded(n):
+    examples = _tiny_corpus(n)
     vocab = build_vocab(examples)
-    batches = make_batches(examples, 50, seed=0, vocab=vocab)
+    return [vocab.encode_example(ex) for ex in examples]
+
+
+def test_make_batches_sizes():
+    batches = make_batches(_tiny_encoded(103), 50, seed=0)
     assert [len(b) for b in batches] == [50, 50, 3]
 
 
 def test_make_batches_partition_and_masks():
-    examples = _tiny_corpus(23)
-    vocab = build_vocab(examples)
-    batches = make_batches(examples, 5, seed=4, vocab=vocab)
-    seen = [(tuple(text_ids), tuple(tuple(c) for c in ctx_ids), label)
-            for b in batches for text_ids, ctx_ids, label in b]
-    want = sorted(
-        (tuple(vocab.encode(ex.text)),
-         tuple(tuple(vocab.encode(c)) for c in ex.contexts),
-         ex.label)
-        for ex in examples
-    )
-    assert sorted(seen) == want
+    # every encoded example lands in exactly one batch, as itself, not a copy
+    encoded = _tiny_encoded(23)
+    batches = make_batches(encoded, 5, seed=4)
+    seen = [id(ex) for b in batches for ex in b]
+    assert sorted(seen) == sorted(id(ex) for ex in encoded)
 
 
 def test_make_batches_deterministic_and_seed_sensitive():
-    examples = _tiny_corpus(30)
-    vocab = build_vocab(examples)
-    a = make_batches(examples, 7, seed=9, vocab=vocab)
-    b = make_batches(examples, 7, seed=9, vocab=vocab)
-    c = make_batches(examples, 7, seed=[9, 2, 1], vocab=vocab)
+    encoded = _tiny_encoded(30)
+    a = make_batches(encoded, 7, seed=9)
+    b = make_batches(encoded, 7, seed=9)
+    c = make_batches(encoded, 7, seed=[9, 2, 1])
     assert a == b
     assert any([ex[2] for ex in x] != [ex[2] for ex in y] for x, y in zip(a, c))
+    # the order is the seed's permutation, chunked in turn
+    order = np.random.default_rng([9, 2, 1]).permutation(len(encoded))
+    assert [ex for batch in c for ex in batch] == [encoded[i] for i in order]
 
 
 def test_make_batches_rejects_bad_batch_size():
     with pytest.raises(ContractError):
-        make_batches(_tiny_corpus(3), 0, seed=0, vocab=Vocabulary())
+        make_batches(_tiny_encoded(3), 0, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -662,10 +662,10 @@ def test_train_rejects_a_bad_label_before_any_update(split, label):
     data = separable_dataset(12)
     model = _toy_model(data)
     tcfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=5)
-    last = make_batches(data.examples, tcfg.batch_size, [model.config.seed, 2, 1],
-                        model.vocab)[-1][-1]
+    encoded = [model.vocab.encode_example(ex) for ex in data.examples]
+    last = make_batches(encoded, tcfg.batch_size, [model.config.seed, 2, 1])[-1][-1]
     bad = Dataset(examples=list(data.examples), label_names=data.label_names)
-    at = next(i for i, ex in enumerate(bad.examples) if model.vocab.encode(ex.text) == last[0])
+    at = next(i for i, ex in enumerate(encoded) if ex is last)
     bad.examples[at] = Example(bad.examples[at].text, [], label)
     before = {name: node.value.copy() for name, node in model.params.items()}
     train_data, dev_data = (bad, data) if split == "train" else (data, bad)
@@ -703,11 +703,11 @@ def test_train_rejects_a_malformed_training_example_before_any_update(mode, bad,
     # two batches that would already have updated every tensor
     model = build_model(small_config(context_mode=mode, d=1), VOCAB, LABELS)
     tcfg = TrainConfig(epochs=1, batch_size=2)
-    # the shuffle depends only on the example count, so distinct probes
-    # show where it puts each position
-    probe = [Example([f"t{i}"], [], 0) for i in range(6)]
-    last = make_batches(probe, tcfg.batch_size, [model.config.seed, 2, 1], model.vocab)[-1][-1]
-    at = next(i for i, ex in enumerate(probe) if model.vocab.encode(ex.text) == last[0])
+    # the shuffle depends only on the example count, so where it puts a
+    # probe is where it puts that position of the real data
+    probe = [model.vocab.encode_example(Example([f"t{i}"], [], 0)) for i in range(6)]
+    last = make_batches(probe, tcfg.batch_size, [model.config.seed, 2, 1])[-1][-1]
+    at = next(i for i, ex in enumerate(probe) if ex is last)
     examples = [_valid_example(mode)] * len(probe)
     examples[at] = bad
     before = {name: node.value.copy() for name, node in model.params.items()}
@@ -715,6 +715,26 @@ def test_train_rejects_a_malformed_training_example_before_any_update(mode, bad,
         train(model, Dataset(examples=examples, label_names=LABELS), tcfg)
     for name, node in model.params.items():
         assert node.value.tobytes() == before[name].tobytes(), name
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_train_encodes_each_example_once(monkeypatch, epochs):
+    # every training and dev text and context is encoded once, up front;
+    # each dev pass encodes the dev examples again, as ``evaluate`` does
+    model = build_model(small_config(context_mode="multi-wise", d=2), VOCAB, LABELS)
+    examples = [Example(["t1", "t2"], [["t3"]] * (1 + i % 3), i % 2) for i in range(7)]
+    data = Dataset(examples=examples[:5], label_names=LABELS)
+    dev = Dataset(examples=examples[5:], label_names=LABELS)
+    calls = []
+    encode = Vocabulary.encode
+    monkeypatch.setattr(Vocabulary, "encode",
+                        lambda self, tokens: calls.append(tokens) or encode(self, tokens))
+    train(model, data, TrainConfig(epochs=epochs, batch_size=2), dev_data=dev)
+
+    def texts_and_contexts(ds):
+        return sum(1 + len(ex.contexts) for ex in ds)
+
+    assert len(calls) == texts_and_contexts(data) + (1 + epochs) * texts_and_contexts(dev)
 
 
 def test_train_rejects_empty_dataset():
@@ -747,7 +767,8 @@ def test_train_holds_one_batch_graph_at_a_time():
     cfg = small_config(variant="no-conv", context_mode="intra", match_method="additive", d=8)
     tcfg = TrainConfig(epochs=1, batch_size=4)
     model = build_model(cfg, VOCAB, LABELS)
-    batch = make_batches(data.examples, tcfg.batch_size, [cfg.seed, 2, 1], model.vocab)[0]
+    encoded = [model.vocab.encode_example(ex) for ex in data.examples]
+    batch = make_batches(encoded, tcfg.batch_size, [cfg.seed, 2, 1])[0]
 
     def one_batch():
         loss = cross_entropy(forward_batch(model, batch), [label for *_, label in batch])
@@ -806,15 +827,23 @@ def test_evaluate_loss_is_the_mean_cross_entropy():
     for ex, p in zip(data.examples, per_example):
         confusion[ex.label, predict(p)] += 1
     assert np.array_equal(result.confusion, confusion)
-    encode = model.vocab.encode
+    encoded = [model.vocab.encode_example(ex) for ex in data.examples]
     total = 0.0
     for lo in range(0, len(data), EVAL_CHUNK):
-        chunk = data.examples[lo:lo + EVAL_CHUNK]
-        probs = forward_batch(model, [(encode(ex.text), [encode(c) for c in ex.contexts])
-                                      for ex in chunk]).value
-        for b, ex in enumerate(chunk):
-            total += cross_entropy(ad.Node(probs[:, b:b + 1]), [ex.label]).value.item()
+        chunk = encoded[lo:lo + EVAL_CHUNK]
+        probs = forward_batch(model, chunk).value
+        for b, (_, _, label) in enumerate(chunk):
+            total += cross_entropy(ad.Node(probs[:, b:b + 1]), [label]).value.item()
     assert result.loss == total / len(data)
+
+
+def test_evaluate_raises_on_a_non_finite_mean_loss():
+    data = separable_dataset(8)
+    model = _toy_model(data)
+    model.params["classifier.W"].value[:] = np.inf
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError, match="non-finite mean loss"):
+            evaluate(data, model)
 
 
 def test_evaluate_preconditions():

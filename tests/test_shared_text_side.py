@@ -118,8 +118,7 @@ def test_multiwise_training_stays_within_tolerance_of_the_oracle(variant, method
     a, b = evaluate(data, shared), evaluate(data, oracle)
     assert np.array_equal(a.confusion, b.confusion)
     for ex in data.examples:
-        text = VOCAB.encode(ex.text)
-        ctxs = [VOCAB.encode(c) for c in ex.contexts]
+        text, ctxs, _ = VOCAB.encode_example(ex)
         assert (predict(forward_ids(shared, text, ctxs).value)
                 == predict(forward_ids(oracle, text, ctxs).value))
 
