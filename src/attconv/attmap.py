@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import SEP_TOKEN, Dataset
 from .errors import ConfigError, DivergenceError
-from .model import Model, attention_records, join_context_ids
+from .model import Model, attention_records, encode_checked, join_context_ids
 
 
 def context_tokens_for(model: Model, example, context_index: int) -> list[str]:
@@ -33,17 +33,19 @@ def context_tokens_for(model: Model, example, context_index: int) -> list[str]:
 def export_attention(model: Model, dataset: Dataset, fmt: str, out_dir: str) -> list[str]:
     """Run the model over a dataset and write one attention file per pass.
 
-    Returns the written paths. Raises ConfigError for variants without an
-    attention matrix and for intra-context models fed contexts, and
-    DivergenceError for a pass whose weights are not all finite, before its
-    file is written.
+    Returns the written paths. Every example is checked as ``train`` checks
+    it before ``out_dir`` is made, so an example the model refuses (an
+    intra-context model fed contexts, say) raises its error with nothing
+    written. Raises ConfigError for variants without an attention matrix,
+    and DivergenceError for a pass whose weights are not all finite, before
+    its file is written.
     """
     if fmt not in ("tsv", "svg"):
         raise ConfigError(f"unknown attention export format {fmt!r}")
+    encoded = encode_checked(model, dataset.examples)
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
-    for ei, example in enumerate(dataset.examples):
-        text_ids, ctx_ids, _ = model.vocab.encode_example(example)
+    for ei, (example, (text_ids, ctx_ids, _)) in enumerate(zip(dataset.examples, encoded)):
         for rec in attention_records(model, text_ids, ctx_ids):
             name = f"ex{ei:04d}_ctx{rec.context_index}_layer{rec.layer_index}.{fmt}"
             if not np.isfinite(rec.weights).all():

@@ -31,12 +31,19 @@ _HEADER_BYTES = len(MAGIC) + 8
 _MANIFEST_KEYS = ("model-config", "train-config", "vocab", "labels", "tensors")
 
 
+def _directory(shapes: dict) -> tuple[dict, int]:
+    """The tensor directory for tensors of these shapes, and the blob's length:
+    the tensors in ``shapes`` order, 8 bytes a value, each starting where the
+    one before it ends. Save writes this layout and load accepts only it."""
+    directory, offset = {}, 0
+    for name, shape in shapes.items():
+        directory[name] = {"shape": list(shape), "offset": offset}
+        offset += 8 * math.prod(shape)
+    return directory, offset
+
+
 def _manifest(model: Model, train_config: TrainConfig) -> dict:
-    tensors = {}
-    offset = 0
-    for name, node in model.params.items():
-        tensors[name] = {"shape": list(node.value.shape), "offset": offset}
-        offset += node.value.size * 8
+    tensors, _ = _directory({name: node.value.shape for name, node in model.params.items()})
     return {
         "format-version": FORMAT_VERSION,
         "model-config": model.config.to_json(),
@@ -68,13 +75,8 @@ def save_checkpoint(path: str, model: Model, train_config: TrainConfig) -> None:
         raise
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _check_layout(path: str, manifest: dict, blob_size: int) -> Vocabulary:
-    """Reject missing or wrongly typed manifest fields, and tensor entries
-    that reach past the end of the blob; returns the manifest's vocabulary."""
+def _check_layout(path: str, manifest: dict) -> Vocabulary:
+    """Reject missing or wrongly typed manifest fields; returns the vocabulary."""
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise FormatError(f"{path}: manifest lacks {missing}")
@@ -89,42 +91,38 @@ def _check_layout(path: str, manifest: dict, blob_size: int) -> Vocabulary:
     if vocab.tokens[:2] != [PAD_TOKEN, UNK_TOKEN] or len(vocab.index) != len(vocab):
         raise FormatError(f"{path}: manifest vocab must begin with {PAD_TOKEN} and "
                           f"{UNK_TOKEN} and hold each token once")
-    for name, entry in manifest["tensors"].items():
-        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
-                and all(_is_count(n) for n in entry["shape"]) and _is_count(entry.get("offset"))):
-            raise FormatError(f"{path}: tensor {name} has a malformed directory entry")
-        if entry["offset"] + 8 * math.prod(entry["shape"]) > blob_size:
-            raise FormatError(f"{path}: tensor {name} lies outside the {blob_size}-byte blob")
     return vocab
 
 
-def _upgrade_configs(model_json: dict, train_json: dict) -> tuple[dict, dict]:
-    """Map the names older checkpoints store onto the current configs.
+def _read_configs(manifest: dict) -> tuple[ModelConfig, TrainConfig]:
+    """Parse the stored configs, reading the names older checkpoints store.
 
     ``no-context`` was a second name for ``vanilla-cnn``, and ``filter-width``
     a train field that could only hold 3. Any other width stays an unknown
     field.
     """
+    model_json, train_json = manifest["model-config"], manifest["train-config"]
     if model_json.get("variant") == "no-context":
         model_json = {**model_json, "variant": "vanilla-cnn"}
     width = train_json.get("filter-width")
     if type(width) is int and width == 3:
         train_json = {k: v for k, v in train_json.items() if k != "filter-width"}
-    return model_json, train_json
+    return ModelConfig.from_json(model_json), TrainConfig.from_json(train_json)
 
 
 def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     """Rebuild a model from a checkpoint file.
 
     The layout is checked before any tensor is read: a malformed file raises
-    FormatError. The tensor blobs are then read once into one buffer, and each
-    tensor is a writable view of its own bytes there, so nothing is
-    initialized, drawn or copied again. The directory must name exactly the
-    tensors of ``param_shapes`` for the stored config, with the same shapes,
-    each starting where the tensors before it end, so that no views overlap.
-    Version mismatches name both versions in the error. Checkpoints written
-    with the ``no-context`` variant or a ``filter-width`` of 3 load as
-    ``vanilla-cnn`` without the width.
+    FormatError. The stored directory must be exactly the one saving writes
+    for ``param_shapes`` of the stored config, every entry spelled the same
+    (``5.0`` or ``true`` is not ``5`` or ``1``), and the file must end where
+    the last tensor ends. The tensor blobs are then read once into one
+    buffer, and each tensor is a writable view of its own bytes there, so
+    nothing is initialized, drawn or copied again. Version mismatches name
+    both versions in the error. Checkpoints written with the ``no-context``
+    variant or a ``filter-width`` of 3 load as ``vanilla-cnn`` without the
+    width.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)
@@ -148,31 +146,32 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
             raise ConfigError(
                 f"{path}: checkpoint format version {version} is not the supported {FORMAT_VERSION}"
             )
+        vocab = _check_layout(path, manifest)
+        config, train_config = _read_configs(manifest)
+        labels = list(manifest["labels"])
+        check_labels(config, labels)
+        directory, nbytes = _directory(param_shapes(config, len(vocab)))
+        if manifest["tensors"].keys() != directory.keys():
+            raise FormatError(f"{path}: tensor directory does not match the architecture")
+        for name, want in directory.items():
+            entry = manifest["tensors"][name]
+            if not isinstance(entry, dict) or entry.keys() != want.keys():
+                raise FormatError(f"{path}: tensor {name} has a malformed directory entry")
+            shape, offset = entry["shape"], entry["offset"]
+            if shape != want["shape"] or not all(type(n) is int for n in shape):
+                raise FormatError(f"{path}: tensor {name} has shape {json.dumps(shape)}, "
+                                  f"expected {want['shape']}")
+            if offset != want["offset"] or type(offset) is not int:
+                raise FormatError(f"{path}: tensor {name} starts at byte {json.dumps(offset)}, "
+                                  f"not at {want['offset']} where the tensors before it end")
         blob = np.empty(size - _HEADER_BYTES - mlen, dtype=np.uint8)
-        vocab = _check_layout(path, manifest, blob.size)
-        if fh.readinto(blob) != blob.size:
-            raise FormatError(f"{path}: file ended before its {blob.size}-byte tensor blob")
-    model_json, train_json = _upgrade_configs(manifest["model-config"],
-                                              manifest["train-config"])
-    config = ModelConfig.from_json(model_json)
-    train_config = TrainConfig.from_json(train_json)
-    labels = list(manifest["labels"])
-    check_labels(config, labels)
-    directory = manifest["tensors"]
-    shapes = param_shapes(config, len(vocab))
-    if set(directory) != set(shapes):
-        raise FormatError(f"{path}: tensor directory does not match the architecture")
+        if fh.readinto(blob) != blob.size or blob.size < nbytes:
+            raise FormatError(f"{path}: file ended before its {nbytes}-byte tensor blob")
+        if blob.size > nbytes:
+            raise FormatError(f"{path}: {blob.size - nbytes} bytes trail the tensor blob")
+    values = blob.view("<f8")
     params = {}
-    offset = 0
-    for name, shape in shapes.items():
-        entry = directory[name]
-        stored = tuple(entry["shape"])
-        if stored != shape:
-            raise FormatError(f"{path}: tensor {name} has shape {stored}, expected {shape}")
-        if entry["offset"] != offset:
-            raise FormatError(f"{path}: tensor {name} starts at byte {entry['offset']}, "
-                              f"not at {offset} where the tensors before it end")
-        end = offset + 8 * math.prod(shape)
-        params[name] = ad.param(blob[offset:end].view("<f8").reshape(shape), name)
-        offset = end
+    for name, entry in directory.items():
+        start, shape = entry["offset"] // 8, entry["shape"]
+        params[name] = ad.param(values[start:start + math.prod(shape)].reshape(shape), name)
     return Model(config=config, vocab=vocab, label_names=labels, params=params), train_config

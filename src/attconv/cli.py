@@ -1,10 +1,10 @@
 """Command line driver: train, eval, gradcheck, attmap, params.
 
-All commands print machine-parseable JSON on stdout (the attention SVG
-export writes files instead). Exit codes: 0 success, 1 gradient check
-failure, 2 configuration problem or any other library error, 3 data
-problem, 4 numeric problem (a non-finite loss, attention weight or
-gradient, or nondeterminism).
+All commands print machine-parseable JSON on stdout, strict JSON with no
+NaN or infinity (the attention SVG export writes files instead). Exit
+codes: 0 success, 1 gradient check failure, 2 configuration problem or
+any other library error, 3 data problem, 4 numeric problem (a non-finite
+loss, attention weight, gradient or printed value, or nondeterminism).
 """
 
 from __future__ import annotations
@@ -78,6 +78,16 @@ def _resolve_seed(flag_value: int | None, config_seed: int) -> int:
     return config_seed
 
 
+def _print_json(record) -> None:
+    """Print one JSON line on stdout. A value that is not finite has no
+    JSON spelling, so it is a DivergenceError and nothing is printed."""
+    try:
+        line = json.dumps(record, allow_nan=False)
+    except ValueError as exc:
+        raise DivergenceError(f"non-finite value in the output ({exc})") from None
+    print(line)
+
+
 def _load_dataset(path: str, what: str, label_names: list[str] | None = None) -> Dataset:
     if not os.path.exists(path):
         raise DataError(f"{what} file not found: {path}")
@@ -125,13 +135,13 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.model)
     ds = _load_dataset(args.data, "--data", model.label_names)
     result = evaluate(ds, model)
-    print(json.dumps({
+    _print_json({
         "accuracy": result.accuracy,
         "loss": result.loss,
         "n": result.n,
         "labels": model.label_names,
         "confusion": result.confusion.tolist(),
-    }))
+    })
     return 0
 
 
@@ -172,7 +182,7 @@ def cmd_gradcheck(args) -> int:
         return cross_entropy(forward_batch(model, [(text_ids, ctx_ids)]), [label])
 
     report = ad.grad_check(build_loss, model.params, tolerance=args.tolerance)
-    print(json.dumps({
+    _print_json({
         "variant": model.config.variant,
         "d": model.config.d,
         "pass": report.passed,
@@ -180,17 +190,15 @@ def cmd_gradcheck(args) -> int:
         "step": report.step,
         "worst": {"tensor": report.worst_tensor, "error": report.max_error},
         "errors": report.errors,
-    }))
+    })
     return 0 if report.passed else 1
 
 
 def cmd_attmap(args) -> int:
     model, _ = load_checkpoint(args.model)
     ds = _load_dataset(args.input, "--input")
-    if model.config.context_mode == "intra" and any(ex.contexts for ex in ds.examples):
-        raise ConfigError("intra-context model: input examples must not carry contexts")
     written = export_attention(model, ds, args.format, args.out)
-    print(json.dumps({"written": written}))
+    _print_json({"written": written})
     return 0
 
 
@@ -214,7 +222,7 @@ def cmd_params(args) -> int:
     }
     if note:
         out["note"] = note
-    print(json.dumps(out))
+    _print_json(out)
     return 0
 
 

@@ -29,6 +29,7 @@ from .data import (
     PAD_ID,
     SEP_TOKEN,
     Dataset,
+    EncodedExample,
     Example,
     Vocabulary,
     init_embeddings,
@@ -336,7 +337,8 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
         return []
     if mode == "intra":
         if ctx_ids:
-            raise ConfigError("intra-context model was given contexts")
+            raise ConfigError("intra-context model was given contexts: "
+                              "its examples must not carry contexts")
         if (cfg.self_mode == "exclude-self" and cfg.variant != "attentive-pooling"
                 and len(text_ids) < 2):
             raise EmptyContextError(ad.EXCLUDE_SELF_ALONE)
@@ -362,6 +364,17 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
                           f"{n} tokens needs {m * n} attention scores, over the bound of "
                           f"{MAX_SCORE_ENTRIES}")
     return maps
+
+
+def encode_checked(model: Model, examples: list[Example]) -> list[EncodedExample]:
+    """Encode each example once and run it through ``_example_maps``, so
+    that an example its own forward would refuse raises that error here,
+    before any work on the others; ``train`` and the attention export start
+    with it."""
+    encoded = [model.vocab.encode_example(ex) for ex in examples]
+    for text_ids, ctx_ids, _ in encoded:
+        _example_maps(model, text_ids, ctx_ids)
+    return encoded
 
 
 def forward_ids(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -> ad.Node:
@@ -551,17 +564,15 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
     if dev_data is not None:
         _check_dataset(dev_data, model, "evaluate")
         dev_examples = dev_data.examples
-    encode = model.vocab.encode_example
-    encoded = [encode(ex) for ex in train_data.examples]
-    for text_ids, ctx_ids, _ in encoded + [encode(ex) for ex in dev_examples]:
-        _example_maps(model, text_ids, ctx_ids)
+    encoded = encode_checked(model, train_data.examples)
+    encode_checked(model, dev_examples)
     acc = {name: np.zeros_like(node.value) for name, node in model.params.items()}
     metrics: list[dict] = []
 
     def record(rec: dict) -> None:
         metrics.append(rec)
         if emit is not None:
-            emit(json.dumps(rec))
+            emit(json.dumps(rec, allow_nan=False))
 
     for epoch in range(1, train_config.epochs + 1):
         batches = make_batches(encoded, train_config.batch_size, [model.config.seed, 2, epoch])

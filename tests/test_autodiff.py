@@ -434,6 +434,20 @@ def test_structural_op_preconditions():
         ad.additive_scores(p, q, ad.Node(np.ones(2)), one_block(3, 5))
 
 
+def test_operands_whose_dimensions_do_not_fit_are_refused():
+    with pytest.raises(DimensionError, match="add_bias"):
+        ad.add_bias(ad.Node(np.ones((2, 3))), ad.Node(np.ones(3)))
+    with pytest.raises(DimensionError, match="add_bias"):
+        ad.add_bias(ad.Node(np.ones((2, 3))), ad.Node(np.ones((2, 1))))
+    g = ad.Node(np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="gate_mix"):
+        ad.gate_mix(g, ad.Node(np.ones((2, 3))), ad.Node(np.ones((3, 2))))
+    with pytest.raises(DimensionError, match="gate_mix"):
+        ad.gate_mix(g, ad.Node(np.ones((2, 4))), ad.Node(np.ones((2, 3))))
+    with pytest.raises(DimensionError, match="inner dims differ"):
+        ad.block_scores(ad.Node(np.zeros((5, 3))), ad.Node(np.zeros((2, 4))), BLOCKS)
+
+
 def _per_row_loop(p, q, v, g, blocks):
     """The reference: one row at a time, v @ tanh(p_i + q_block), and its
     elementwise backward v g (1 - t^2) summed afterwards."""

@@ -351,6 +351,69 @@ def test_offset_off_the_saved_layout_names_the_tensor(tiny_checkpoint, moves, na
     assert len(err.getvalue().splitlines()) == 1
 
 
+@pytest.mark.parametrize("extra", [1, 8, 4096])
+def test_bytes_after_the_last_tensor_are_a_data_error(tiny_checkpoint, extra):
+    # a loaded model re-saves byte for byte, so a file that holds more than
+    # its tensors does not load
+    raw, bad = tiny_checkpoint
+    bad.write_bytes(raw + b"\x00" * extra)
+    with pytest.raises(FormatError, match=f"{extra} bytes trail"):
+        load_checkpoint(str(bad))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["params", "--model", str(bad)]) == 3
+    assert len(err.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, key, spell", [
+    ("embeddings", "offset", lambda v: False),  # 0
+    ("classifier.W", "offset", float),
+    ("embeddings", 0, float),
+    ("embeddings", 1, lambda v: True),  # 1, as d=1
+], ids=["offset-false", "offset-float", "shape-float", "shape-true"])
+def test_a_directory_number_spelled_otherwise_is_refused(tmp_path, name, key, spell):
+    # in Python True == 1 and 5.0 == 5, but save spells every number as an int
+    vocab = Vocabulary()
+    vocab.add("a")
+    model = build_model(ModelConfig(variant="light", context_mode="single", d=1, seed=1),
+                        vocab, ["0", "1"])
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model, TrainConfig())
+
+    def respell(manifest):
+        entry = manifest["tensors"][name]
+        if key == "offset":
+            entry["offset"] = spell(entry["offset"])
+        else:
+            entry["shape"][key] = spell(entry["shape"][key])
+
+    path.write_bytes(_rewrite_manifest(path.read_bytes(), respell))
+    what = "starts at byte" if key == "offset" else "has shape"
+    with pytest.raises(FormatError, match=f"tensor {name} {what}"):
+        load_checkpoint(str(path))
+
+
+def test_a_directory_entry_with_another_key_is_refused(tiny_checkpoint):
+    raw, bad = tiny_checkpoint
+    bad.write_bytes(_rewrite_manifest(
+        raw, lambda manifest: manifest["tensors"]["net.conv.b"].update(dtype="<f8")))
+    with pytest.raises(FormatError, match="tensor net.conv.b has a malformed directory entry"):
+        load_checkpoint(str(bad))
+
+
+@pytest.mark.parametrize("manifest", [[], "x", 1, None])
+def test_a_manifest_that_is_not_an_object_exits_3(tmp_path, manifest):
+    text = json.dumps(manifest).encode("utf-8")
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text)
+    with pytest.raises(FormatError, match="manifest must be a JSON object"):
+        load_checkpoint(str(path))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["params", "--model", str(path)]) == 3
+    assert len(err.getvalue().splitlines()) == 1
+
+
 def _manifest_of(raw):
     (mlen,) = struct.unpack("<Q", raw[8:16])
     return json.loads(raw[16:16 + mlen].decode("utf-8"))

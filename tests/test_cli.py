@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from attconv import cli, errors
 from attconv import model as model_module
+from attconv.attmap import export_attention
 from attconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from attconv.cli import SEED_ENV, main
-from attconv.data import (Dataset, Vocabulary, gen_context_match, load_jsonl, load_pretrained,
-                          save_jsonl)
+from attconv.data import (SEP_TOKEN, Dataset, Example, Vocabulary, gen_context_match, load_jsonl,
+                          load_pretrained, save_jsonl)
 from attconv.model import MAX_SCORE_ENTRIES, ModelConfig, TrainConfig, build_model
 
 BASE_CONFIG = {
@@ -991,6 +992,20 @@ def test_eval_reports_accuracy_and_confusion(trained, capsys):
     assert np.sum(result["confusion"]) == 40
 
 
+def test_eval_of_a_non_finite_result_prints_no_json_and_exits_4(trained, capsys, monkeypatch):
+    # strict JSON has no spelling for NaN, so the result is a numeric error
+    def nan_loss(dataset, model):
+        k = model.config.num_classes
+        return model_module.EvalResult(accuracy=0.5, n=len(dataset), loss=float("nan"),
+                                       confusion=np.zeros((k, k), dtype=np.int64))
+
+    monkeypatch.setattr(cli, "evaluate", nan_loss)
+    code, stdout, err = run(capsys, ["eval", "--model", trained["model"],
+                                     "--data", trained["data"]])
+    assert (code, stdout) == (4, "")
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+
+
 def test_eval_has_no_workers_option(trained, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--model", trained["model"], "--data", trained["data"],
@@ -1190,6 +1205,74 @@ def test_attmap_intra_model_refuses_context_examples(tmp_path, capsys):
     ])
     assert code == 2
     assert "must not carry contexts" in err
+
+
+def test_attmap_refused_input_writes_nothing(tmp_path, capsys):
+    # the second example is refused, so not even the first one's file appears
+    vocab = Vocabulary()
+    for t in ("x", "y", "z"):
+        vocab.add(t)
+    model = build_model(ModelConfig(variant="light", context_mode="single", d=4, seed=0),
+                        vocab, ["0", "1"])
+    ckpt = tmp_path / "single.ckpt"
+    save_checkpoint(str(ckpt), model, TrainConfig())
+    inp = tmp_path / "in.jsonl"
+    inp.write_text(json.dumps({"label": "0", "text": "x", "contexts": ["y"]}) + "\n"
+                   + json.dumps({"label": "1", "text": "x", "contexts": ["y", "z"]}) + "\n",
+                   encoding="utf-8")
+    out_dir = tmp_path / "o"
+    code, stdout, err = run(capsys, [
+        "attmap", "--model", str(ckpt), "--input", str(inp), "--out", str(out_dir),
+    ])
+    assert (code, stdout) == (2, "")
+    assert "exactly 1 context" in err
+    assert not out_dir.exists()
+
+
+def _attmap_headers(tmp_path, capsys, context_mode, contexts):
+    """The TSV header rows attmap writes for one example with ``contexts``."""
+    vocab = Vocabulary()
+    for t in ("q", "a", "b", "c", SEP_TOKEN):
+        vocab.add(t)
+    model = build_model(ModelConfig(variant="light", context_mode=context_mode, d=4, seed=0),
+                        vocab, ["0", "1"])
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(str(ckpt), model, TrainConfig())
+    inp = tmp_path / "in.jsonl"
+    inp.write_text(json.dumps({"label": "0", "text": "q a", "contexts": contexts}) + "\n",
+                   encoding="utf-8")
+    code, stdout, _ = run(capsys, [
+        "attmap", "--model", str(ckpt), "--input", str(inp), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    written = json.loads(stdout)["written"]
+    return [os.path.basename(path) for path in written], [
+        open(path, encoding="utf-8").readline().rstrip("\n").split("\t")[1:]
+        for path in written]
+
+
+def test_attmap_multi_conc_header_is_the_joined_contexts(tmp_path, capsys):
+    names, headers = _attmap_headers(tmp_path, capsys, "multi-conc", ["a b", "c"])
+    assert names == ["ex0000_ctx0_layer0.tsv"]
+    assert headers == [["a", "b", SEP_TOKEN, "c"]]
+
+
+def test_attmap_multi_wise_writes_each_context_with_its_own_header(tmp_path, capsys):
+    # the repeated context shares one map but still gets a file of its own
+    names, headers = _attmap_headers(tmp_path, capsys, "multi-wise", ["a b", "c", "a b"])
+    assert names == [f"ex0000_ctx{j}_layer0.tsv" for j in range(3)]
+    assert headers == [["a", "b"], ["c"], ["a", "b"]]
+
+
+def test_export_attention_refuses_an_unknown_format(tmp_path):
+    vocab = Vocabulary()
+    vocab.add("x")
+    model = build_model(ModelConfig(variant="light", context_mode="intra", d=4, seed=0),
+                        vocab, ["0", "1"])
+    ds = Dataset(examples=[Example(["x", "x"], [], 0)], label_names=["0", "1"])
+    with pytest.raises(errors.ConfigError, match="unknown attention export format 'png'"):
+        export_attention(model, ds, "png", str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
