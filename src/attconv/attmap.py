@@ -17,7 +17,8 @@ import numpy as np
 
 from .data import SEP_TOKEN, Dataset
 from .errors import ConfigError, DivergenceError
-from .model import Model, attention_records, encode_checked, join_context_ids
+from .model import (Model, attention_records, check_exportable, encode_checked,
+                    join_context_ids)
 
 
 def context_tokens_for(model: Model, example, context_index: int) -> list[str]:
@@ -33,15 +34,16 @@ def context_tokens_for(model: Model, example, context_index: int) -> list[str]:
 def export_attention(model: Model, dataset: Dataset, fmt: str, out_dir: str) -> list[str]:
     """Run the model over a dataset and write one attention file per pass.
 
-    Returns the written paths. Every example is checked as ``train`` checks
-    it before ``out_dir`` is made, so an example the model refuses (an
+    Returns the written paths. The variant, and every example as ``train``
+    checks it, are checked before ``out_dir`` is made, so a variant without
+    an attention matrix (ConfigError) or an example the model refuses (an
     intra-context model fed contexts, say) raises its error with nothing
-    written. Raises ConfigError for variants without an attention matrix,
-    and DivergenceError for a pass whose weights are not all finite, before
-    its file is written.
+    written. A pass whose weights are not all finite raises DivergenceError
+    before its file is written.
     """
     if fmt not in ("tsv", "svg"):
         raise ConfigError(f"unknown attention export format {fmt!r}")
+    check_exportable(model.config)
     encoded = encode_checked(model, dataset.examples)
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []

@@ -38,10 +38,11 @@ class Node:
     """One vertex of the computation graph.
 
     ``value`` is a float64 ndarray. ``grad`` is None or an array of the
-    same shape. Leaves (parameters, constants) have no inputs and no
-    backward closure; they keep the gradients ``backward`` accumulates into
-    them. An interior node holds a gradient only while ``backward`` is
-    pushing it.
+    same shape, except on a table that ``embed`` reads: there it is None or
+    a ``RowGrad``, and no other op may reach that table. Leaves (parameters,
+    constants) have no inputs and no backward closure; they keep the
+    gradients ``backward`` accumulates into them. An interior node holds a
+    gradient only while ``backward`` is pushing it.
     """
 
     __slots__ = ("value", "grad", "op", "inputs", "name", "_backward", "_ran")
@@ -62,6 +63,26 @@ class Node:
     def __repr__(self):
         tag = self.name or self.op
         return f"Node({tag}, shape={self.value.shape})"
+
+
+class RowGrad:
+    """The row-sparse gradient ``embed`` leaves in its table.
+
+    ``rows`` holds the sorted distinct row ids the backward reached and
+    ``block`` their ``len(rows) x d`` gradient sums; every other row of the
+    ``vocab`` x d gradient is zero. Only ``dense`` builds that V x d array.
+    """
+
+    __slots__ = ("rows", "block", "vocab")
+
+    def __init__(self, rows: np.ndarray, block: np.ndarray, vocab: int):
+        self.rows, self.block, self.vocab = rows, block, vocab
+
+    def dense(self) -> np.ndarray:
+        """The V x d gradient this stands for, as a new array."""
+        out = np.zeros((self.vocab, self.block.shape[1]))
+        out[self.rows] = self.block
+        return out
 
 
 def param(value, name: str | None = None) -> Node:
@@ -513,27 +534,43 @@ def nll(probs: Node, labels) -> Node:
 def embed(table: Node, ids) -> Node:
     """Gather embedding rows for a token id sequence as a d x len feature map.
 
-    The backward costs O(len(ids) * d), not O(V * d): the columns are summed
-    per distinct id into a zero-started block, in id order, and the block is
-    added to the rows it covers. That is the sum a dense V x d scatter gives,
-    bit for bit; the rows it skips would only have had +0.0 added.
+    The backward costs O(len(ids) * d), not O(V * d), and leaves the
+    table's gradient row-sparse, a ``RowGrad``. Each distinct id's columns
+    are summed from zero in the order they occur, one pass per occurrence
+    rank so that no pass adds to a row twice. A later ``embed`` of the same
+    table merges its rows into the gradient, adding its sums after the
+    earlier ones. Every row holds the bits a dense V x d zero-started
+    scatter gives, and the rows it skips would only have had +0.0 added.
     """
     _require_2d(table.value, "embed table")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
         raise EmptyInputError("embed: need a non-empty 1-d id sequence")
-    vocab = table.value.shape[0]
+    vocab, d = table.value.shape
     if idx.min() < 0 or idx.max() >= vocab:
         raise ContractError(f"embed: id out of range for vocabulary of {vocab}")
     out = Node(table.value[idx].T, "embed", (table,))
 
     def _bw(g):
-        uniq, inv = np.unique(idx, return_inverse=True)
-        local = np.zeros((uniq.shape[0], table.value.shape[1]))
-        np.add.at(local, inv, g.T)
-        if table.grad is None:
-            table.grad = np.zeros_like(table.value)
-        table.grad[uniq] += local
+        order = np.argsort(idx, kind="stable")
+        ids = idx[order]
+        first = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        uniq, counts = ids[first], np.diff(first, append=ids.size)
+        gT = g.T
+        # + 0.0: a zero-started sum, so a -0.0 column reads +0.0
+        local = np.add(gT[order[first]], 0.0)
+        for k in range(1, int(counts.max())):
+            has = np.flatnonzero(counts > k)
+            local[has] += gT[order[first[has] + k]]
+        grad = table.grad
+        if grad is None:
+            table.grad = RowGrad(uniq, local, vocab)
+            return
+        rows = np.union1d(grad.rows, uniq)
+        block = np.zeros((rows.size, d))
+        block[np.searchsorted(rows, grad.rows)] = grad.block
+        block[np.searchsorted(rows, uniq)] += local
+        table.grad = RowGrad(rows, block, vocab)
 
     out._backward = _bw
     return out
@@ -693,6 +730,13 @@ class GradCheckReport:
 GRAD_CHECK_STEP = 1e-5
 
 
+def _dense_grad(node: Node) -> np.ndarray:
+    g = node.grad
+    if g is None:
+        return np.zeros_like(node.value)
+    return g.dense() if isinstance(g, RowGrad) else g.copy()
+
+
 def grad_check(build_loss, params: dict[str, Node], tolerance: float = 1e-6) -> GradCheckReport:
     """Compare analytic gradients against central finite differences of
     step ``GRAD_CHECK_STEP``.
@@ -701,10 +745,12 @@ def grad_check(build_loss, params: dict[str, Node], tolerance: float = 1e-6) -> 
     loss graph from the live ``params`` leaves, deterministically. It is
     called twice up front; any bitwise difference raises DeterminismError.
 
-    The relative error for one entry is |a - n| / max(|a|, |n|, 1), and the
-    report keeps the per-tensor maximum. An entry whose analytic gradient
-    or central difference is not finite raises DivergenceError, since no
-    relative error can be taken of it.
+    Each tensor's analytic gradient is compared dense: a ``RowGrad`` is
+    converted to its V x d array first. The relative error for one entry
+    is |a - n| / max(|a|, |n|, 1), and the report keeps the per-tensor
+    maximum. An entry whose analytic gradient or central difference is not
+    finite raises DivergenceError, since no relative error can be taken of
+    it.
     """
     if not 0.0 <= tolerance < np.inf:
         raise ContractError(f"grad_check: tolerance must be finite and >= 0, got {tolerance}")
@@ -715,10 +761,7 @@ def grad_check(build_loss, params: dict[str, Node], tolerance: float = 1e-6) -> 
 
     zero_grads(params.values())
     backward(first)
-    analytic = {
-        name: (node.grad.copy() if node.grad is not None else np.zeros_like(node.value))
-        for name, node in params.items()
-    }
+    analytic = {name: _dense_grad(node) for name, node in params.items()}
 
     errors: dict[str, float] = {}
     for name, node in params.items():

@@ -433,6 +433,12 @@ def forward(model: Model, example: Example) -> ad.Node:
     return forward_ids(model, text_ids, ctx_ids)
 
 
+def check_exportable(config: ModelConfig) -> None:
+    """Refuse a variant outside ``EXPORTABLE_VARIANTS`` (ConfigError)."""
+    if config.variant not in EXPORTABLE_VARIANTS:
+        raise ConfigError(f"variant {config.variant!r} has no attention matrix to export")
+
+
 def attention_records(model: Model, text_ids: list[int],
                       ctx_ids: list[list[int]]) -> list[AttentionRecord]:
     """Every attention pass of one encoded example, read off its forward graph.
@@ -445,8 +451,7 @@ def attention_records(model: Model, text_ids: list[int],
     outside ``EXPORTABLE_VARIANTS`` is a ConfigError.
     """
     cfg = model.config
-    if cfg.variant not in EXPORTABLE_VARIANTS:
-        raise ConfigError(f"variant {cfg.variant!r} has no attention matrix to export")
+    check_exportable(cfg)
     probs = forward_batch(model, [(text_ids, ctx_ids)])
     passes = [node for node in ad.topo_order(probs) if node.op == "masked_softmax_rows"]
     maps = _example_maps(model, text_ids, ctx_ids)
@@ -479,13 +484,25 @@ def adagrad_step(params: dict[str, ad.Node], acc: dict[str, np.ndarray],
     """One AdaGrad update of every tensor that has a gradient:
     acc += g^2; p -= lr * g / (sqrt(acc) + eps), with g the tensor's
     ``grad``. A tensor whose ``grad`` is None is skipped, its value and
-    its accumulator unchanged."""
+    its accumulator unchanged. A ``RowGrad`` (the embeddings' gradient
+    after ``backward``) updates its rows alone, with the same elementwise
+    arithmetic, and never the embeddings' PAD row: every other row would
+    only have had +0.0 added to its accumulator and 0.0 taken from its
+    value, so none of them is read or written."""
     for name, node in params.items():
         g = node.grad
         if g is None:
             continue
-        acc[name] += g * g
-        node.value -= lr * g / (np.sqrt(acc[name]) + eps)
+        if isinstance(g, ad.RowGrad):
+            rows, g = g.rows, g.block
+            if name == EMBEDDINGS_KEY and rows[0] == PAD_ID:  # rows are sorted
+                rows, g = rows[1:], g[1:]
+            a = acc[name][rows] + g * g
+            acc[name][rows] = a
+            node.value[rows] -= lr * g / (np.sqrt(a) + eps)
+        else:
+            acc[name] += g * g
+            node.value -= lr * g / (np.sqrt(acc[name]) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +609,6 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
             ad.zero_grads(model.params.values())
             ad.backward(loss)
             del probs, loss
-            model.embeddings.grad[PAD_ID] = 0.0  # PAD row stays frozen at zero
             adagrad_step(model.params, acc, train_config.learning_rate,
                          train_config.adagrad_epsilon)
         record({

@@ -4,7 +4,7 @@
 forward per example instead (the unsegmented ``reference_forward`` unless a
 test passes another), stacks the probability columns and scores them with
 the K x B ``nll``, which is the arithmetic of the mean of per-example losses. The
-shuffles, the AdaGrad step and the frozen PAD row are ``train``'s. It
+shuffles and the AdaGrad step, which never moves the PAD row, are ``train``'s. It
 emits the train records ``train`` emits; it runs no dev passes.
 """
 
@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from attconv import autodiff as ad
-from attconv.data import PAD_ID, make_batches
+from attconv.data import make_batches
 from attconv.model import adagrad_step, predict
 from reference import reference_forward, stack_cols
 
@@ -37,7 +37,6 @@ def oracle_train(model, data, train_config, forward=reference_forward, emit=None
             loss_sum += loss.value.item() * len(batch)
             ad.zero_grads(model.params.values())
             ad.backward(loss)
-            model.embeddings.grad[PAD_ID] = 0.0
             adagrad_step(model.params, acc, train_config.learning_rate,
                          train_config.adagrad_epsilon)
         rec = {"epoch": epoch, "split": "train", "loss": loss_sum / len(data),

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attconv import autodiff as ad
+from attconv.data import PAD_ID
 from attconv.errors import (
     ContractError,
     DeterminismError,
@@ -22,6 +23,7 @@ from attconv.errors import (
     EmptyContextError,
     EmptyInputError,
 )
+from attconv.model import EMBEDDINGS_KEY, adagrad_step
 from projection import project
 
 
@@ -46,7 +48,8 @@ def assert_grads_match(build, leaves, tol=1e-7):
     loss = build()
     ad.backward(loss)
     analytic = [
-        leaf.grad.copy() if leaf.grad is not None else np.zeros_like(leaf.value)
+        np.zeros_like(leaf.value) if leaf.grad is None
+        else leaf.grad.dense() if isinstance(leaf.grad, ad.RowGrad) else leaf.grad.copy()
         for leaf in leaves
     ]
     for k, leaf in enumerate(leaves):
@@ -137,7 +140,7 @@ def test_embed_repeated_ids_accumulate_gradient():
     table = ad.param(np.zeros((3, 2)))
     loss = project(ad.embed(table, [1, 1]))
     ad.backward(loss)
-    assert np.array_equal(table.grad, np.array([[0, 0], [2, 2], [0, 0]], dtype=float))
+    assert np.array_equal(table.grad.dense(), np.array([[0, 0], [2, 2], [0, 0]], dtype=float))
 
 
 def _dense_embed_backward(grad, table_value, ids, g):
@@ -162,7 +165,8 @@ def test_embed_backward_matches_the_dense_scatter_bitwise(seed, preset):
         return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
 
     start = spread((vocab, d)) if preset else None
-    table.grad = None if start is None else start.copy()
+    # a preset gradient reaches every row
+    table.grad = None if start is None else ad.RowGrad(np.arange(vocab), start.copy(), vocab)
     calls = [[7, 2, 7, 0, 11, 2, 2, 7], [3, 7, 9, 7, 0]]  # unsorted, repeated, shared
     embeds = [ad.embed(table, ids) for ids in calls]
     # backward releases each embed node's gradient once pushed, so record
@@ -181,11 +185,13 @@ def test_embed_backward_matches_the_dense_scatter_bitwise(seed, preset):
     want = start
     for k, g in received:
         want = _dense_embed_backward(want, table.value, calls[k], g)
-    assert table.grad.tobytes() == want.tobytes()
+    assert table.grad.dense().tobytes() == want.tobytes()
 
 
 def test_embed_backward_allocates_no_table_per_call():
+    # backward and the AdaGrad step together, on 7 distinct ids of 20000
     table = ad.param(np.ones((20_000, 64)))
+    acc = {EMBEDDINGS_KEY: np.zeros_like(table.value)}
     calls = [[5, 19_999, 5, 0], [7, 8], [19_999, 3, 3], [12_345]]
     loss = project(ad.embed(table, calls[0]))
     for ids in calls[1:]:
@@ -193,12 +199,63 @@ def test_embed_backward_allocates_no_table_per_call():
     tracemalloc.start()
     try:
         ad.backward(loss)
+        adagrad_step({EMBEDDINGS_KEY: table}, acc, lr=0.5, eps=1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one V x d gradient is unavoidable; a scratch table per call is not
-    assert peak < 1.5 * table.value.nbytes
-    assert table.grad[3].tolist() == [2.0] * 64 and table.grad[1].tolist() == [0.0] * 64
+    # no V x d array at all: not for the gradient, not for its step
+    assert peak < 0.1 * table.value.nbytes
+    assert table.grad.rows.tolist() == [0, 3, 5, 7, 8, 12_345, 19_999]
+    assert table.grad.block[1].tolist() == [2.0] * 64
+    moved = np.flatnonzero((table.value != 1.0).any(axis=1))
+    assert moved.tolist() == [3, 5, 7, 8, 12_345, 19_999]  # never row 0, PAD
+
+
+@st.composite
+def _embed_calls(draw):
+    """A table, its accumulator and 1-4 embed calls with their gradients."""
+    vocab, d = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    entry = st.floats(-4.0, 4.0) | st.just(-0.0)
+    table = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                          min_size=vocab, max_size=vocab))
+    table[PAD_ID] = [0.0] * d
+    acc = draw(st.lists(st.lists(st.floats(0.0, 16.0), min_size=d, max_size=d),
+                        min_size=vocab, max_size=vocab))
+    calls = draw(st.lists(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=9),
+                          min_size=1, max_size=4))
+    calls[0].insert(draw(st.integers(0, len(calls[0]))), PAD_ID)
+    grads = [draw(st.lists(st.lists(entry, min_size=len(ids), max_size=len(ids)),
+                           min_size=d, max_size=d)) for ids in calls]
+    return np.array(table), np.abs(np.array(acc)), calls, [np.array(g) for g in grads]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_embed_calls(), lr=st.floats(1e-3, 10.0))
+@example(  # rows 2 and 3 untouched, row 3 holding -0.0
+    case=(np.array([[0.0, 0.0], [1.0, -2.0], [0.5, 0.25], [-0.0, -0.0]]), np.ones((4, 2)),
+          [[1, 0, 1], [1]], [np.array([[1.0, -0.0, 2.0], [-3.0, 0.0, -0.0]]),
+                             np.array([[-0.0], [0.5]])]), lr=0.1)
+def test_row_sparse_gradient_and_step_match_the_dense_oracle(case, lr):
+    # comparison: bitwise, both the densified gradient against the dense
+    # scatter and the row-sparse AdaGrad step against the dense step on it
+    # with its PAD row zeroed
+    value, acc, calls, grads = case
+    table = ad.param(value.copy())
+    embeds = [ad.embed(table, ids) for ids in calls]
+    want = None
+    for node, ids, g in zip(embeds, calls, grads):
+        node._backward(g)
+        want = _dense_embed_backward(want, value, ids, g)
+    assert table.grad.dense().tobytes() == want.tobytes()
+
+    sparse_acc = {EMBEDDINGS_KEY: acc.copy()}
+    adagrad_step({EMBEDDINGS_KEY: table}, sparse_acc, lr, 1e-8)
+    want[PAD_ID] = 0.0
+    dense_acc = acc + want * want
+    dense_value = value - lr * want / (np.sqrt(dense_acc) + 1e-8)
+    assert sparse_acc[EMBEDDINGS_KEY].tobytes() == dense_acc.tobytes()
+    assert table.value.tobytes() == dense_value.tobytes()
+    assert table.value[PAD_ID].tobytes() == np.zeros(value.shape[1]).tobytes()
 
 
 def test_embed_input_errors():

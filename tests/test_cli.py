@@ -1174,19 +1174,22 @@ def test_attmap_svg_export(trained, tmp_path, capsys):
 
 
 def test_attmap_rejects_variants_without_attention(tmp_path, capsys):
+    # refused before --out is made, as a refused example is
     vocab = Vocabulary()
     vocab.add("x")
-    cfg = ModelConfig(variant="vanilla-cnn", context_mode="intra", d=4, seed=0)
-    model = build_model(cfg, vocab, ["0", "1"])
-    ckpt = tmp_path / "plain.ckpt"
-    save_checkpoint(str(ckpt), model, TrainConfig())
     inp = tmp_path / "in.jsonl"
     inp.write_text(json.dumps({"label": "0", "text": "x"}) + "\n", encoding="utf-8")
-    code, _, err = run(capsys, [
-        "attmap", "--model", str(ckpt), "--input", str(inp), "--out", str(tmp_path / "o"),
-    ])
-    assert code == 2
-    assert "no attention matrix" in err
+    for variant in ("vanilla-cnn", "attentive-pooling"):
+        cfg = ModelConfig(variant=variant, context_mode="intra", d=4, seed=0)
+        ckpt = tmp_path / f"{variant}.ckpt"
+        save_checkpoint(str(ckpt), build_model(cfg, vocab, ["0", "1"]), TrainConfig())
+        out_dir = tmp_path / f"{variant}-out"
+        code, stdout, err = run(capsys, [
+            "attmap", "--model", str(ckpt), "--input", str(inp), "--out", str(out_dir),
+        ])
+        assert (code, stdout) == (2, "")
+        assert len(err.splitlines()) == 1 and "no attention matrix" in err
+        assert not out_dir.exists()
 
 
 def test_attmap_intra_model_refuses_context_examples(tmp_path, capsys):
