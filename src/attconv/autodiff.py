@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,17 +40,18 @@ class Node:
 
     ``value`` is a float64 ndarray. ``grad`` is None or an array of the
     same shape, except on a table that ``embed`` reads: there it is None or
-    a ``RowGrad``, and no other op may reach that table. Leaves (parameters,
-    constants) have no inputs and no backward closure; they keep the
-    gradients ``backward`` accumulates into them. An interior node holds a
-    gradient only while ``backward`` is pushing it.
+    a ``RowGrad`` pair of rows and their block, and no other op may reach
+    that table. Leaves (parameters, constants) have no inputs and no
+    backward closure; they keep the gradients ``backward`` accumulates into
+    them. An interior node holds a gradient only while ``backward`` is
+    pushing it.
     """
 
     __slots__ = ("value", "grad", "op", "inputs", "name", "_backward", "_ran")
 
     def __init__(self, value, op: str = "leaf", inputs: tuple = (), name: str | None = None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
         self.op = op
         self.inputs = tuple(inputs)
         self.name = name
@@ -65,24 +67,13 @@ class Node:
         return f"Node({tag}, shape={self.value.shape})"
 
 
-class RowGrad:
-    """The row-sparse gradient ``embed`` leaves in its table.
+class RowGrad(NamedTuple):
+    """The row-sparse gradient ``embed`` leaves in its table: ``rows``, the
+    sorted distinct row ids the backward reached, and ``block``, their
+    ``len(rows) x d`` gradient sums. Every other row's gradient is zero."""
 
-    ``rows`` holds the sorted distinct row ids the backward reached and
-    ``block`` their ``len(rows) x d`` gradient sums; every other row of the
-    ``vocab`` x d gradient is zero. Only ``dense`` builds that V x d array.
-    """
-
-    __slots__ = ("rows", "block", "vocab")
-
-    def __init__(self, rows: np.ndarray, block: np.ndarray, vocab: int):
-        self.rows, self.block, self.vocab = rows, block, vocab
-
-    def dense(self) -> np.ndarray:
-        """The V x d gradient this stands for, as a new array."""
-        out = np.zeros((self.vocab, self.block.shape[1]))
-        out[self.rows] = self.block
-        return out
+    rows: np.ndarray
+    block: np.ndarray
 
 
 def param(value, name: str | None = None) -> Node:
@@ -564,13 +555,13 @@ def embed(table: Node, ids) -> Node:
             local[has] += gT[order[first[has] + k]]
         grad = table.grad
         if grad is None:
-            table.grad = RowGrad(uniq, local, vocab)
+            table.grad = RowGrad(uniq, local)
             return
         rows = np.union1d(grad.rows, uniq)
         block = np.zeros((rows.size, d))
         block[np.searchsorted(rows, grad.rows)] = grad.block
         block[np.searchsorted(rows, uniq)] += local
-        table.grad = RowGrad(rows, block, vocab)
+        table.grad = RowGrad(rows, block)
 
     out._backward = _bw
     return out
@@ -731,10 +722,14 @@ GRAD_CHECK_STEP = 1e-5
 
 
 def _dense_grad(node: Node) -> np.ndarray:
+    """``node``'s gradient as a new dense array, zero where it has none."""
+    out = np.zeros_like(node.value)
     g = node.grad
-    if g is None:
-        return np.zeros_like(node.value)
-    return g.dense() if isinstance(g, RowGrad) else g.copy()
+    if isinstance(g, RowGrad):
+        out[g.rows] = g.block
+    elif g is not None:
+        out[...] = g
+    return out
 
 
 def grad_check(build_loss, params: dict[str, Node], tolerance: float = 1e-6) -> GradCheckReport:
@@ -746,7 +741,8 @@ def grad_check(build_loss, params: dict[str, Node], tolerance: float = 1e-6) -> 
     called twice up front; any bitwise difference raises DeterminismError.
 
     Each tensor's analytic gradient is compared dense: a ``RowGrad`` is
-    converted to its V x d array first. The relative error for one entry
+    scattered into a zero V x d array first, and a tensor the loss never
+    reaches has a zero gradient. The relative error for one entry
     is |a - n| / max(|a|, |n|, 1), and the report keeps the per-tensor
     maximum. An entry whose analytic gradient or central difference is not
     finite raises DivergenceError, since no relative error can be taken of

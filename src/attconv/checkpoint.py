@@ -117,9 +117,10 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     FormatError. The stored directory must be exactly the one saving writes
     for ``param_shapes`` of the stored config, every entry spelled the same
     (``5.0`` or ``true`` is not ``5`` or ``1``), and the file must end where
-    the last tensor ends. The tensor blobs are then read once into one
-    buffer, and each tensor is a writable view of its own bytes there, so
-    nothing is initialized, drawn or copied again. Version mismatches name
+    the last tensor ends; at most one byte past the tensors is read to see
+    that more follow. The tensor blobs are then read once into one buffer,
+    and each tensor is a writable view of its own bytes there, so nothing
+    is initialized, drawn or copied again. Version mismatches name
     both versions in the error. Checkpoints written with the ``no-context``
     variant or a ``filter-width`` of 3 load as ``vanilla-cnn`` without the
     width.
@@ -164,11 +165,13 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
             if offset != want["offset"] or type(offset) is not int:
                 raise FormatError(f"{path}: tensor {name} starts at byte {json.dumps(offset)}, "
                                   f"not at {want['offset']} where the tensors before it end")
-        blob = np.empty(size - _HEADER_BYTES - mlen, dtype=np.uint8)
+        stored = size - _HEADER_BYTES - mlen
+        # one byte past the tensors shows that more follow, without reading them
+        blob = np.empty(min(stored, nbytes + 1), dtype=np.uint8)
         if fh.readinto(blob) != blob.size or blob.size < nbytes:
             raise FormatError(f"{path}: file ended before its {nbytes}-byte tensor blob")
         if blob.size > nbytes:
-            raise FormatError(f"{path}: {blob.size - nbytes} bytes trail the tensor blob")
+            raise FormatError(f"{path}: {stored - nbytes} bytes trail the tensor blob")
     values = blob.view("<f8")
     params = {}
     for name, entry in directory.items():

@@ -482,27 +482,26 @@ def predict(probs: np.ndarray) -> int:
 def adagrad_step(params: dict[str, ad.Node], acc: dict[str, np.ndarray],
                  lr: float, eps: float) -> None:
     """One AdaGrad update of every tensor that has a gradient:
-    acc += g^2; p -= lr * g / (sqrt(acc) + eps), with g the tensor's
-    ``grad``. A tensor whose ``grad`` is None is skipped, its value and
-    its accumulator unchanged. A ``RowGrad`` (the embeddings' gradient
-    after ``backward``) updates its rows alone, with the same elementwise
-    arithmetic, and never the embeddings' PAD row: every other row would
-    only have had +0.0 added to its accumulator and 0.0 taken from its
-    value, so none of them is read or written."""
+    acc += g^2; p -= lr * g / (sqrt(acc) + eps), on the rows of ``grad``.
+    A dense ``grad`` covers every row, so its tensor and accumulator are
+    updated in place. A ``RowGrad`` (the embeddings' gradient after
+    ``backward``) covers its rows alone, never the embeddings' PAD row:
+    every other row would only have had +0.0 added to its accumulator and
+    0.0 taken from its value, so none of them is read or written. A tensor
+    whose ``grad`` is None is skipped, its value and accumulator unchanged."""
     for name, node in params.items():
         g = node.grad
         if g is None:
             continue
+        rows = ...  # every row: indexing with it gives views
         if isinstance(g, ad.RowGrad):
-            rows, g = g.rows, g.block
+            rows, g = g
             if name == EMBEDDINGS_KEY and rows[0] == PAD_ID:  # rows are sorted
                 rows, g = rows[1:], g[1:]
-            a = acc[name][rows] + g * g
-            acc[name][rows] = a
-            node.value[rows] -= lr * g / (np.sqrt(a) + eps)
-        else:
-            acc[name] += g * g
-            node.value -= lr * g / (np.sqrt(acc[name]) + eps)
+        a = acc[name][rows]
+        a += g * g
+        acc[name][rows] = a
+        node.value[rows] -= lr * g / (np.sqrt(a) + eps)
 
 
 # ---------------------------------------------------------------------------

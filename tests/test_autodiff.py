@@ -47,11 +47,7 @@ def assert_grads_match(build, leaves, tol=1e-7):
     ad.zero_grads(leaves)
     loss = build()
     ad.backward(loss)
-    analytic = [
-        np.zeros_like(leaf.value) if leaf.grad is None
-        else leaf.grad.dense() if isinstance(leaf.grad, ad.RowGrad) else leaf.grad.copy()
-        for leaf in leaves
-    ]
+    analytic = [ad._dense_grad(leaf) for leaf in leaves]
     for k, leaf in enumerate(leaves):
         numeric = numeric_grad(lambda: build().value.item(), leaf.value)
         denom = np.maximum(np.maximum(np.abs(analytic[k]), np.abs(numeric)), 1.0)
@@ -140,7 +136,7 @@ def test_embed_repeated_ids_accumulate_gradient():
     table = ad.param(np.zeros((3, 2)))
     loss = project(ad.embed(table, [1, 1]))
     ad.backward(loss)
-    assert np.array_equal(table.grad.dense(), np.array([[0, 0], [2, 2], [0, 0]], dtype=float))
+    assert np.array_equal(ad._dense_grad(table), np.array([[0, 0], [2, 2], [0, 0]], dtype=float))
 
 
 def _dense_embed_backward(grad, table_value, ids, g):
@@ -166,7 +162,7 @@ def test_embed_backward_matches_the_dense_scatter_bitwise(seed, preset):
 
     start = spread((vocab, d)) if preset else None
     # a preset gradient reaches every row
-    table.grad = None if start is None else ad.RowGrad(np.arange(vocab), start.copy(), vocab)
+    table.grad = None if start is None else ad.RowGrad(np.arange(vocab), start.copy())
     calls = [[7, 2, 7, 0, 11, 2, 2, 7], [3, 7, 9, 7, 0]]  # unsorted, repeated, shared
     embeds = [ad.embed(table, ids) for ids in calls]
     # backward releases each embed node's gradient once pushed, so record
@@ -185,7 +181,7 @@ def test_embed_backward_matches_the_dense_scatter_bitwise(seed, preset):
     want = start
     for k, g in received:
         want = _dense_embed_backward(want, table.value, calls[k], g)
-    assert table.grad.dense().tobytes() == want.tobytes()
+    assert ad._dense_grad(table).tobytes() == want.tobytes()
 
 
 def test_embed_backward_allocates_no_table_per_call():
@@ -229,16 +225,35 @@ def _embed_calls(draw):
     return np.array(table), np.abs(np.array(acc)), calls, [np.array(g) for g in grads]
 
 
+@st.composite
+def _dense_tensors(draw):
+    """A 1-d and a 2-d tensor as (value, accumulator, gradient), the
+    gradients holding drawn zeros and -0.0."""
+    entry = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
+    tensors = []
+    for shape in [(draw(st.integers(1, 6)),), (draw(st.integers(1, 4)), draw(st.integers(1, 4)))]:
+        n = math.prod(shape)
+        value = draw(st.lists(entry, min_size=n, max_size=n))
+        acc = draw(st.lists(st.floats(0.0, 16.0), min_size=n, max_size=n))
+        grad = draw(st.lists(entry, min_size=n, max_size=n))
+        tensors.append(tuple(np.array(x).reshape(shape) for x in (value, acc, grad)))
+    return tensors
+
+
 @settings(max_examples=100, deadline=None)
-@given(case=_embed_calls(), lr=st.floats(1e-3, 10.0))
-@example(  # rows 2 and 3 untouched, row 3 holding -0.0
+@given(case=_embed_calls(), dense=_dense_tensors(), lr=st.floats(1e-3, 10.0))
+@example(  # rows 2 and 3 untouched, row 3 holding -0.0; a zero accumulator under zero gradients
     case=(np.array([[0.0, 0.0], [1.0, -2.0], [0.5, 0.25], [-0.0, -0.0]]), np.ones((4, 2)),
           [[1, 0, 1], [1]], [np.array([[1.0, -0.0, 2.0], [-3.0, 0.0, -0.0]]),
-                             np.array([[-0.0], [0.5]])]), lr=0.1)
-def test_row_sparse_gradient_and_step_match_the_dense_oracle(case, lr):
-    # comparison: bitwise, both the densified gradient against the dense
-    # scatter and the row-sparse AdaGrad step against the dense step on it
-    # with its PAD row zeroed
+                             np.array([[-0.0], [0.5]])]),
+    dense=[(np.array([1.0, -2.0]), np.array([0.0, 1.0]), np.array([-0.0, 0.0])),
+           (np.array([[0.5, -0.0]]), np.array([[0.0, 2.0]]), np.array([[3.0, -0.0]]))],
+    lr=0.1)
+def test_row_sparse_gradient_and_step_match_the_dense_oracle(case, dense, lr):
+    # comparison: bitwise, the densified gradient against the dense scatter,
+    # and one AdaGrad step over every tensor against the textbook update:
+    # the embeddings on their dense gradient with its PAD row zeroed, each
+    # dense tensor on its own gradient, and a tensor without one unchanged
     value, acc, calls, grads = case
     table = ad.param(value.copy())
     embeds = [ad.embed(table, ids) for ids in calls]
@@ -246,16 +261,28 @@ def test_row_sparse_gradient_and_step_match_the_dense_oracle(case, lr):
     for node, ids, g in zip(embeds, calls, grads):
         node._backward(g)
         want = _dense_embed_backward(want, value, ids, g)
-    assert table.grad.dense().tobytes() == want.tobytes()
+    assert ad._dense_grad(table).tobytes() == want.tobytes()
 
-    sparse_acc = {EMBEDDINGS_KEY: acc.copy()}
-    adagrad_step({EMBEDDINGS_KEY: table}, sparse_acc, lr, 1e-8)
+    skipped, skipped_acc = dense[1][:2]  # drawn values, but no gradient
+    params = {EMBEDDINGS_KEY: table, "no-grad": ad.param(skipped.copy())}
+    accs = {EMBEDDINGS_KEY: acc.copy(), "no-grad": skipped_acc.copy()}
+    tensors = dict(zip(["1-d", "2-d"], dense))
+    for name, (v, a, g) in tensors.items():
+        params[name] = ad.param(v.copy())
+        params[name].grad = g
+        accs[name] = a.copy()
+    adagrad_step(params, accs, lr, 1e-8)
+
     want[PAD_ID] = 0.0
-    dense_acc = acc + want * want
-    dense_value = value - lr * want / (np.sqrt(dense_acc) + 1e-8)
-    assert sparse_acc[EMBEDDINGS_KEY].tobytes() == dense_acc.tobytes()
-    assert table.value.tobytes() == dense_value.tobytes()
+    for name, (v, a, g) in [(EMBEDDINGS_KEY, (value, acc, want)), *tensors.items()]:
+        a, v = a.copy(), v.copy()
+        a += g * g
+        v -= lr * g / (np.sqrt(a) + 1e-8)
+        assert accs[name].tobytes() == a.tobytes(), name
+        assert params[name].value.tobytes() == v.tobytes(), name
     assert table.value[PAD_ID].tobytes() == np.zeros(value.shape[1]).tobytes()
+    assert params["no-grad"].value.tobytes() == skipped.tobytes()
+    assert accs["no-grad"].tobytes() == skipped_acc.tobytes()
 
 
 def test_embed_input_errors():
@@ -1015,8 +1042,10 @@ def test_grad_check_raises_on_a_non_finite_gradient(value, grad, entry):
 
 def test_grad_check_report_surface():
     w = ad.param(np.array([2.0]))
-    report = ad.grad_check(lambda: project(ad.tanh(w)), {"w": w})
+    unreached = ad.param(np.array([1.0, -3.0]))  # the loss never reads it
+    report = ad.grad_check(lambda: project(ad.tanh(w)), {"w": w, "unreached": unreached})
     assert report.worst_tensor == "w"
     assert report.step == 1e-5
-    assert list(report.errors) == ["w"]
+    assert list(report.errors) == ["w", "unreached"]
+    assert report.errors["unreached"] == 0.0
     assert not ad.GradCheckReport(errors={"w": 1.0}, step=1e-5, tolerance=1e-6).passed

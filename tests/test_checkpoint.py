@@ -365,6 +365,31 @@ def test_bytes_after_the_last_tensor_are_a_data_error(tiny_checkpoint, extra):
     assert len(err.getvalue().splitlines()) == 1
 
 
+def test_a_long_trailing_tail_is_refused_without_being_read(tiny_checkpoint):
+    # a sparse 64 MiB tail: loading reads at most one byte past the tensors,
+    # so its peak is the tensors plus 1 MiB of slack for the manifest and
+    # the objects around it, whatever the tail's length
+    raw, bad = tiny_checkpoint
+    bad.write_bytes(raw)
+    model, _ = load_checkpoint(str(bad))
+    tensor_bytes = sum(node.value.nbytes for node in model.params.values())
+    tail = 64 << 20
+    with open(bad, "r+b") as fh:
+        fh.truncate(len(raw) + tail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"{tail} bytes trail the tensor blob"):
+            load_checkpoint(str(bad))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_bytes + (1 << 20)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["params", "--model", str(bad)]) == 3
+    assert len(err.getvalue().splitlines()) == 1
+
+
 @pytest.mark.parametrize("name, key, spell", [
     ("embeddings", "offset", lambda v: False),  # 0
     ("classifier.W", "offset", float),

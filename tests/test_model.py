@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attconv
 from attconv import autodiff as ad
-from attconv.data import Dataset, Example, Vocabulary, gen_context_match, make_batches
+from attconv.attention import MATCH_METHODS
+from attconv.data import PAD_ID, PAD_TOKEN, Dataset, Example, Vocabulary, gen_context_match, make_batches
 from attconv.errors import (
     AttconvError,
     ConfigError,
@@ -19,8 +22,10 @@ from attconv.errors import (
     FormatError,
 )
 from attconv.model import (
+    CONTEXT_MODES,
     EVAL_CHUNK,
     MAX_SCORE_ENTRIES,
+    VARIANTS,
     ModelConfig,
     TrainConfig,
     adagrad_step,
@@ -563,6 +568,41 @@ def test_train_pad_row_stays_zero():
     model = _toy_model(data)
     train(model, data, TrainConfig(epochs=2, learning_rate=0.05, batch_size=10))
     assert np.all(model.embeddings.value[0] == 0.0)
+
+
+@st.composite
+def _one_batch(draw):
+    """A context mode and 1-4 examples that fit it, over ``t0``..``t9``, the
+    PAD token and a token outside the vocabulary."""
+    mode = draw(st.sampled_from(CONTEXT_MODES))
+    words = [f"t{i}" for i in range(10)] + [PAD_TOKEN, "oov"]
+    tokens = st.lists(st.sampled_from(words), min_size=1, max_size=4)
+    contexts = {"intra": st.just(0), "single": st.just(1)}.get(mode, st.integers(1, 3))
+    examples = [Example(draw(tokens), [draw(tokens) for _ in range(draw(contexts))],
+                        draw(st.integers(0, 1))) for _ in range(draw(st.integers(1, 4)))]
+    return mode, examples
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), match=st.sampled_from(MATCH_METHODS),
+       d=st.sampled_from([2, 3]), batch=_one_batch())
+def test_one_training_step_leaves_pad_zero_and_unused_rows_bitwise(variant, match, d, batch):
+    # contract clause: the PAD row stays zero. Comparison: bitwise, after one
+    # epoch of one batch, against the rows as built; a row counts as used
+    # when any text or context of the batch holds it, or it is the separator
+    mode, examples = batch
+    cfg = small_config(variant=variant, context_mode=mode, match_method=match, d=d)
+    model = build_model(cfg, VOCAB, LABELS)
+    before = model.embeddings.value.copy()
+    train(model, Dataset(examples=examples, label_names=LABELS),
+          TrainConfig(epochs=1, batch_size=len(examples), learning_rate=0.5))
+    used = {VOCAB.index["</s>"]} if mode == "multi-conc" else set()
+    for ex in examples:
+        text, ctx, _ = model.vocab.encode_example(ex)
+        used.update(text, *ctx)
+    unused = [i for i in range(len(VOCAB)) if i not in used]
+    assert model.embeddings.value[PAD_ID].tobytes() == np.zeros(d).tobytes()
+    assert model.embeddings.value[unused].tobytes() == before[unused].tobytes()
 
 
 def test_train_moves_used_embedding_rows():
