@@ -58,10 +58,6 @@ class Node:
         self._backward = None
         self._ran = False
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         tag = self.name or self.op
         return f"Node({tag}, shape={self.value.shape})"

@@ -94,22 +94,6 @@ def _check_layout(path: str, manifest: dict) -> Vocabulary:
     return vocab
 
 
-def _read_configs(manifest: dict) -> tuple[ModelConfig, TrainConfig]:
-    """Parse the stored configs, reading the names older checkpoints store.
-
-    ``no-context`` was a second name for ``vanilla-cnn``, and ``filter-width``
-    a train field that could only hold 3. Any other width stays an unknown
-    field.
-    """
-    model_json, train_json = manifest["model-config"], manifest["train-config"]
-    if model_json.get("variant") == "no-context":
-        model_json = {**model_json, "variant": "vanilla-cnn"}
-    width = train_json.get("filter-width")
-    if type(width) is int and width == 3:
-        train_json = {k: v for k, v in train_json.items() if k != "filter-width"}
-    return ModelConfig.from_json(model_json), TrainConfig.from_json(train_json)
-
-
 def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     """Rebuild a model from a checkpoint file.
 
@@ -121,9 +105,8 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
     that more follow. The tensor blobs are then read once into one buffer,
     and each tensor is a writable view of its own bytes there, so nothing
     is initialized, drawn or copied again. Version mismatches name
-    both versions in the error. Checkpoints written with the ``no-context``
-    variant or a ``filter-width`` of 3 load as ``vanilla-cnn`` without the
-    width.
+    both versions in the error, and a stored config that a config file
+    could not hold (an unknown key or value) is a ConfigError.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)
@@ -148,7 +131,8 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
                 f"{path}: checkpoint format version {version} is not the supported {FORMAT_VERSION}"
             )
         vocab = _check_layout(path, manifest)
-        config, train_config = _read_configs(manifest)
+        config = ModelConfig.from_json(manifest["model-config"])
+        train_config = TrainConfig.from_json(manifest["train-config"])
         labels = list(manifest["labels"])
         check_labels(config, labels)
         directory, nbytes = _directory(param_shapes(config, len(vocab)))

@@ -64,9 +64,42 @@ def _json_key(name: str) -> str:
     return name.replace("_", "-")
 
 
+# what a field of each annotated type accepts; bool is excluded separately
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                "str": ((str,), "a string")}
+
+
+class _JsonConfig:
+    """A config dataclass that maps to JSON with hyphenated field names, in
+    field order; ``from_json`` refuses an unknown key and validates."""
+
+    def to_json(self) -> dict:
+        return {_json_key(f.name): getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        known = {_json_key(f.name): f.name for f in fields(cls)}
+        kwargs = {}
+        for key, value in data.items():
+            attr = known.get(key)
+            if attr is None:
+                raise ConfigError(f"unknown {cls.__name__} field {key!r}")
+            kwargs[attr] = value
+        cfg = cls(**kwargs)
+        cfg.validate()
+        return cfg
+
+    def _check_types(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepted, what = _FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{_json_key(f.name)} must be {what}, got {value!r}")
+
+
 @dataclass
-class ModelConfig:
-    """Architecture switches. Serialized with hyphenated field names."""
+class ModelConfig(_JsonConfig):
+    """Architecture switches."""
 
     variant: str = "light"
     context_mode: str = "single"
@@ -77,7 +110,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _check_types(self)
+        self._check_types()
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.context_mode not in CONTEXT_MODES:
@@ -95,16 +128,9 @@ class ModelConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
-    def to_json(self) -> dict:
-        return {_json_key(f.name): getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ModelConfig":
-        return _config_from_json(cls, data)
-
 
 @dataclass
-class TrainConfig:
+class TrainConfig(_JsonConfig):
     """Optimization knobs."""
 
     learning_rate: float = 0.01
@@ -114,7 +140,7 @@ class TrainConfig:
     eval_every: int = 1
 
     def validate(self) -> None:
-        _check_types(self)
+        self._check_types()
         if not 0 < self.learning_rate <= sys.float_info.max:
             raise ConfigError(
                 f"learning-rate must be finite and positive, got {self.learning_rate}"
@@ -129,39 +155,6 @@ class TrainConfig:
             )
         if self.eval_every < 1:
             raise ConfigError("eval-every must be at least 1")
-
-    def to_json(self) -> dict:
-        return {_json_key(f.name): getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TrainConfig":
-        return _config_from_json(cls, data)
-
-
-# what a field of each annotated type accepts; bool is excluded separately
-_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                "str": ((str,), "a string")}
-
-
-def _check_types(cfg) -> None:
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        accepted, what = _FIELD_TYPES[f.type]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ConfigError(f"{_json_key(f.name)} must be {what}, got {value!r}")
-
-
-def _config_from_json(cls, data: dict):
-    known = {_json_key(f.name): f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        attr = known.get(key)
-        if attr is None:
-            raise ConfigError(f"unknown {cls.__name__} field {key!r}")
-        kwargs[attr] = value
-    cfg = cls(**kwargs)
-    cfg.validate()
-    return cfg
 
 
 @dataclass
@@ -180,7 +173,8 @@ class Model:
 
     @property
     def embeddings(self) -> ad.Node:
-        """The V x d embedding table; row 0 (PAD) stays zero."""
+        """The V x d embedding table. Row 0 (PAD) stays zero: every forward
+        refuses the PAD id, so no gradient reaches that row."""
         return self.params[EMBEDDINGS_KEY]
 
 
@@ -325,14 +319,18 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
     is exactly invariant to context order and repetition. Vanilla-cnn
     ignores contexts and has no maps. Every malformed example raises here,
     before any op is built, so a packed chunk fails on its first malformed
-    example just as one forward per example would. So does an example of a
-    variant in ``EXPORTABLE_VARIANTS`` with more than ``MAX_SCORE_ENTRIES``
-    attention scores, a FormatError.
+    example just as one forward per example would. A text or context map
+    holding the PAD id 0 is a ContractError: ``Vocabulary.encode`` never
+    gives it, and keeping it out of every graph keeps the PAD row out of
+    every gradient. An example of a variant in ``EXPORTABLE_VARIANTS`` with
+    more than ``MAX_SCORE_ENTRIES`` attention scores is a FormatError.
     """
     cfg = model.config
     mode = cfg.context_mode
     if not text_ids:
         raise ContractError("forward: empty text")
+    if PAD_ID in text_ids:
+        raise ContractError(f"forward: the text holds the PAD id {PAD_ID}")
     if cfg.variant == "vanilla-cnn":
         return []
     if mode == "intra":
@@ -358,6 +356,8 @@ def _example_maps(model: Model, text_ids: list[int], ctx_ids: list[list[int]]) -
         maps = ctx_ids
     if not all(maps):
         raise EmptyInputError("forward: empty context")
+    if any(PAD_ID in ids for ids in maps):
+        raise ContractError(f"forward: a context holds the PAD id {PAD_ID}")
     m, n = len(text_ids), sum(len(ids) for ids in maps)
     if cfg.variant in EXPORTABLE_VARIANTS and m * n > MAX_SCORE_ENTRIES:
         raise FormatError(f"example too large: a text of {m} tokens against context maps of "
@@ -397,7 +397,8 @@ def forward_batch(model: Model, encoded) -> ad.Node:
     several context maps max-pools the sentence vectors of its pairs. Each
     column equals ``forward_ids`` of its example within rounding (wider
     matmuls sum in another order), bit for bit in a batch of one, and the
-    first malformed example raises what its own forward would.
+    first malformed example raises what its own forward would, before any op
+    is built: an example whose text or context holds the PAD id is one.
     """
     if not encoded:
         raise ContractError("forward_batch: no examples")
@@ -485,10 +486,12 @@ def adagrad_step(params: dict[str, ad.Node], acc: dict[str, np.ndarray],
     acc += g^2; p -= lr * g / (sqrt(acc) + eps), on the rows of ``grad``.
     A dense ``grad`` covers every row, so its tensor and accumulator are
     updated in place. A ``RowGrad`` (the embeddings' gradient after
-    ``backward``) covers its rows alone, never the embeddings' PAD row:
-    every other row would only have had +0.0 added to its accumulator and
-    0.0 taken from its value, so none of them is read or written. A tensor
-    whose ``grad`` is None is skipped, its value and accumulator unchanged."""
+    ``backward``) covers its rows alone: every other row would only have had
+    +0.0 added to its accumulator and 0.0 taken from its value, so none of
+    them is read or written. The step updates exactly the rows the gradient
+    names; the PAD row is never among them after ``forward_batch``, which
+    refuses the PAD id. A tensor whose ``grad`` is None is skipped, its
+    value and accumulator unchanged."""
     for name, node in params.items():
         g = node.grad
         if g is None:
@@ -496,8 +499,6 @@ def adagrad_step(params: dict[str, ad.Node], acc: dict[str, np.ndarray],
         rows = ...  # every row: indexing with it gives views
         if isinstance(g, ad.RowGrad):
             rows, g = g
-            if name == EMBEDDINGS_KEY and rows[0] == PAD_ID:  # rows are sorted
-                rows, g = rows[1:], g[1:]
         a = acc[name][rows]
         a += g * g
         acc[name][rows] = a

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attconv import autodiff as ad
-from attconv.data import PAD_ID
 from attconv.errors import (
     ContractError,
     DeterminismError,
@@ -203,23 +202,24 @@ def test_embed_backward_allocates_no_table_per_call():
     assert peak < 0.1 * table.value.nbytes
     assert table.grad.rows.tolist() == [0, 3, 5, 7, 8, 12_345, 19_999]
     assert table.grad.block[1].tolist() == [2.0] * 64
+    # the step moves exactly the rows the gradient names, row 0 among them
     moved = np.flatnonzero((table.value != 1.0).any(axis=1))
-    assert moved.tolist() == [3, 5, 7, 8, 12_345, 19_999]  # never row 0, PAD
+    assert moved.tolist() == [0, 3, 5, 7, 8, 12_345, 19_999]
 
 
 @st.composite
 def _embed_calls(draw):
-    """A table, its accumulator and 1-4 embed calls with their gradients."""
+    """A table, its accumulator and 1-4 embed calls with their gradients;
+    the first call always takes row 0."""
     vocab, d = draw(st.integers(1, 30)), draw(st.integers(1, 5))
     entry = st.floats(-4.0, 4.0) | st.just(-0.0)
     table = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
                           min_size=vocab, max_size=vocab))
-    table[PAD_ID] = [0.0] * d
     acc = draw(st.lists(st.lists(st.floats(0.0, 16.0), min_size=d, max_size=d),
                         min_size=vocab, max_size=vocab))
     calls = draw(st.lists(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=9),
                           min_size=1, max_size=4))
-    calls[0].insert(draw(st.integers(0, len(calls[0]))), PAD_ID)
+    calls[0].insert(draw(st.integers(0, len(calls[0]))), 0)
     grads = [draw(st.lists(st.lists(entry, min_size=len(ids), max_size=len(ids)),
                            min_size=d, max_size=d)) for ids in calls]
     return np.array(table), np.abs(np.array(acc)), calls, [np.array(g) for g in grads]
@@ -252,8 +252,8 @@ def _dense_tensors(draw):
 def test_row_sparse_gradient_and_step_match_the_dense_oracle(case, dense, lr):
     # comparison: bitwise, the densified gradient against the dense scatter,
     # and one AdaGrad step over every tensor against the textbook update:
-    # the embeddings on their dense gradient with its PAD row zeroed, each
-    # dense tensor on its own gradient, and a tensor without one unchanged
+    # the embeddings on their dense gradient, row 0 included, each dense
+    # tensor on its own gradient, and a tensor without one unchanged
     value, acc, calls, grads = case
     table = ad.param(value.copy())
     embeds = [ad.embed(table, ids) for ids in calls]
@@ -273,14 +273,12 @@ def test_row_sparse_gradient_and_step_match_the_dense_oracle(case, dense, lr):
         accs[name] = a.copy()
     adagrad_step(params, accs, lr, 1e-8)
 
-    want[PAD_ID] = 0.0
     for name, (v, a, g) in [(EMBEDDINGS_KEY, (value, acc, want)), *tensors.items()]:
         a, v = a.copy(), v.copy()
         a += g * g
         v -= lr * g / (np.sqrt(a) + 1e-8)
         assert accs[name].tobytes() == a.tobytes(), name
         assert params[name].value.tobytes() == v.tobytes(), name
-    assert table.value[PAD_ID].tobytes() == np.zeros(value.shape[1]).tobytes()
     assert params["no-grad"].value.tobytes() == skipped.tobytes()
     assert accs["no-grad"].tobytes() == skipped_acc.tobytes()
 

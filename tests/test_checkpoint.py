@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 from attconv import autodiff as ad
 from attconv import data as data_module
 from attconv import model as model_module
+from attconv.attention import MATCH_METHODS
 from attconv.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from attconv.cli import main
-from attconv.data import Vocabulary, gen_context_match
+from attconv.data import Example, Vocabulary, gen_context_match
 from attconv.errors import ConfigError, FormatError
-from attconv.model import ModelConfig, TrainConfig, build_model, evaluate, forward_ids, train
+from attconv.layers import SELF_MODES
+from attconv.model import (CONTEXT_MODES, VARIANTS, ModelConfig, TrainConfig, build_model,
+                           evaluate, forward, train)
 
 
 def trained_model():
@@ -66,6 +69,58 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save_checkpoint(str(first), loaded, loaded_tcfg)
     assert first.read_bytes() == second.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["a.ckpt", "b.ckpt"]
+
+
+def _not(default, values):
+    return values.filter(lambda v: v != default)
+
+
+@st.composite
+def _saved_model(draw):
+    """A drawn config and train config, a model built from it and one example
+    its forward takes."""
+    mode = draw(st.sampled_from(CONTEXT_MODES))
+    config = ModelConfig(
+        variant=draw(st.sampled_from(VARIANTS)), context_mode=mode, d=draw(st.integers(1, 4)),
+        num_classes=draw(st.integers(2, 4)), match_method=draw(st.sampled_from(MATCH_METHODS)),
+        self_mode=draw(st.sampled_from(SELF_MODES)), seed=draw(st.integers(0, 2**63)))
+    train_config = TrainConfig(
+        learning_rate=draw(_not(0.01, st.floats(1e-300, 1e300))),
+        batch_size=draw(_not(50, st.integers(1, 10**6))),
+        epochs=draw(_not(10, st.integers(1, 10**6))),
+        adagrad_epsilon=draw(_not(1e-8, st.floats(1e-300, 1.0))),
+        eval_every=draw(_not(1, st.integers(1, 10**6))))
+    words = ["a", "b", "c", "</s>"]
+    vocab = Vocabulary()
+    for t in words:
+        vocab.add(t)
+    model = build_model(config, vocab, [f"k{i}" for i in range(config.num_classes)])
+    seq = st.lists(st.sampled_from(words), min_size=1, max_size=4)
+    n_ctx = {"intra": 0, "single": 1}.get(mode, draw(st.integers(1, 3)))
+    example = Example(text=draw(seq) + ["a"], contexts=[draw(seq) for _ in range(n_ctx)],
+                      label=0)
+    return model, train_config, example
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_saved_model())
+def test_save_load_save_is_byte_identical_for_every_drawn_config(scratch_dir, drawn):
+    # contract clause: save, load, save is byte-identical for the drawn
+    # config. Comparison: bitwise, the two files, and the loaded model's
+    # forward against the original's on a drawn example
+    model, train_config, example = drawn
+    first, second = scratch_dir / "first.ckpt", scratch_dir / "second.ckpt"
+    save_checkpoint(str(first), model, train_config)
+    loaded, loaded_train = load_checkpoint(str(first))
+    assert loaded.config == model.config and loaded_train == train_config
+    save_checkpoint(str(second), loaded, loaded_train)
+    assert first.read_bytes() == second.read_bytes()
+    assert forward(loaded, example).value.tobytes() == forward(model, example).value.tobytes()
 
 
 def test_a_failed_save_keeps_the_previous_file_and_leaves_no_other(tmp_path):
@@ -508,50 +563,36 @@ def test_flipped_header_or_manifest_byte_never_crashes(tiny_checkpoint, data):
 
 
 # ---------------------------------------------------------------------------
-# names written by older versions: the `no-context` alias of vanilla-cnn and
-# the one-valued `filter-width`; only the checkpoint loader still knows them
+# names that only older versions wrote: the `no-context` alias of vanilla-cnn
+# and the one-valued `filter-width`; a stored config is read as a config
+# file is, so both are configuration errors
 
 
-def _legacy_checkpoint(tmp_path, filter_width):
-    """A vanilla-cnn checkpoint rewritten the way older versions stored it."""
+@pytest.mark.parametrize("model_edit, train_edit", [
+    ({"variant": "no-context"}, {}),
+    *(({}, {"filter-width": width}) for width in (3, 5, 3.0, True, "3")),
+])
+def test_legacy_names_in_a_checkpoint_exit_2(tmp_path, model_edit, train_edit):
     vocab = Vocabulary()
     for t in ("a", "b", "c", "d"):
         vocab.add(t)
     model = build_model(ModelConfig(variant="vanilla-cnn", context_mode="single", d=3, seed=4),
                         vocab, ["0", "1"])
-    tcfg = TrainConfig(epochs=2)
     path = tmp_path / "legacy.ckpt"
-    save_checkpoint(str(path), model, tcfg)
+    save_checkpoint(str(path), model, TrainConfig(epochs=2))
 
     def age(manifest):
-        manifest["model-config"]["variant"] = "no-context"
-        manifest["train-config"]["filter-width"] = filter_width
+        manifest["model-config"].update(model_edit)
+        manifest["train-config"].update(train_edit)
 
     path.write_bytes(_rewrite_manifest(path.read_bytes(), age))
-    return model, tcfg, path
-
-
-def test_legacy_no_context_checkpoint_loads_as_vanilla_cnn(tmp_path):
-    model, tcfg, path = _legacy_checkpoint(tmp_path, 3)
-    loaded, loaded_tcfg = load_checkpoint(str(path))
-    assert loaded.config == model.config
-    assert loaded.config.variant == "vanilla-cnn"
-    assert loaded_tcfg == tcfg
-    for text, ctx in (([2, 3, 4], [[5]]), ([5, 5, 2, 1], [[3, 4]]), ([4], [[2, 3, 5]])):
-        want = forward_ids(model, text, ctx).value
-        assert np.array_equal(forward_ids(loaded, text, ctx).value, want)
-    # saving it again writes the current names
-    resaved = tmp_path / "resaved.ckpt"
-    save_checkpoint(str(resaved), loaded, loaded_tcfg)
-    manifest = _manifest_of(resaved.read_bytes())
-    assert manifest["model-config"]["variant"] == "vanilla-cnn"
-    assert "filter-width" not in manifest["train-config"]
-
-
-@pytest.mark.parametrize("width", [5, 3.0, True, "3"])
-def test_legacy_filter_width_other_than_3_exits_2(tmp_path, width):
-    _, _, path = _legacy_checkpoint(tmp_path, width)
-    assert _params_exit_code(path) == 2
+    with pytest.raises(ConfigError):
+        load_checkpoint(str(path))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["params", "--model", str(path)]) == 2
+    assert len(err.getvalue().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("legacy", [{"variant": "no-context"}, {"filter-width": 3}])

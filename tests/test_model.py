@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import attconv
 from attconv import autodiff as ad
 from attconv.attention import MATCH_METHODS
-from attconv.data import PAD_ID, PAD_TOKEN, Dataset, Example, Vocabulary, gen_context_match, make_batches
+from attconv.data import (PAD_ID, PAD_TOKEN, UNK_ID, Dataset, Example, Vocabulary,
+                          gen_context_match, make_batches)
 from attconv.errors import (
     AttconvError,
     ConfigError,
@@ -24,6 +25,7 @@ from attconv.errors import (
 from attconv.model import (
     CONTEXT_MODES,
     EVAL_CHUNK,
+    EXPORTABLE_VARIANTS,
     MAX_SCORE_ENTRIES,
     VARIANTS,
     ModelConfig,
@@ -33,6 +35,7 @@ from attconv.model import (
     build_model,
     count_params,
     cross_entropy,
+    encode_checked,
     evaluate,
     forward,
     forward_batch,
@@ -367,6 +370,40 @@ def test_no_conv_records_one_attention_pass_per_layer():
     assert [r.layer_index for r in records] == [0, 1, 2, 3]
 
 
+@st.composite
+def _attention_case(draw):
+    """An exportable model and one encoded example: text and contexts of 1-6
+    tokens, a text of at least 2 under intra exclude-self."""
+    mode = draw(st.sampled_from(CONTEXT_MODES))
+    self_mode = draw(st.sampled_from(["include-self", "exclude-self"]))
+    cfg = small_config(variant=draw(st.sampled_from(EXPORTABLE_VARIANTS)), context_mode=mode,
+                       match_method=draw(st.sampled_from(MATCH_METHODS)), self_mode=self_mode,
+                       d=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32)))
+    ids = st.integers(1, len(VOCAB) - 1)
+    shortest = 2 if mode == "intra" and self_mode == "exclude-self" else 1
+    text = draw(st.lists(ids, min_size=shortest, max_size=6))
+    n_ctx = {"intra": 0, "single": 1}.get(mode, draw(st.integers(1, 3)))
+    ctxs = [draw(st.lists(ids, min_size=1, max_size=6)) for _ in range(n_ctx)]
+    return cfg, text, ctxs
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_attention_case())
+def test_attention_rows_sum_to_one_and_exclude_self_zeroes_the_diagonal(case):
+    # contract clause: attention rows sum to 1, and the exclude-self diagonal
+    # is exactly 0. Comparison: the exact sum of each stored row (fsum)
+    # within 1e-15 of 1; the diagonal compared to 0.0 exactly
+    cfg, text, ctxs = case
+    model = build_model(cfg, VOCAB, LABELS)
+    records = attention_records(model, text, ctxs)
+    assert records
+    for record in records:
+        for row in record.weights:
+            assert abs(math.fsum(row) - 1.0) <= 1e-15
+        if cfg.context_mode == "intra" and cfg.self_mode == "exclude-self":
+            assert np.all(np.diagonal(record.weights) == 0.0)
+
+
 @pytest.mark.parametrize("variant", ["attentive-pooling", "vanilla-cnn"])
 def test_attention_records_refuse_variants_without_an_attention_matrix(variant):
     model = build_model(small_config(variant=variant), VOCAB, LABELS)
@@ -408,6 +445,49 @@ def test_an_example_over_the_score_bound_is_refused_before_any_op(
                 lambda: forward_batch(model, [(text, ctxs)]), lambda: evaluate(data, model),
                 lambda: train(model, data, TrainConfig(epochs=1))):
         with pytest.raises(RuntimeError if allowed else FormatError, match="op|too large"):
+            run()
+
+
+@pytest.mark.parametrize("variant,mode,holder", [
+    ("light", "single", "text"), ("light", "single", 0),
+    ("light", "intra", "text"), ("vanilla-cnn", "single", "text"),
+    ("light", "multi-wise", "text"), ("light", "multi-wise", 1), ("light", "multi-wise", 2),
+    ("no-conv", "multi-conc", "text"), ("no-conv", "multi-conc", 0),
+    ("no-conv", "multi-conc", 2), ("attentive-pooling", "single", 0),
+])
+def test_an_example_holding_the_pad_id_is_refused_before_any_op(
+        monkeypatch, variant, mode, holder):
+    # contract clause: the PAD row stays zero, because no graph ever takes
+    # it. Comparison: which error; an id 0 in the text or in any context is
+    # refused before the first op, on every path that reaches a forward
+    model = build_model(small_config(variant=variant, context_mode=mode, d=2), VOCAB, LABELS)
+
+    def first_op(*args):
+        raise RuntimeError("an op was built")
+
+    monkeypatch.setattr(ad, "embed", first_op)
+    n_ctx = {"intra": 0, "single": 1}.get(mode, 3)
+    text, ctxs = [2, 3, 4], [[5 + k, 6] for k in range(n_ctx)]
+    (text if holder == "text" else ctxs[holder]).insert(1, PAD_ID)
+    for run in (lambda: forward_ids(model, text, ctxs),
+                lambda: forward_batch(model, [([2, 3], [[5]] * n_ctx), (text, ctxs)])):
+        with pytest.raises(ContractError, match="PAD id"):
+            run()
+    if variant in EXPORTABLE_VARIANTS:
+        with pytest.raises(ContractError, match="PAD id"):
+            attention_records(model, text, ctxs)
+
+    # Vocabulary.encode gives UNK for <pad>; a vocabulary that let the id
+    # through would still be refused before train's first update
+    monkeypatch.setattr(Vocabulary, "encode",
+                        lambda self, tokens: [self.index.get(t, UNK_ID) for t in tokens])
+    example = Example(text=[VOCAB.tokens[i] for i in text],
+                      contexts=[[VOCAB.tokens[i] for i in c] for c in ctxs], label=0)
+    assert VOCAB.tokens[PAD_ID] == PAD_TOKEN
+    data = Dataset(examples=[example], label_names=LABELS)
+    for run in (lambda: encode_checked(model, [example]),
+                lambda: train(model, data, TrainConfig(epochs=1))):
+        with pytest.raises(ContractError, match="PAD id"):
             run()
 
 
