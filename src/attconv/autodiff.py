@@ -2,8 +2,9 @@
 
 Graphs are built eagerly: every op below computes its value immediately and
 registers a closure that pushes the output gradient back to its inputs.
-``backward`` walks the graph once in reverse topological order, so each
-closure runs exactly once per call.
+``backward`` walks the graph once, outputs before inputs, and consumes the
+interior nodes it walks; leaves keep accumulating gradients, and a
+backward that reaches a consumed node raises ContractError.
 
 Values are numpy float64 arrays throughout: 0-d for scalars (losses),
 1-d for vectors (biases) and blocked score values, 2-d for feature maps
@@ -43,11 +44,11 @@ class Node:
     a ``RowGrad`` pair of rows and their block, and no other op may reach
     that table. Leaves (parameters, constants) have no inputs and no
     backward closure; they keep the gradients ``backward`` accumulates into
-    them. An interior node holds a gradient only while ``backward`` is
-    pushing it.
+    them. An interior node holds a gradient only while ``backward`` pushes
+    it; then it is consumed: it keeps its value, and a backward reaching it raises.
     """
 
-    __slots__ = ("value", "grad", "op", "inputs", "name", "_backward", "_ran")
+    __slots__ = ("value", "grad", "op", "inputs", "name", "_backward")
 
     def __init__(self, value, op: str = "leaf", inputs: tuple = (), name: str | None = None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -56,7 +57,6 @@ class Node:
         self.inputs = tuple(inputs)
         self.name = name
         self._backward = None
-        self._ran = False
 
     def __repr__(self):
         tag = self.name or self.op
@@ -658,28 +658,30 @@ def topo_order(root: Node) -> list[Node]:
     return order
 
 
+def _consumed(g) -> None:
+    raise ContractError("backward: reached a node an earlier backward consumed")
+
+
 def backward(loss: Node) -> None:
     """Propagate d(loss)/d(node) to every leaf reachable from ``loss``.
 
-    Leaves keep their gradients: they accumulate into ``node.grad``, and
-    callers zero parameter grads between optimization steps. An interior
-    node's gradient is released (set to None) once its closure has pushed
-    it to its inputs, so at most the gradients still to be pushed are held,
-    and a later backward through a shared subgraph starts from zero there.
-    Running backward twice on the same loss node is an error because the
-    second pass would double-count.
+    Leaves accumulate gradients into ``node.grad``; callers zero parameter
+    grads between optimization steps. Each interior node is consumed once
+    walked: its gradient, closure and inputs are dropped, so the graph
+    frees as it goes. A backward that reaches a consumed node, through the
+    same loss or a shared subgraph, raises ContractError; what it pushed
+    before stays in the leaves. A constant leaf loss has no graph to consume.
     """
     if loss.value.size != 1:
         raise ContractError(f"backward: loss must be a scalar, got shape {loss.value.shape}")
-    if loss._ran:
-        raise ContractError("backward: already ran on this loss node; reset gradients and rebuild")
-    loss._ran = True
     order = topo_order(loss)
     _accum(loss, np.ones_like(loss.value))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
+    while order:
+        node = order.pop()
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad, node._backward, node.inputs = None, _consumed, ()
 
 
 def zero_grads(nodes) -> None:

@@ -572,8 +572,7 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
     own ``forward`` would refuse raises that error before any update too.
     The training examples are encoded once, for that check, and every
     epoch batches those ids. A non-finite training loss, or dev loss, aborts
-    with diagnostics. Each batch's graph is dropped after its backward, so
-    it is not held through the update or the next batch's forward.
+    with diagnostics.
     """
     train_config.validate()
     _check_dataset(train_data, model, "train")
@@ -608,7 +607,6 @@ def train(model: Model, train_data: Dataset, train_config: TrainConfig,
             loss_sum += loss.value.item() * len(batch)
             ad.zero_grads(model.params.values())
             ad.backward(loss)
-            del probs, loss
             adagrad_step(model.params, acc, train_config.learning_rate,
                          train_config.adagrad_epsilon)
         record({

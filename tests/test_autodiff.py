@@ -932,22 +932,23 @@ def test_first_accumulation_is_zero_plus_g_laid_out_like_the_value(g_order):
     assert np.array_equal(node.grad, 2 * g)
 
 
-def test_a_second_backward_through_a_shared_subgraph_starts_from_zero():
-    # two losses over one tanh: the second backward must push only its own
-    # gradient through the shared nodes, as on a freshly built graph
-    def graph(x):
-        probs = ad.softmax(ad.tanh(x))
-        return ad.nll(probs, [0]), ad.nll(probs, [1])
-
+def test_a_backward_that_reaches_a_consumed_node_raises_and_keeps_leaf_gradients():
+    # backward consumes the interior nodes it walks: a second backward, on
+    # the same loss or on a second loss over the shared softmax, raises
+    # ContractError and leaves the first backward's gradient bitwise
     x = ad.param(np.array([[0.3], [-0.8]]))
-    first, second = graph(x)
+    probs = ad.softmax(ad.tanh(x))
+    first, second = ad.nll(probs, [0]), ad.nll(probs, [1])
     ad.backward(first)
-    ad.zero_grads([x])
-    ad.backward(second)
+    kept = x.grad.tobytes()
+    for loss in (first, second):
+        with pytest.raises(ContractError, match="consumed"):
+            ad.backward(loss)
+        assert x.grad.tobytes() == kept
 
     fresh = ad.param(x.value.copy())
-    ad.backward(graph(fresh)[1])
-    assert x.grad.tobytes() == fresh.grad.tobytes()
+    ad.backward(ad.nll(ad.softmax(ad.tanh(fresh)), [0]))
+    assert fresh.grad.tobytes() == kept
 
 
 def test_backward_keeps_leaf_gradients_and_releases_interior_ones():
@@ -958,6 +959,7 @@ def test_backward_keeps_leaf_gradients_and_releases_interior_ones():
     ad.backward(loss)
     assert w.grad is not None and c.grad is not None
     assert hidden.grad is None and loss.grad is None
+    assert hidden.inputs == loss.inputs == ()
 
 
 def test_topo_order_puts_inputs_first():

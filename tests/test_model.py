@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,6 +327,39 @@ def test_multi_wise_is_exactly_permutation_and_duplication_invariant():
     duplicated = forward_ids(model, text, ctxs + [ctxs[1]]).value
     assert np.array_equal(base, permuted)
     assert np.array_equal(base, duplicated)
+
+
+@st.composite
+def _multi_wise_case(draw):
+    """A multi-wise config of d 1-16, a text of 1-12 tokens, and 2-4 contexts
+    of 1-40 tokens in two orders: a drawn permutation, and its reverse with
+    1-3 of the contexts repeated after it."""
+    variant = draw(st.sampled_from(["light", "advanced", "no-conv", "attentive-pooling"]))
+    cfg = small_config(variant=variant, context_mode="multi-wise",
+                       match_method=draw(st.sampled_from(MATCH_METHODS)),
+                       d=draw(st.sampled_from(range(1, 17))), seed=draw(st.integers(0, 2**31)))
+
+    def tokens(most):
+        n = draw(st.sampled_from(range(1, most + 1)))
+        return [f"t{b % 10}" for b in draw(st.binary(min_size=n, max_size=n))]
+
+    ctxs = draw(st.permutations([tokens(40) for _ in range(draw(st.integers(2, 4)))]))
+    again = draw(st.lists(st.sampled_from(ctxs), min_size=1, max_size=3))
+    return cfg, tokens(12), ctxs, ctxs[::-1] + again
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_multi_wise_case())
+def test_multi_wise_probabilities_ignore_context_order_and_repeats(case):
+    # contract clause: multi-wise results do not depend on context order.
+    # Comparison: bitwise, between the two orders, on four models (seeds s
+    # to s + 3): a one-ulp change only shows when it reaches a pooled
+    # maximum, so one model misses most order-dependent packings
+    cfg, text, ctxs, other = case
+    for k in range(4):
+        model = build_model(replace(cfg, seed=cfg.seed + k), VOCAB, LABELS)
+        assert (forward(model, Example(text, ctxs, 0)).value.tobytes()
+                == forward(model, Example(text, other, 0)).value.tobytes())
 
 
 def test_join_context_ids_inserts_separators():
@@ -875,11 +909,10 @@ def traced_peak(fn) -> int:
 
 def test_train_holds_one_batch_graph_at_a_time():
     # 3 batches of 4 sixteen-token texts through a no-conv/additive/intra
-    # d=8 model. One batch's forward plus backward peaks at 562 KB; a whole
-    # epoch of train peaks at 1.03x that. Before batch graphs were dropped
-    # after their backward (and interior gradients inside it), the same two
-    # measurements read 718 KB and 1.68x: batch k's graph and all its
-    # gradients stayed alive through the step and batch k+1's forward.
+    # d=8 model. One batch's forward plus backward peaks at 256-264 KB; a
+    # whole epoch of train peaks at 1.04-1.06x that. backward consumes each
+    # batch's graph, so neither it nor its interior gradients live through
+    # the step and batch k+1's forward; when they did, the ratio read 1.68x.
     rng = np.random.default_rng(5)
     examples = [Example([f"t{i}" for i in rng.integers(0, 10, 16)], [], k % 2)
                 for k in range(12)]
@@ -897,6 +930,74 @@ def test_train_holds_one_batch_graph_at_a_time():
     one = traced_peak(one_batch)
     fresh = build_model(cfg, VOCAB, LABELS)
     assert traced_peak(lambda: train(fresh, data, tcfg)) < 1.25 * one
+
+
+def _grad_bytes(params) -> int:
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    return sum(sum(a.nbytes for a in g) if isinstance(g, ad.RowGrad) else g.nbytes
+               for g in grads)
+
+
+# the held probs and loss nodes, their values and the gradients' array
+# headers: 1.8-5.2 KB measured. A backward that left the graph alive held
+# 43-610 KB more on these batches
+BACKWARD_HELD_SLACK = 8 * 1024
+
+
+@pytest.mark.parametrize("match", MATCH_METHODS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_frees_the_graph_it_walks(variant, match):
+    # contract clause: backward consumes the interior nodes it walks. With
+    # probs and loss still referenced, the traced memory left after it is
+    # the parameters' new gradients plus BACKWARD_HELD_SLACK, on a ragged
+    # multi-wise batch of five texts of 1-40 tokens and 1-3 contexts each
+    rng = np.random.default_rng(7)
+    ids = lambda n: rng.integers(1, len(VOCAB), n).tolist()
+    batch = [(ids(n), [ids(2 + (11 * j + 7 * k) % 30) for j in range(1 + k % 3)], k % 2)
+             for k, n in enumerate([1, 9, 40, 23, 5])]
+    model = build_model(small_config(variant=variant, context_mode="multi-wise",
+                                     match_method=match, d=8), VOCAB, LABELS)
+    labels = [label for *_, label in batch]
+    # one untraced pass first, so that one-time allocations are not counted
+    ad.backward(cross_entropy(forward_batch(model, batch), labels))
+    tracemalloc.start()
+    try:
+        probs = forward_batch(model, batch)
+        loss = cross_entropy(probs, labels)
+        ad.zero_grads(model.params.values())
+        ad.backward(loss)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= _grad_bytes(model.params) + BACKWARD_HELD_SLACK
+    assert probs.value.shape == (2, 5) and loss.inputs == ()
+
+
+def test_grad_check_sees_an_error_of_the_size_its_tolerance_names(monkeypatch):
+    # contract clause: grad_check is the oracle of every gradient. An
+    # absolute error of 1e-5 planted in entry 0 of the classifier bias's
+    # gradient fails the check at 1e-6 and is named; every other tensor
+    # stays under the tolerance
+    model = build_model(small_config(d=2), VOCAB, LABELS)
+    bias, add_bias = model.params["classifier.b"], ad.add_bias
+
+    def planted(mat, b):
+        out = add_bias(mat, b)
+        if b is bias:
+            push = out._backward
+
+            def _bw(g):
+                push(g)
+                bias.grad[0] += 1e-5
+
+            out._backward = _bw
+        return out
+
+    monkeypatch.setattr(ad, "add_bias", planted)
+    report = ad.grad_check(
+        lambda: cross_entropy(forward_batch(model, [([2, 3, 4], [[5, 6]])]), [1]), model.params)
+    assert not report.passed and report.worst_tensor == "classifier.b"
+    assert all(e < 1e-6 for name, e in report.errors.items() if name != "classifier.b")
 
 
 # ---------------------------------------------------------------------------
